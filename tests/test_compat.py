@@ -75,6 +75,7 @@ def test_schema_json_roundtrip():
 
 
 def test_single_field_rank_and_score_parity_vs_reference(ray_session, tmp_path):
+    pytest.importorskip("whoosh")
     from whoosh.query import Term as RTerm
 
     from whoosh_novo_ray.search.query import Term
@@ -92,6 +93,7 @@ def test_single_field_rank_and_score_parity_vs_reference(ray_session, tmp_path):
 
 
 def test_multifield_or_parity_vs_reference(ray_session, tmp_path):
+    pytest.importorskip("whoosh")
     from whoosh.qparser import MultifieldParser as RMFP
 
     titles, bodies = _texts(60, 3), _texts(60, 4)
@@ -195,6 +197,7 @@ def test_fielded_parse_uses_field_analyzer(ray_session, tmp_path):
 
 
 def test_hit_highlights_match_reference(ray_session, tmp_path):
+    pytest.importorskip("whoosh")
     titles, bodies = _texts(40, 9), _texts(40, 10)
     cix = _build_compat(tmp_path, titles, bodies)
     rix = _build_reference(tmp_path, titles, bodies)
@@ -360,6 +363,7 @@ def test_pooled_search_matches_local(ray_session, tmp_path):
 
 def test_stemmed_text_parity_vs_reference(ray_session, tmp_path):
     """TEXT(stem=True) == reference TEXT(analyzer=StemmingAnalyzer())."""
+    pytest.importorskip("whoosh")
     import whoosh.index as windex
     from whoosh.analysis import StemmingAnalyzer
     from whoosh.fields import TEXT as RTEXT

@@ -3,22 +3,28 @@
 Read-side counterpart of build.py. Replaces the reference's SegmentReader /
 MultiReader / W3LeafMatcher machinery (de-odex/whoosh-novo
 ``src/whoosh/reading.py:601-1256``, ``codec/whoosh3.py:905-1173``): terms are
-hash-partitioned across bucket Parquet files sorted by term, so a term lookup
-is a predicate-pushdown read of one bucket (or ``salt_k`` buckets for salted
-heavy terms); posting blocks decode lazily per block for WAND-style skipping,
-or all at once (vectorized segmented cumsum) for term-at-a-time scoring.
+hash-partitioned across bucket Parquet files sorted by term (4k-row row
+groups). Like the reference's terms reader, each bucket file is opened once
+per ``Index`` (``_TermBlocks``): the footer's per-row-group [min, max] term
+bounds form a block index, so a term lookup in one bucket (or ``salt_k``
+buckets for salted heavy terms) is a bisect over those bounds plus a
+``searchsorted`` inside one row group, served from an entry-capped LRU of
+decoded row groups. Posting blocks decode lazily per block for WAND-style
+skipping, or all at once (vectorized segmented cumsum) for term-at-a-time
+scoring.
 """
 
 from __future__ import annotations
 
 import json
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
+import ray
 
 from whoosh_novo_ray.codec import decode_positions, varint_decode
 from whoosh_novo_ray.index.build import (
@@ -248,68 +254,163 @@ def _row_to_termrow(
     return tr
 
 
-def _read_stats_file(path: str, columns: list[str]) -> pa.Table:
+@ray.remote(num_cpus=1)
+def _read_table_task(path: str, columns: list[str] | None) -> pa.Table:
     return pq.read_table(path, columns=columns)
 
 
-def _scan_terms_file(
-    path: str,
-    lo: str | None,
-    hi: str | None,
-    lo_excl: bool,
-    hi_excl: bool,
-    predicate,
-) -> tuple[list[str], int, int, int]:
-    """One bucket's term-dictionary scan (also the Ray-task body).
+def _read_tables(paths: list[str], columns: list[str] | None = None) -> list[pa.Table]:
+    """Whole-file reads, fanned out as Ray tasks when there are enough
+    files and a session is live."""
+    if len(paths) >= 4 and ray.is_initialized():
+        return ray.get([_read_table_task.remote(p, columns) for p in paths])
+    return [pq.read_table(p, columns=columns) for p in paths]
 
-    Row-group pruning is explicit: segments are term-sorted with 4k row
-    groups, so a [lo, hi] range reads ONLY the row groups whose term-column
-    min/max stats intersect it — the counters (groups_total, groups_read,
-    rows_read) make the pruning observable/testable. The exact range +
-    predicate then filter the surviving rows.
-    Returns (matching terms, rg_total, rg_read, rows_read)."""
-    pf = pq.ParquetFile(path)
-    md = pf.metadata
-    n_rg = md.num_row_groups
-    if n_rg == 0:
-        return [], 0, 0, 0
-    # physical index of the `term` column (list columns flatten, so the
-    # top-level field index does not equal the column-chunk index)
-    term_ci = None
-    rg0 = md.row_group(0)
-    for j in range(rg0.num_columns):
-        if rg0.column(j).path_in_schema == "term":
-            term_ci = j
-            break
-    keep_groups = []
-    for rg in range(n_rg):
-        st = md.row_group(rg).column(term_ci).statistics if term_ci is not None else None
-        if st is not None and st.has_min_max and st.min is not None:
-            mn, mx = st.min, st.max
-            if isinstance(mn, bytes):
-                mn, mx = mn.decode("utf-8", "replace"), mx.decode("utf-8", "replace")
-            if lo is not None and (mx < lo or (lo_excl and mx <= lo)):
-                continue
-            if hi is not None and (mn > hi or (hi_excl and mn >= hi)):
-                continue
-        keep_groups.append(rg)
-    if not keep_groups:
-        return [], n_rg, 0, 0
-    tbl = pf.read_row_groups(keep_groups, columns=["term"])
-    rows_read = len(tbl)
-    col = tbl["term"]
-    mask = None
-    if lo is not None:
-        mask = pc.greater(col, lo) if lo_excl else pc.greater_equal(col, lo)
-    if hi is not None:
-        m = pc.less(col, hi) if hi_excl else pc.less_equal(col, hi)
-        mask = m if mask is None else pc.and_(mask, m)
-    if mask is not None:
-        col = pc.filter(col, mask)
-    if not len(col):
-        return [], n_rg, len(keep_groups), rows_read
-    out = pc.filter(col, predicate(col)).to_pylist()
-    return out, n_rg, len(keep_groups), rows_read
+
+class _LRUCache:
+    """Tiny bounded LRU over a plain dict (insertion order = recency;
+    reads move the entry to the back). Long-running serving processes must
+    not grow per-query caches without bound."""
+
+    def __init__(self, cap: int):
+        self.cap = int(cap)
+        self._d: dict = {}
+
+    def __contains__(self, k) -> bool:
+        return k in self._d
+
+    def __len__(self) -> int:
+        return len(self._d)
+
+    def __getitem__(self, k):
+        v = self._d.pop(k)
+        self._d[k] = v
+        return v
+
+    def __setitem__(self, k, v) -> None:
+        self._d.pop(k, None)
+        self._d[k] = v
+        while len(self._d) > self.cap:
+            self._d.pop(next(iter(self._d)))
+
+    def update(self, other: dict) -> None:
+        for k, v in other.items():
+            self[k] = v
+
+
+class _TermBlocks:
+    """Open-once block index over one term-sorted segment file.
+
+    Holds the ``ParquetFile`` handle plus, from the footer, each row group's
+    ``[min, max]`` term bounds and first-row offset. A term lookup is a
+    bisect over the bounds and a ``searchsorted`` inside one row group;
+    decoded row groups come from ``cache``, an entry-capped LRU that may be
+    shared by several files (entries are keyed by path)."""
+
+    def __init__(self, path: str, cache: _LRUCache):
+        self.path = path
+        self._pf = pq.ParquetFile(path)
+        self._cache = cache
+        md = self._pf.metadata
+        n = md.num_row_groups
+        self.offsets = np.zeros(n + 1, np.int64)
+        # physical index of the `term` column (list columns flatten, so the
+        # top-level field index does not equal the column-chunk index)
+        term_ci = next(
+            (j for j in range(md.num_columns)
+             if md.schema.column(j).path == "term"),
+            None,
+        )
+        self.mins: list[str] = []
+        self.maxs: list[str] = []
+        for g in range(n):
+            rg = md.row_group(g)
+            self.offsets[g + 1] = self.offsets[g] + rg.num_rows
+            st = rg.column(term_ci).statistics if term_ci is not None else None
+            if st is not None and st.has_min_max:
+                mn, mx = st.min, st.max
+                if isinstance(mn, bytes):
+                    mn, mx = mn.decode("utf-8", "replace"), mx.decode("utf-8", "replace")
+            else:  # no footer stats (e.g. over-long terms): read the bounds
+                t = self.terms(g)
+                mn, mx = t[0], t[-1]
+            self.mins.append(mn)
+            self.maxs.append(mx)
+
+    @property
+    def n_groups(self) -> int:
+        return len(self.mins)
+
+    def groups(
+        self,
+        lo: str | None = None,
+        hi: str | None = None,
+        lo_excl: bool = False,
+        hi_excl: bool = False,
+    ) -> range:
+        """Row groups whose ``[min, max]`` term bounds intersect
+        ``[lo, hi]`` (terms are sorted, so they are contiguous)."""
+        a = 0 if lo is None else (bisect_right if lo_excl else bisect_left)(self.maxs, lo)
+        b = (
+            self.n_groups
+            if hi is None
+            else (bisect_left if hi_excl else bisect_right)(self.mins, hi)
+        )
+        return range(a, max(a, b))
+
+    def _cached(self, key, load):
+        key = (self.path,) + key
+        if key in self._cache:
+            return self._cache[key]
+        v = self._cache[key] = load()
+        return v
+
+    def terms(self, g: int) -> np.ndarray:
+        """Row group ``g``'s sorted term column as an object array."""
+        return self._cached(
+            (g,),
+            lambda: self._pf.read_row_group(g, columns=["term"])["term"].to_numpy(
+                zero_copy_only=False
+            ),
+        )
+
+    def read(self, g: int, columns: tuple[str, ...]) -> pa.Table:
+        """Row group ``g``, restricted to ``columns``."""
+        return self._cached(
+            (g, columns), lambda: self._pf.read_row_group(g, columns=list(columns))
+        )
+
+    def find(self, term: str) -> list[tuple[int, int, int]]:
+        """``(row group, first row, end row)`` spans holding ``term``; a
+        term repeated across a row-group boundary yields several spans."""
+        out = []
+        for g in self.groups(term, term):
+            t = self.terms(g)
+            i = int(np.searchsorted(t, term, "left"))
+            j = int(np.searchsorted(t, term, "right"))
+            if j > i:
+                out.append((g, i, j))
+        return out
+
+    def locate_row(self, row: int) -> tuple[int, int]:
+        """File row -> (row group, row within it)."""
+        g = int(np.searchsorted(self.offsets, row, "right")) - 1
+        return g, row - int(self.offsets[g])
+
+
+# decoded row groups an Index keeps across lookups (term arrays and stats
+# columns; all of its bucket files share the one LRU)
+_INDEX_BLOCK_CACHE = 32
+_STATS_COLUMNS = ("df", "weight", "max_weight")
+# the pruning counters of a term-dictionary scan (``Index.range_blocks``
+# defines them; the FuzzyTerm automaton reports the same keys)
+EXPAND_STAT_KEYS = (
+    "buckets_total",
+    "buckets_scanned",
+    "row_groups_total",
+    "row_groups_read",
+    "rows_read",
+)
 
 
 class Index:
@@ -327,6 +428,16 @@ class Index:
             for b in self.manifest["buckets"]
             if b["path"]  # docmeta-only buckets carry path="" (no segment)
         }
+        self._blocks_by_bucket: dict[int, _TermBlocks] = {}
+        self._block_cache = _LRUCache(_INDEX_BLOCK_CACHE)
+
+    def __getstate__(self) -> dict:
+        # open file handles and cached row groups stay in this process; a
+        # copy shipped to a Ray task reopens its buckets on first lookup
+        d = dict(self.__dict__)
+        d["_blocks_by_bucket"] = {}
+        d["_block_cache"] = _LRUCache(_INDEX_BLOCK_CACHE)
+        return d
 
     @property
     def avg_field_length(self) -> float:
@@ -335,20 +446,34 @@ class Index:
 
     # -- term dictionary lookups ---------------------------------------------
 
+    def _blocks(self, bucket: int) -> _TermBlocks | None:
+        """The bucket's block index, opened on first use."""
+        tb = self._blocks_by_bucket.get(bucket)
+        if tb is None:
+            p = self._bucket_paths.get(bucket)
+            if p is None:
+                return None
+            tb = self._blocks_by_bucket[bucket] = _TermBlocks(p, self._block_cache)
+        return tb
+
+    def _term_spans(self, term: str):
+        """Every ``(block index, row group, first, end)`` row span of
+        ``term``: one bucket normally, ``salt_k`` for a salted heavy term."""
+        for bk in buckets_for_query_term(self.cfg, term):
+            tb = self._blocks(bk)
+            if tb is not None:
+                for g, i, j in tb.find(term):
+                    yield tb, g, i, j
+
     def term_rows(
         self,
         terms: list[str],
         with_positions: bool = False,
         with_chars: bool = False,
     ) -> dict[str, list[TermRow]]:
-        """Fetch posting-list rows for the given terms (predicate-pushdown
-        reads of only the buckets that can contain them). A term maps to >1
-        row when it was salted at build time."""
-        by_bucket: dict[int, set[str]] = {}
-        for t in terms:
-            for bk in buckets_for_query_term(self.cfg, t):
-                by_bucket.setdefault(bk, set()).add(t)
-        out: dict[str, list[TermRow]] = {t: [] for t in terms}
+        """Fetch posting-list rows for the given terms (block-index lookups
+        in only the buckets that can contain them). A term maps to >1 row
+        when it was salted at build time."""
         cols = list(_SCORING_COLUMNS)
         has_weights = getattr(self.cfg, "with_weights", False)
         if has_weights:
@@ -359,67 +484,42 @@ class Index:
                 cols += ["pboosts_blob"]
         if with_chars and getattr(self.cfg, "with_chars", False):
             cols += ["block_chars_off", "chars_blob"]
-        for bk, tset in sorted(by_bucket.items()):
-            p = self._bucket_paths.get(bk)
-            if p is None:
-                continue
-            tbl = pq.read_table(
-                p,
-                columns=cols,
-                filters=pc.field("term").isin(sorted(tset)),
-            )
-            for i in range(len(tbl)):
-                tr = _row_to_termrow(tbl, i, with_positions, with_chars)
-                out[tr.term].append(tr)
+        cols = tuple(cols)
+        out: dict[str, list[TermRow]] = {t: [] for t in terms}
+        for t, rows in out.items():
+            for tb, g, i, j in self._term_spans(t):
+                # take() copies the term's rows out of the cached row group,
+                # so cached TermRows never pin a whole group's blobs
+                sub = tb.read(g, cols).take(np.arange(i, j))
+                rows.extend(
+                    _row_to_termrow(sub, r, with_positions, with_chars)
+                    for r in range(len(sub))
+                )
         return out
 
     def term_stats_many(
         self, terms: list[str]
     ) -> dict[str, tuple[int, float, float]]:
         """Global ``(df, total_weight, max_weight)`` per term, summed across
-        salted rows — a STATS-ONLY predicate-pushdown read (no posting
-        blobs leave storage). Used by the distributed score pool to ship
-        collection-level stats with a query."""
-        by_bucket: dict[int, set[str]] = {}
+        salted rows — stats columns only (no posting blobs leave storage).
+        Used by the distributed score pool to ship collection-level stats
+        with a query."""
+        out: dict[str, tuple[int, float, float]] = {}
         for t in terms:
-            for bk in buckets_for_query_term(self.cfg, t):
-                by_bucket.setdefault(bk, set()).add(t)
-        out: dict[str, tuple[int, float, float]] = {
-            t: (0, 0.0, 0.0) for t in terms
-        }
-        for bk, tset in sorted(by_bucket.items()):
-            p = self._bucket_paths.get(bk)
-            if p is None:
-                continue
-            tbl = pq.read_table(
-                p,
-                columns=["term", "df", "weight", "max_weight"],
-                filters=pc.field("term").isin(sorted(tset)),
-            )
-            for i in range(len(tbl)):
-                t = tbl["term"][i].as_py()
-                df, w, mx = out[t]
-                out[t] = (
-                    df + int(tbl["df"][i].as_py()),
-                    w + float(tbl["weight"][i].as_py()),
-                    max(mx, float(tbl["max_weight"][i].as_py())),
-                )
+            df, w, mx = 0, 0.0, 0.0
+            for tb, g, i, j in self._term_spans(t):
+                st = tb.read(g, _STATS_COLUMNS).slice(i, j - i).to_pydict()
+                for rdf, rw, rmx in zip(st["df"], st["weight"], st["max_weight"]):
+                    df, w, mx = df + int(rdf), w + float(rw), max(mx, float(rmx))
+            out[t] = (df, w, mx)
         return out
 
     def iter_term_stats(self, columns=("term", "df", "weight")) -> pa.Table:
         """Full term dictionary (stats columns only) across all buckets,
         merging salted duplicates by summation. Bucket reads fan out as Ray
         tasks when there are enough of them and a session is live."""
-        import ray as _ray
-
         paths = [self._bucket_paths[bk] for bk in sorted(self._bucket_paths)]
-        cols = list(columns)
-        if len(paths) >= 4 and _ray.is_initialized():
-            fn = _ray.remote(num_cpus=1)(_read_stats_file)
-            tables = _ray.get([fn.remote(p, cols) for p in paths])
-        else:
-            tables = [_read_stats_file(p, cols) for p in paths]
-        tbl = pa.concat_tables(tables)
+        tbl = pa.concat_tables(_read_tables(paths, list(columns)))
         if self.cfg.heavy_terms:
             tbl = pa.TableGroupBy(tbl, "term").aggregate(
                 [(c, "sum") for c in columns if c != "term"]
@@ -462,8 +562,6 @@ class Index:
         concatenated across buckets and sorted. Bucket reads fan out as Ray
         tasks when a session is live. Driver-sized by design — prefer
         ``docmeta_ds()`` in pipelines."""
-        import ray as _ray
-
         files = self._docmeta_files()
         if not files:
             return pa.table(
@@ -473,29 +571,58 @@ class Index:
                     "len_byte": pa.array([], pa.uint8()),
                 }
             )
-        if len(files) >= 4 and _ray.is_initialized():
-            fn = _ray.remote(num_cpus=1)(pq.read_table)
-            tables = _ray.get([fn.remote(f) for f in files])
-        else:
-            tables = [pq.read_table(f) for f in files]
-        return pa.concat_tables(tables).sort_by("doc_id")
+        return pa.concat_tables(_read_tables(files)).sort_by("doc_id")
 
     def all_doc_ids(self) -> np.ndarray:
         """Sorted array of every indexed document id (the Every universe for
         the LOCAL Searcher; ScorePool shards never call this — each actor
         pins its own shard's docmeta)."""
-        import ray as _ray
-
         files = self._docmeta_files()
         if not files:
             return np.empty(0, np.uint64)
-        if len(files) >= 4 and _ray.is_initialized():
-            fn = _ray.remote(num_cpus=1)(_read_stats_file)
-            tables = _ray.get([fn.remote(f, ["doc_id"]) for f in files])
-        else:
-            tables = [pq.read_table(f, columns=["doc_id"]) for f in files]
-        parts = [t["doc_id"].to_numpy(zero_copy_only=False) for t in tables]
+        parts = [
+            t["doc_id"].to_numpy(zero_copy_only=False)
+            for t in _read_tables(files, ["doc_id"])
+        ]
         return np.sort(np.concatenate(parts).astype(np.uint64))
+
+    def range_blocks(
+        self,
+        lo: str | None,
+        hi: str | None,
+        lo_excl: bool,
+        hi_excl: bool,
+        stats: dict[str, int],
+    ) -> list[_TermBlocks]:
+        """Block indexes of the buckets whose manifest ``[min_term,
+        max_term]`` intersects ``[lo, hi]``, counting into ``stats`` the
+        keys both dictionary scans share (``expand_terms`` here,
+        the FuzzyTerm automaton in ``search/fuzzy.py``):
+
+        * ``buckets_total`` — buckets with a segment file;
+        * ``buckets_scanned`` — of those, the ones the range reaches;
+        * ``row_groups_total`` — row groups of the scanned buckets.
+
+        The scans add ``row_groups_read`` and ``rows_read``: the row groups
+        whose term column they consult, and those groups' rows."""
+        out = []
+        for b in self.manifest["buckets"]:
+            if not b["path"]:
+                continue
+            stats["buckets_total"] += 1
+            if lo is not None and (
+                b["max_term"] < lo or (lo_excl and b["max_term"] <= lo)
+            ):
+                continue
+            if hi is not None and (
+                b["min_term"] > hi or (hi_excl and b["min_term"] >= hi)
+            ):
+                continue
+            tb = self._blocks(b["bucket"])
+            stats["buckets_scanned"] += 1
+            stats["row_groups_total"] += tb.n_groups
+            out.append(tb)
+        return out
 
     def expand_terms(
         self,
@@ -509,58 +636,29 @@ class Index:
         `term` column; returns matching terms sorted lexicographically.
         Used by Prefix/Wildcard/Regex/TermRange expansion.
 
-        ``lo``/``hi`` is an optional lexicographic pre-filter range pushed
-        into the parquet read: segments are term-sorted with 4k row groups,
-        so the range prunes to only the row groups whose [min, max] term
-        stats intersect it. Buckets whose manifest min/max term fall outside
-        the range are skipped without a read. With several buckets and a
-        live Ray session the per-bucket scans fan out as Ray tasks.
+        ``lo``/``hi`` is an optional lexicographic pre-filter range: buckets
+        whose manifest min/max term fall outside it are skipped, the block
+        index keeps only the row groups whose [min, max] term bounds
+        intersect it, and a ``searchsorted`` cuts each kept group to the
+        range before the predicate runs.
 
         ``self.last_expand_stats`` records the pruning of the most recent
-        call: buckets skipped via manifest stats, row groups read vs total,
-        and dictionary rows actually read."""
-        n_buckets = 0
-        paths = []
-        for b in self.manifest["buckets"]:
-            if not b["path"]:
-                continue
-            n_buckets += 1
-            if lo is not None and (
-                b["max_term"] < lo or (lo_excl and b["max_term"] <= lo)
-            ):
-                continue
-            if hi is not None and (
-                b["min_term"] > hi or (hi_excl and b["min_term"] >= hi)
-            ):
-                continue
-            paths.append(os.path.join(self.path, b["path"]))
+        call (key meanings in ``range_blocks``)."""
+        stats = dict.fromkeys(EXPAND_STAT_KEYS, 0)
         found: set[str] = set()
-        import ray as _ray
-
-        if len(paths) >= 4 and _ray.is_initialized():
-            fn = _ray.remote(num_cpus=1)(_scan_terms_file)
-            results = _ray.get(
-                [
-                    fn.remote(p, lo, hi, lo_excl, hi_excl, predicate)
-                    for p in paths
-                ]
-            )
-        else:
-            results = [
-                _scan_terms_file(p, lo, hi, lo_excl, hi_excl, predicate)
-                for p in paths
-            ]
-        rg_total = rg_read = rows_read = 0
-        for lst, nt, nr, rows in results:
-            found.update(lst)
-            rg_total += nt
-            rg_read += nr
-            rows_read += rows
-        self.last_expand_stats = {
-            "buckets_total": n_buckets,
-            "buckets_scanned": len(paths),
-            "row_groups_total": rg_total,
-            "row_groups_read": rg_read,
-            "rows_read": rows_read,
-        }
+        for tb in self.range_blocks(lo, hi, lo_excl, hi_excl, stats):
+            for g in tb.groups(lo, hi, lo_excl, hi_excl):
+                t = tb.terms(g)
+                stats["row_groups_read"] += 1
+                stats["rows_read"] += len(t)
+                a = 0 if lo is None else int(
+                    np.searchsorted(t, lo, "right" if lo_excl else "left")
+                )
+                b = len(t) if hi is None else int(
+                    np.searchsorted(t, hi, "left" if hi_excl else "right")
+                )
+                if b > a:
+                    col = pa.array(t[a:b], pa.string())
+                    found.update(col.filter(predicate(col)).to_pylist())
+        self.last_expand_stats = stats
         return sorted(found)

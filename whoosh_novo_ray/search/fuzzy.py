@@ -90,107 +90,66 @@ def _automaton_scan(
     index, text: str, maxdist: int, pre: str
 ) -> list[tuple[str, int]] | None:
     """Levenshtein-automaton bounded scan over an Index's (or MultiIndex's)
-    term-sorted segment parquet. Returns None when ``index`` doesn't expose
-    segment files (caller falls back to the predicate scan). Records
-    pruning stats on ``index.last_fuzzy_stats``."""
+    term-sorted segment files, through each member's block index. Returns
+    None when ``index`` doesn't expose segment files (caller falls back to
+    the predicate scan). Records pruning stats on ``index.last_fuzzy_stats``
+    and, with ``Index.expand_terms``' key meanings, ``last_expand_stats``."""
     members = getattr(index, "members", None)
     if members is None:
-        if not (hasattr(index, "manifest") and hasattr(index, "path")):
-            return None
         members = [index]
-    if not all(hasattr(m, "manifest") and hasattr(m, "path") for m in members):
+    if not all(hasattr(m, "range_blocks") for m in members):
         return None
 
-    import os
-
-    import pyarrow.parquet as pq
-
+    from whoosh_novo_ray.index.segment import EXPAND_STAT_KEYS
     from whoosh_novo_ray.search.lev import LevAutomaton
 
     dfa = LevAutomaton(text, maxdist)
+    lo = pre or None
     hi_bound = pre + "\U0010ffff" if pre else None
-    stats = {
-        "buckets_total": 0,
-        "buckets_scanned": 0,
-        "row_groups_total": 0,
-        "row_groups_read": 0,
-        "rows_read": 0,
-        "terms_scanned": 0,
-    }
+    stats = dict.fromkeys(EXPAND_STAT_KEYS + ("terms_scanned",), 0)
     found: dict[str, int] = {}
     for m in members:
-        for b in m.manifest["buckets"]:
-            stats["buckets_total"] += 1
-            if not b["path"]:
-                continue
-            pf = pq.ParquetFile(os.path.join(m.path, b["path"]))
-            md = pf.metadata
-            term_ci = md.schema.to_arrow_schema().get_field_index("term")
-            keep_groups = []
-            for g in range(md.num_row_groups):
-                stats["row_groups_total"] += 1
-                st = md.row_group(g).column(term_ci).statistics
-                if st is None or st.min is None or st.max is None:
-                    keep_groups.append(g)
+        for tb in m.range_blocks(lo, hi_bound, False, False, stats):
+            for g in tb.groups(lo, hi_bound):
+                nv = dfa.next_valid(max(tb.mins[g], pre))
+                if nv is None or nv > tb.maxs[g]:
                     continue
-                gmin, gmax = st.min, st.max
+                terms = tb.terms(g)
+                stats["row_groups_read"] += 1
+                stats["rows_read"] += len(terms)
                 if pre:
-                    if gmax < pre or (hi_bound and gmin > hi_bound):
-                        continue
-                    gmin = max(gmin, pre)
-                nv = dfa.next_valid(gmin)
-                if nv is None or nv > gmax:
-                    continue
-                keep_groups.append(g)
-            if not keep_groups:
-                continue
-            stats["buckets_scanned"] += 1
-            stats["row_groups_read"] += len(keep_groups)
-            tbl = pf.read_row_groups(keep_groups, columns=["term"])
-            stats["rows_read"] += tbl.num_rows
-            col = tbl["term"].combine_chunks()
-            # vectorized length-band prefilter (distance <= k implies the
-            # band) BEFORE the per-term automaton work: jumps over the
-            # filtered array stay sound — next_valid is a lower bound and
-            # out-of-band terms can never be accepted
-            lens = pc.utf8_length(col)
-            band = pc.and_(
-                pc.greater_equal(lens, len(text) - maxdist),
-                pc.less_equal(lens, len(text) + maxdist),
-            )
-            terms = np.asarray(col.filter(band).to_pylist(), object)
-            # jump-scan the sorted array with next_valid + searchsorted
-            i = int(np.searchsorted(terms, pre)) if pre else 0
-            while i < len(terms):
-                t = terms[i]
-                if hi_bound and t > hi_bound:
-                    break
-                stats["terms_scanned"] += 1
-                nv = dfa.next_valid(t)
-                if nv is None:
-                    break
-                if nv == t:
-                    if not pre or t.startswith(pre):
+                    terms = terms[
+                        np.searchsorted(terms, pre) : np.searchsorted(
+                            terms, hi_bound, "right"
+                        )
+                    ]
+                # length-band prefilter (distance <= k implies the band)
+                # BEFORE the per-term automaton work: jumps over the
+                # filtered array stay sound — next_valid is a lower bound
+                # and out-of-band terms can never be accepted
+                lens = np.fromiter(map(len, terms), np.int64, len(terms))
+                terms = terms[
+                    (lens >= len(text) - maxdist) & (lens <= len(text) + maxdist)
+                ]
+                # jump-scan the sorted array with next_valid + searchsorted
+                i = 0
+                while i < len(terms):
+                    t = terms[i]
+                    stats["terms_scanned"] += 1
+                    nv = dfa.next_valid(t)
+                    if nv is None:
+                        break
+                    if nv == t:
                         d = edit_distance(text, t, maxdist)
                         if d is not None:  # accepts() implies this
                             found[t] = d
-                    i += 1
-                else:
-                    i = int(np.searchsorted(terms, nv, side="left"))
+                        i += 1
+                    else:
+                        i = int(np.searchsorted(terms, nv, side="left"))
     try:
         index.last_fuzzy_stats = stats
-        # mirror expand_terms' observability contract so pruning tests /
-        # users can read one attribute regardless of which path ran
-        index.last_expand_stats = {
-            k: stats[k]
-            for k in (
-                "buckets_total",
-                "buckets_scanned",
-                "row_groups_total",
-                "row_groups_read",
-                "rows_read",
-            )
-        }
+        # one observability contract regardless of which path ran
+        index.last_expand_stats = {k: stats[k] for k in EXPAND_STAT_KEYS}
     except AttributeError:
         pass
     return sorted(found.items())
@@ -233,8 +192,8 @@ def suggest(
     index, text: str, limit: int = 5, maxdist: int = 2, prefix: int = 0
 ) -> list[str]:
     """Spelling suggestions from the index lexicon (ReaderCorrector
-    semantics: frequency desc, then alphabetical). Frequencies come from a
-    stats-only pushdown read of the CANDIDATES (never the full term
+    semantics: frequency desc, then alphabetical). Frequencies come from
+    stats-only block-index lookups of the CANDIDATES (never the full term
     dictionary — the candidate set is the edit-distance ball)."""
     cands = terms_within(index, text, maxdist=maxdist, prefix=prefix)
     if not cands:

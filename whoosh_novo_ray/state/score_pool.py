@@ -17,8 +17,8 @@ Driver responsibilities (cheap, metadata-only):
     Variations) into concrete Term trees against the MAIN index's term
     dictionary — expansion rules (single-term = scored, multi-term
     constantscore) depend on the GLOBAL lexicon, not a shard's slice;
-  * fetch global per-term stats once per term (stats-only pushdown read,
-    cached across queries);
+  * fetch global per-term stats once per term (a block-index lookup in the
+    main index's open-once bucket files, cached across queries);
   * k-way-merge the per-shard top-k tables with the reference tie-break.
 
 Queries whose semantics are inherently global-order-dependent (Otherwise's
@@ -33,7 +33,6 @@ import os
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
@@ -47,7 +46,9 @@ from whoosh_novo_ray.index.docshard import (
 from whoosh_novo_ray.index.segment import (
     _SCORING_COLUMNS,
     Index,
+    _LRUCache,
     _row_to_termrow,
+    _TermBlocks,
 )
 from whoosh_novo_ray.search import query as Q
 from whoosh_novo_ray.search.searcher import Searcher, _in_sorted
@@ -55,35 +56,9 @@ from whoosh_novo_ray.search.scoring import WeightingModel
 from whoosh_novo_ray.search.sorting import collapse_keep_mask, falsy_key_mask
 
 
-class _LRUCache:
-    """Tiny bounded LRU over a plain dict (insertion order = recency;
-    reads move the entry to the back). Long-running serving processes must
-    not grow per-query caches without bound."""
-
-    def __init__(self, cap: int):
-        self.cap = int(cap)
-        self._d: dict = {}
-
-    def __contains__(self, k) -> bool:
-        return k in self._d
-
-    def __len__(self) -> int:
-        return len(self._d)
-
-    def __getitem__(self, k):
-        v = self._d.pop(k)
-        self._d[k] = v
-        return v
-
-    def __setitem__(self, k, v) -> None:
-        self._d.pop(k, None)
-        self._d[k] = v
-        while len(self._d) > self.cap:
-            self._d.pop(next(iter(self._d)))
-
-    def update(self, other: dict) -> None:
-        for k, v in other.items():
-            self[k] = v
+# lazily loaded positional row groups an actor keeps (shared by all of its
+# pinned files; cache_sizes() reports the entry count)
+BLOCK_CACHE_ROW_GROUPS = 16
 
 
 class _GlobalStatsView:
@@ -106,9 +81,9 @@ class _GlobalStatsView:
 class ShardSearcher(Searcher):
     """Searcher over pinned doc-shard tables with global stats.
 
-    Term lookups filter the in-memory shard tables (no I/O); term stats come
-    from the driver-shipped global map, so idf / SQR coordination / WAND
-    block-max thresholds all see the whole collection.
+    Term lookups binary-search the pinned tables' sorted term columns (no
+    I/O); term stats come from the driver-shipped global map, so idf / SQR
+    coordination / WAND block-max thresholds all see the whole collection.
 
     Known degenerate-case divergence: the array-path Or's keep-the-initial-
     position-even-at-score-0 quirk (see Searcher) is relative to the GLOBAL
@@ -123,57 +98,54 @@ class ShardSearcher(Searcher):
         self,
         view: _GlobalStatsView,
         tables: list[pa.Table],
+        terms: list[np.ndarray],
+        blocks: list[_TermBlocks],
         gstats: dict[str, tuple[int, float, float]],
         weighting: WeightingModel | None = None,
-        paths: list[str] | None = None,
-        lazy_cols: list[str] | None = None,
+        lazy_cols: tuple[str, ...] = (),
     ):
         super().__init__(view, weighting=weighting)  # type: ignore[arg-type]
         self._tables = tables
         self._gstats = gstats
         self._universe = view._universe
-        # positional/chars blob columns NOT pinned in RAM: fetched per term
-        # from the shard files (term-sorted parquet, pushdown reads) on first
-        # positional use. paths align with tables.
-        self._paths = paths or []
-        self._lazy_cols = lazy_cols or []
+        # aligned with tables: each one's sorted term column, and its
+        # file's block index — positional/chars blob columns are NOT pinned
+        # in RAM, they are read per row group on first positional use
+        self._terms = terms
+        self._blocks = blocks
+        self._lazy_cols = lazy_cols
 
     def _with_weighting(self, weighting: WeightingModel) -> "ShardSearcher":
         sub = ShardSearcher(
-            self.index, self._tables, self._gstats, weighting,
-            paths=self._paths, lazy_cols=self._lazy_cols,
+            self.index, self._tables, self._terms, self._blocks, self._gstats,
+            weighting, lazy_cols=self._lazy_cols,
         )
         sub._term_cache = self._term_cache
         return sub
 
     def prefetch_terms(self, terms: list[str], with_positions: bool = False) -> None:
         missing = [t for t in set(terms) if (t, with_positions) not in self._term_cache]
-        if not missing:
-            return
+        lazy = self._lazy_cols if with_positions else ()
         for t in missing:
-            self._term_cache[(t, with_positions)] = []
-        if with_positions and self._lazy_cols and self._paths:
-            # the pinned tables hold scoring columns only — positional rows
-            # come from disk, for exactly these terms (row-group pruning via
-            # the term-sorted layout + an isin row filter). Cached in the
-            # cross-query TermRow cache, so a hot phrase pays this once.
-            flt = pc.field("term").isin(sorted(missing))
-            for path, pinned in zip(self._paths, self._tables):
-                cols = list(pinned.column_names) + self._lazy_cols
-                sub = pq.read_table(path, columns=cols, filters=flt)
-                wc = "chars_blob" in sub.column_names
-                for i in range(len(sub)):
-                    tr = _row_to_termrow(sub, i, True, wc)
-                    self._term_cache[(tr.term, True)].append(tr)
-            return
-        vs = pa.array(sorted(missing))
-        for tbl in self._tables:
-            sub = tbl.filter(pc.is_in(tbl["term"], value_set=vs))
-            wp = with_positions and "pos_blob" in sub.column_names
-            wc = "chars_blob" in sub.column_names
-            for i in range(len(sub)):
-                tr = _row_to_termrow(sub, i, wp, wc)
-                self._term_cache[(tr.term, with_positions)].append(tr)
+            rows = self._term_cache[(t, with_positions)] = []
+            for k, tarr in enumerate(self._terms):
+                i = int(np.searchsorted(tarr, t, "left"))
+                j = int(np.searchsorted(tarr, t, "right"))
+                rows.extend(self._term_row(k, r, lazy) for r in range(i, j))
+
+    def _term_row(self, k: int, r: int, lazy: tuple[str, ...]):
+        """Row ``r`` of pinned table ``k``. Pinned rows line up with file
+        rows, so the lazy positional columns are the same row of the
+        file's row group (cached in the actor's block LRU; ``take`` copies
+        the row out so cached TermRows never pin a whole group's blobs)."""
+        sub = self._tables[k].slice(r, 1)
+        if lazy:
+            tb = self._blocks[k]
+            g, off = tb.locate_row(r)
+            extra = tb.read(g, lazy).take([off])
+            for name in lazy:
+                sub = sub.append_column(name, extra[name])
+        return _row_to_termrow(sub, 0, bool(lazy), bool(lazy))
 
     def term_stats(self, term: str) -> tuple[int, float, float]:
         return self._gstats.get(term, (0, 0.0, 0.0))
@@ -253,8 +225,12 @@ class ScoreServer:
             )
 
         self._tables: list[pa.Table] = []
-        self._paths: list[str] = []
-        self._lazy_cols: list[str] = []
+        # per pinned table: its sorted term column (term lookups are a
+        # binary search) and its file's block index (lazy columns)
+        self._terms: list[np.ndarray] = []
+        self._blocks: list[_TermBlocks] = []
+        self._block_cache = _LRUCache(BLOCK_CACHE_ROW_GROUPS)
+        self._lazy_cols: tuple[str, ...] = ()
         self._table_shards: list[int] = []  # bucket id per pinned table
         # per-TABLE doc universe: with multi-member serving, several tables
         # share a shard id but partition its docs — the deadline path's
@@ -269,9 +245,11 @@ class ScoreServer:
                     pin = [c for c in _SCORING_COLUMNS if c in names]
                     if "wts_blob" in names:
                         pin.append("wts_blob")
-                    self._lazy_cols = [c for c in _LAZY if c in names]
-                    self._tables.append(pq.read_table(p, columns=pin))
-                    self._paths.append(p)
+                    self._lazy_cols = tuple(c for c in _LAZY if c in names)
+                    tbl = pq.read_table(p, columns=pin)
+                    self._tables.append(tbl)
+                    self._terms.append(tbl["term"].to_numpy(zero_copy_only=False))
+                    self._blocks.append(_TermBlocks(p, self._block_cache))
                     self._table_shards.append(int(b["bucket"]))
                     self._table_universe.append(_dm_universe(d, int(b["bucket"])))
         self._shard_universe: dict[int, np.ndarray] = {}
@@ -304,8 +282,8 @@ class ScoreServer:
     def _searcher(self, gstats, weighting) -> ShardSearcher:
         view = _GlobalStatsView(self._doc_count, self._tfl, self._universe)
         s = ShardSearcher(
-            view, self._tables, gstats, weighting,
-            paths=self._paths, lazy_cols=self._lazy_cols,
+            view, self._tables, self._terms, self._blocks, gstats, weighting,
+            lazy_cols=self._lazy_cols,
         )
         if len(self._tcache) > 50_000:
             self._tcache.clear()
@@ -322,6 +300,7 @@ class ScoreServer:
         return {
             "term_cache": len(self._tcache),
             "attr_cache": len(self._attr_cache),
+            "block_cache": len(self._block_cache),
         }
 
     def rss_bytes(self) -> int:
@@ -366,8 +345,8 @@ class ScoreServer:
             self._table_universe[i],
         )
         s = ShardSearcher(
-            view, [self._tables[i]], gstats, weighting,
-            paths=[self._paths[i]], lazy_cols=self._lazy_cols,
+            view, [self._tables[i]], [self._terms[i]], [self._blocks[i]],
+            gstats, weighting, lazy_cols=self._lazy_cols,
         )
         s._term_cache = self._table_caches.setdefault(i, {})
         return s
