@@ -563,9 +563,9 @@ def main_bench() -> None:
     queries["build_pages_index_rep2"] = round(max(walls), 3)
     queries["pages_docs_per_sec"] = round(man["doc_count"] / build_pages, 1)
 
-    # 2a) one-pass combined build: tokenize once, shuffle twice (term-bucket
-    # index + doc-shard serving) — vs build_pages_index + pool_serving_build,
-    # which pays an extra decode of the term buckets
+    # 2a) raw docs -> servable index in one call: build_index_and_serving is
+    # the term-bucket build followed by the decode -> doc-shard serving
+    # build, so this times build + decode end to end
     from whoosh_novo_ray.index.docshard import build_index_and_serving
 
     shutil.rmtree("/tmp/wnr_bench_combined", ignore_errors=True)
@@ -579,8 +579,6 @@ def main_bench() -> None:
         num_shards=8,
         lineage="bench-combined",
         doc_count=PAGES_N,
-        strategy="fused",  # streaming both ways; decode path is timed by
-        # pool_serving_build, shared materializes the posting stream
     )
     queries["build_with_serving"] = round(time.perf_counter() - t0, 3)
 

@@ -211,38 +211,3 @@ def test_weights_default_to_tf(ray_session, tmp_path, pages_table):
         a = sp.search(Term(term), limit=10).to_pydict()
         b = sw.search(Term(term), limit=10).to_pydict()
         assert a == b, term
-
-
-def test_spill_build_weighted_equivalent(ray_session, tmp_path):
-    """The spill-shuffle build produces identical weighted segments."""
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from whoosh_novo_ray.index.spill_build import build_index_spill
-
-    cfg = IndexConfig(
-        analyzer=StandardAnalyzer(
-            pattern=r"\S+", stoplist=None, minsize=1, boost_delim="^"
-        ),
-        with_weights=True,
-        with_positions=True,
-        num_buckets=4,
-    )
-    t = _docs()
-    src = str(tmp_path / "docs.parquet")
-    pq.write_table(t, src)
-    a = str(tmp_path / "ds")
-    b = str(tmp_path / "spill")
-    build_index(ray.data.from_arrow(t), a, cfg, lineage="w")
-    import dataclasses
-
-    build_index_spill([src], b, dataclasses.replace(cfg), lineage="w")
-    sa, sb = Searcher(Index(a)), Searcher(Index(b))
-    for term in ["render", "file", "image"]:
-        pa_ = sa.term_postings(term)
-        pb_ = sb.term_postings(term)
-        assert pa_[0].tolist() == pb_[0].tolist(), term
-        assert pa_[1].tolist() == pb_[1].tolist(), term
-        assert sa.search(Term(term), limit=10).to_pydict() == sb.search(
-            Term(term), limit=10
-        ).to_pydict(), term

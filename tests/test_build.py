@@ -143,31 +143,3 @@ def test_auto_heavy_detection_and_balance(ray_session, pages_table, tmp_path):
         ra = sp.search(Term(t), limit=10).to_pydict()
         rb = sa.search(Term(t), limit=10).to_pydict()
         assert ra == rb, t
-
-
-def test_spill_build_equivalent(ray_session, pages_table, tmp_path):
-    """The raw-Ray spill-shuffle build produces identical segments to the
-    Dataset-shuffle build."""
-    import pyarrow.parquet as pq
-    import ray.data
-
-    from whoosh_novo_ray.index.spill_build import build_index_spill
-
-    src = str(tmp_path / "src.parquet")
-    pq.write_table(pages_table.select(["doc_id", "text"]), src, row_group_size=128)
-    cfg = IndexConfig(num_buckets=4)
-    a_dir = str(tmp_path / "dataset_path")
-    b_dir = str(tmp_path / "spill_path")
-    import ray.data as rd
-
-    m1 = build_index(rd.read_parquet(src), a_dir, cfg, lineage="L")
-    m2 = build_index_spill([src], b_dir, cfg, lineage="L", num_tokenize_tasks=3)
-    assert m2["doc_count"] == m1["doc_count"]
-    assert m2["n_postings"] == m1["n_postings"]
-    assert m2["total_field_length"] == m1["total_field_length"]
-    sa, sb = Searcher(Index(a_dir)), Searcher(Index(b_dir))
-    for t in ("search", "data", "the", "index"):
-        pa_, pb = sa.term_postings(t), sb.term_postings(t)
-        assert pa_[0].tolist() == pb[0].tolist(), t
-        assert pa_[1].tolist() == pb[1].tolist(), t
-        assert pa_[2].tolist() == pb[2].tolist(), t

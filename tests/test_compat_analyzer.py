@@ -124,3 +124,46 @@ def test_lang_roundtrip_and_precedence(ray_session, tmp_path):
     s2 = C.Schema.from_json(s.to_json())
     assert s2["a"].analyzer() == language_analyzer("de")
     assert s2["b"].analyzer() == s["b"].analyzer()
+
+
+def test_unknown_analyzer_class_in_schema_json_raises():
+    """A schema naming an analyzer class the loader does not know must not
+    silently come back as a plain StandardAnalyzer."""
+    from whoosh_novo_ray.analysis import StandardAnalyzer
+
+    s = C.Schema(body=C.TEXT(analyzer=StandardAnalyzer(stoplist=None)))
+    js = s.to_json()
+    assert C.Schema.from_json(js)["body"].analyzer() == StandardAnalyzer(
+        stoplist=None
+    )
+    assert js["body"]["analyzer"]["cls"] == "StandardAnalyzer"
+    bad = {"body": {**js["body"], "analyzer": {**js["body"]["analyzer"]}}}
+    bad["body"]["analyzer"]["cls"] = "MyAnalyzer"
+    with pytest.raises(ValueError, match="MyAnalyzer"):
+        C.Schema.from_json(bad)
+
+
+def test_text_rejects_non_persistable_analyzer_at_construction():
+    """An analyzer outside the StandardAnalyzer dataclass family (a foreign
+    class, or a subclass whose behaviour the schema JSON cannot record)
+    fails at TEXT() construction, not at schema-save time."""
+    from dataclasses import dataclass
+
+    from whoosh_novo_ray.analysis import (
+        NgramAnalyzer,
+        StandardAnalyzer,
+        keyword_analyzer,
+    )
+
+    @dataclass(frozen=True)
+    class Shouting(StandardAnalyzer):
+        def __call__(self, text):
+            return [t.upper() for t in super().__call__(text)]
+
+    with pytest.raises(TypeError, match="Shouting"):
+        C.TEXT(analyzer=Shouting())
+    with pytest.raises(TypeError, match="NgramAnalyzer"):
+        C.TEXT(analyzer=NgramAnalyzer(2, 3))
+    # the persistable family still constructs (lowercasing and not)
+    C.TEXT(analyzer=keyword_analyzer(lowercase=True))
+    C.TEXT(analyzer=keyword_analyzer(lowercase=False))

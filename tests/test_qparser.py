@@ -1,14 +1,13 @@
 """Query-string parser: differential against the reference QueryParser by
-comparing end-to-end search results on the same corpus."""
+comparing end-to-end search results on the same corpus. The differential
+tests take the ``reference_searcher`` fixture, which skips them when the
+reference is absent; the rest need only this package."""
 
 import numpy as np
 import pytest
 
-from tests.conftest import HAVE_REFERENCE
 from whoosh_novo_ray.search import Searcher
 from whoosh_novo_ray.search.qparser import QueryParser, ParseError, NULL
-
-pytestmark = pytest.mark.skipif(not HAVE_REFERENCE, reason="reference not available")
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +119,20 @@ def test_stopword_only_query_is_null(searcher):
 def test_parse_errors():
     with pytest.raises(ParseError):
         PARSER.parse("(search OR data")
+
+
+def test_fielded_range_in_group_raises():
+    """TermRange has no field: a range under ``field:( ... )`` must fail
+    loudly instead of silently searching the default field."""
+    from whoosh_novo_ray.search import TermRange
+
+    with pytest.raises(ParseError, match="range"):
+        PARSER.parse("f:([a TO b])")
+    with pytest.raises(ParseError, match="range"):
+        PARSER.parse("f:(x OR {a TO b})")
+    # an unfielded range, grouped or not, still parses
+    assert PARSER.parse("([a TO b])") == TermRange("a", "b", False, False)
+    assert PARSER.parse("x OR [a TO b]") == PARSER.parse("x OR ([a TO b])")
 
 
 def test_fuzzy_syntax_docset(searcher, reference_searcher):

@@ -414,67 +414,40 @@ def test_pool_forced_wand_strategy_parity(spool, built_index):
 
 
 def test_combined_build_equals_decode_path(ray_session, tmp_path, pages_table):
-    """build_index_and_serving (tokenize once, two shuffles) must produce a
-    serving layout byte-equivalent to the decode->reshuffle path, and a
-    later ScorePool over the combined output must resume-skip the rebuild
-    and score identically to the local Searcher."""
-    import glob
+    """build_index_and_serving is build_index + the decode serving build: a
+    later ScorePool over its output with the same shard count resume-skips
+    the serving rebuild, and scores identically to the local Searcher on a
+    salted config."""
+    import json
 
-    import pyarrow.parquet as pq
     import ray.data
 
-    from whoosh_novo_ray.index import Index, IndexConfig, build_index
+    from whoosh_novo_ray.index import Index, IndexConfig
     from whoosh_novo_ray.index.docshard import (
         build_index_and_serving,
-        build_serving_shards,
         serving_dir_for,
     )
     from whoosh_novo_ray.state.score_pool import ScorePool
 
     tbl = pages_table.select(["doc_id", "text"]).slice(0, 250)
-    # salted cfg: heavy-term rows carry per-doc-range bucket values in the
-    # tokenized stream; the doc-shard reshard must regroup them identically
+    # salted cfg: heavy terms split over per-doc-range term buckets, which
+    # the doc-shard reshard must regroup
     cfg = IndexConfig(num_buckets=3, heavy_terms=("search", "data"), salt_k=2)
 
     a = str(tmp_path / "combined")
-    man_a, sman_a = build_index_and_serving(
-        ray.data.from_arrow(tbl), a, cfg, num_shards=5, lineage="combo",
-        strategy="fused",
+    _man, sman = build_index_and_serving(
+        ray.data.from_arrow(tbl), a, cfg, num_shards=5, lineage="combo"
     )
-    sh = str(tmp_path / "combined_shared")
-    _, sman_sh = build_index_and_serving(
-        ray.data.from_arrow(tbl), sh, cfg, num_shards=5, lineage="combo",
-        strategy="shared",
-    )
-    b = str(tmp_path / "separate")
-    build_index(ray.data.from_arrow(tbl), b, cfg, lineage="combo")
-    sman_b = build_serving_shards(b, num_shards=5)
+    assert sman["layout"] == "docshard" and sman["num_shards"] == 5
+    assert sman["doc_count"] == 250
+    man_path = os.path.join(serving_dir_for(a), "manifest.json")
+    with open(man_path) as f:
+        before = json.load(f)
 
-    assert sman_a["layout"] == "docshard" and sman_a["num_shards"] == 5
-    assert sman_a["doc_count"] == sman_b["doc_count"] == 250
-    assert sman_a["total_field_length"] == sman_b["total_field_length"]
-
-    # shard files: same doc/term rows every way (generation timestamps and
-    # lineage strings differ; the posting CONTENT must not)
-    for other in (b, sh):
-        for da, db in zip(
-            sorted(glob.glob(os.path.join(serving_dir_for(a), "segments", "*.parquet"))),
-            sorted(glob.glob(os.path.join(serving_dir_for(other), "segments", "*.parquet"))),
-        ):
-            ta = pq.read_table(da).sort_by([("term", "ascending")])
-            tb = pq.read_table(db).sort_by([("term", "ascending")])
-            assert ta.column_names == tb.column_names
-            for col in ("term", "ids_blob", "tfs_blob"):
-                if col in ta.column_names:
-                    assert ta[col].equals(tb[col]), (da, col)
-
-    # ScorePool over the combined dir resumes (same serving_lineage)
     pool = ScorePool(a, num_actors=2, num_shards=5)
     try:
-        with open(os.path.join(serving_dir_for(a), "manifest.json")) as f:
-            import json
-
-            assert json.load(f)["serving_lineage"] == sman_a["serving_lineage"]
+        with open(man_path) as f:
+            assert json.load(f) == before  # resume-skipped, not rebuilt
         local = Searcher(Index(a))
         for q in [Term("search"), Or(Term("data"), Term("index"))]:
             assert (
@@ -631,7 +604,7 @@ def test_lazy_pinning_excludes_positional_blobs(spool, built_index):
 
 
 def test_deadline_large_budget_is_exact(spool, built_index):
-    """score_deadline's per-table evaluation + merge must equal the normal
+    """The budgeted per-table evaluation + merge must equal the normal
     pooled search (scores depend only on shipped global stats; shards
     partition the doc space)."""
     local = Searcher(built_index)
@@ -794,7 +767,8 @@ def test_many_async_deadline_partial(spool, built_index):
 
 def test_many_async_deadline_replicated(built_index):
     """The deadline micro-batch composes with replica-split dispatch (chunks
-    merge through _merge_many_deadline_task, scatter preserves slots)."""
+    merge through _merge_many_task, scatter preserves slots, the flags
+    become (table, timed_out) pairs)."""
     import ray
 
     rp = ScorePool(built_index.path, num_actors=2, num_shards=5, num_replicas=2)
@@ -861,6 +835,87 @@ def test_collapse_deadline(spool, built_index, attrs_parquet):
     assert all(keys.count(k) <= 2 for k in set(keys))
     for d, s in zip(part["doc_id"].to_pylist(), part["score"].to_pylist()):
         assert fmap[d] == pytest.approx(s, rel=1e-12)
+
+
+# -- the shared budget loop, in-process ---------------------------------------
+
+BUDGETED_OPS = ["score", "score_many", "facet_counts", "collapse_candidates"]
+
+
+@pytest.fixture(scope="module")
+def server(spool):
+    """One in-process ScoreServer pinning every shard (5 tables)."""
+    from whoosh_novo_ray.state.score_pool import ScoreServer
+
+    shards = sorted(k for ks in spool._assignments for k in ks)
+    return ScoreServer.__ray_actor_class__(spool._serving_dir, shards)
+
+
+def _budgeted_op(spool, server, attrs_parquet, op):
+    """``op`` as a callable taking the budget kwargs; returns a table list."""
+    q = Or(Term("search"), Term("data"), Term("index"))
+    g = spool._gstats(spool._stat_terms(q))
+    attrs = spool._attrs_dir_for(attrs_parquet, "lang")
+    return {
+        "score": lambda **kw: [server.score(q, 10, g, **kw)],
+        "score_many": lambda **kw: server.score_many(
+            [q, Term("zzzznope")], 10, g, **kw
+        ),
+        "facet_counts": lambda **kw: [
+            server.facet_counts(q, g, attrs, "lang", **kw)
+        ],
+        "collapse_candidates": lambda **kw: [
+            server.collapse_candidates(q, g, attrs, "lang", 2, **kw)
+        ],
+    }[op]
+
+
+@pytest.mark.parametrize("op", BUDGETED_OPS)
+def test_budget_loop_large_budget_equals_unbudgeted(
+    spool, server, attrs_parquet, op
+):
+    """Walking the pinned tables under a generous clock gives the same
+    table as the one whole-actor search, and neither is flagged."""
+    from whoosh_novo_ray.state.score_pool import timed_out
+
+    assert len(server._tables) == 5
+    run = _budgeted_op(spool, server, attrs_parquet, op)
+    plain, budgeted = run(), run(timelimit=60.0)
+    assert len(plain[0]) > 0
+    for p, b in zip(plain, budgeted, strict=True):
+        assert b.equals(p), op
+        assert not timed_out(p) and not timed_out(b)
+
+
+@pytest.mark.parametrize("op", BUDGETED_OPS)
+def test_budget_loop_zero_budget_is_flagged_empty(
+    spool, server, attrs_parquet, op
+):
+    from whoosh_novo_ray.state.score_pool import timed_out
+
+    out = _budgeted_op(spool, server, attrs_parquet, op)(timelimit=0.0)
+    assert out and all(timed_out(t) and len(t) == 0 for t in out)
+
+
+def test_merge_keeps_flag_of_empty_timed_out_part():
+    """_merge_topk drops empty parts, but an actor that timed out before
+    scoring anything still makes the merge a timed-out one."""
+    import pyarrow as pa
+
+    from whoosh_novo_ray.state.score_pool import _flag, _merge_topk, timed_out
+
+    full = pa.table(
+        {
+            "doc_id": pa.array([3, 1], pa.uint64()),
+            "score": pa.array([2.0, 1.0], pa.float64()),
+        }
+    )
+    empty = _flag(full.slice(0, 0), True)
+    merged = _merge_topk([full, empty], 10)
+    assert timed_out(merged)
+    assert merged["doc_id"].to_pylist() == [3, 1]
+    assert timed_out(_merge_topk([empty], 10))
+    assert not timed_out(_merge_topk([full, full.slice(0, 0)], 10))
 
 
 def test_incremental_serving_reuses_member_shards(ray_session, tmp_path):

@@ -42,6 +42,7 @@ import pyarrow.parquet as pq
 
 from whoosh_novo_ray.analysis import (
     StandardAnalyzer,
+    _NoLowerAnalyzer,
     id_analyzer,
     keyword_analyzer,
     simple_analyzer,
@@ -81,6 +82,12 @@ class FieldSpec:
         return {"kind": self.kind, **self.options()}
 
 
+# the analyzer classes a schema can persist: every option is a dataclass
+# field that _analyzer_to_json records, so reloading rebuilds the same
+# token stream (any other class would come back as something else)
+_PERSISTABLE_ANALYZERS = {c.__name__: c for c in (StandardAnalyzer, _NoLowerAnalyzer)}
+
+
 def _analyzer_to_json(a: StandardAnalyzer) -> dict:
     """Persistable form of an analyzer dataclass (schema JSON must survive
     open_dir in a fresh process)."""
@@ -101,9 +108,12 @@ def _analyzer_to_json(a: StandardAnalyzer) -> dict:
 
 
 def _analyzer_from_json(d: dict) -> StandardAnalyzer:
-    from whoosh_novo_ray.analysis import _NoLowerAnalyzer
-
-    cls = _NoLowerAnalyzer if d.get("cls") == "_NoLowerAnalyzer" else StandardAnalyzer
+    cls = _PERSISTABLE_ANALYZERS.get(d.get("cls", "StandardAnalyzer"))
+    if cls is None:
+        raise ValueError(
+            f"schema names analyzer class {d['cls']!r}; only "
+            f"{sorted(_PERSISTABLE_ANALYZERS)} can be reloaded"
+        )
     stop = d.get("stoplist")
     return cls(
         pattern=d["pattern"],
@@ -126,9 +136,12 @@ class TEXT(FieldSpec):
     (reference TEXT(vector=...), served by index/vectors.py — key_terms /
     more_like read the stored vectors instead of re-analyzing text).
 
-    ``analyzer=`` takes any StandardAnalyzer-family instance and wins over
-    ``lang=``, which wins over ``stem=`` — the reference's precedence
-    (fields.py:1135-1140). Custom analyzers persist in the schema JSON."""
+    ``analyzer=`` takes a StandardAnalyzer-family instance (StandardAnalyzer
+    or the non-lowercasing keyword/ID analyzer) and wins over ``lang=``,
+    which wins over ``stem=`` — the reference's precedence
+    (fields.py:1135-1140). Custom analyzers persist in the schema JSON; any
+    other analyzer class raises TypeError here, since it could not be
+    reloaded faithfully."""
 
     kind = "text"
     indexed = True
@@ -148,6 +161,16 @@ class TEXT(FieldSpec):
         self.vector = vector
         if isinstance(analyzer, dict):  # schema-JSON reconstruction
             analyzer = _analyzer_from_json(analyzer)
+        elif analyzer is not None and type(analyzer) not in (
+            _PERSISTABLE_ANALYZERS.values()
+        ):
+            # fail here, not at schema-save time or as a silent downgrade
+            # on reload
+            raise TypeError(
+                f"TEXT(analyzer=) takes a StandardAnalyzer-family analyzer "
+                f"({sorted(_PERSISTABLE_ANALYZERS)}), got "
+                f"{type(analyzer).__name__}"
+            )
         self._analyzer = analyzer
         self.lang = lang
 

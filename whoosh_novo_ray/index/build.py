@@ -928,20 +928,6 @@ def build_index(
     (stopword-like) postings split across buckets without the caller having
     to declare them. Skipped when ``cfg.heavy_terms`` is already set.
     """
-    postings, cfg, doc_count = prepare_postings(docs, cfg, doc_count, auto_heavy)
-    return _run_bucket_shuffle(postings, out_dir, cfg, lineage, resume, doc_count)
-
-
-def prepare_postings(
-    docs: "ray.data.Dataset",
-    cfg: IndexConfig | None,
-    doc_count: int | None = None,
-    auto_heavy: bool | dict = False,
-) -> tuple["ray.data.Dataset", IndexConfig, int]:
-    """The shared head of every build: partitioning defense + optional heavy-
-    term detection + the tokenize stage. Returns (posting rows Dataset,
-    resolved cfg, doc_count); callers route the rows to one or more shuffles
-    (term buckets, doc shards) without re-tokenizing."""
     cfg = cfg or IndexConfig()
     if doc_count is None:
         # count() on a plain read is metadata-only; on a lazy transformed
@@ -974,7 +960,7 @@ def prepare_postings(
         batch_format="pyarrow",
         zero_copy_batch=True,
     )
-    return postings, cfg, doc_count
+    return _run_bucket_shuffle(postings, out_dir, cfg, lineage, resume, doc_count)
 
 
 def build_index_from_postings(

@@ -15,9 +15,12 @@ posting blob off the node that owns it.
 
 Scale notes:
   * The serving build is a single decode -> shuffle -> encode Ray Data job —
-    the same cost shape as a compaction pass (index/merge.py). At 100 TB,
-    ``num_shards`` is sized so one shard's segment fits a serving worker's
-    heap (shards ≈ serving actors × small constant).
+    the same cost shape as a compaction pass (index/merge.py) — and the only
+    one: ``build_index_and_serving`` is ``build_index`` followed by it. The
+    second exchange moves the encoded term buckets (~8x smaller than raw
+    posting rows) and never stages the posting stream in the object store.
+    At 100 TB, ``num_shards`` is sized so one shard's segment fits a
+    serving worker's heap (shards ≈ serving actors × small constant).
   * Doc-sharding absorbs term skew by construction: a stopword-grade term's
     postings split evenly across every shard, so no salting is needed in the
     serving layout (heavy_terms is cleared) and per-shard work is balanced.
@@ -42,6 +45,7 @@ import ray.data
 from whoosh_novo_ray.index.build import (
     MANIFEST_NAME,
     _run_bucket_shuffle,
+    build_index,
 )
 from whoosh_novo_ray.index.merge import DecodeSegmentRows, docmeta_rows_fn
 from whoosh_novo_ray.index.segment import Index
@@ -60,11 +64,6 @@ def _add_doc_shard(num_shards: int):
     def add(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
         shard = pa.array(doc_shard_of(ids, num_shards), pa.uint32())
-        if "bucket" in batch.column_names:
-            # tokenized rows arrive with the term-hash bucket; replace it
-            return batch.set_column(
-                batch.column_names.index("bucket"), "bucket", shard
-            )
         return batch.add_column(0, "bucket", shard)
 
     return add
@@ -137,84 +136,22 @@ def build_index_and_serving(
     resume: bool = False,
     doc_count: int | None = None,
     auto_heavy: bool | dict = False,
-    strategy: str = "decode",
 ) -> tuple[dict, dict]:
     """Build the term-bucket index at ``out_dir`` plus the doc-sharded
-    serving layout at ``out_dir/serving`` in one call, straight from docs.
-
-    ``strategy`` picks how the serving shards are produced (all three give
-    byte-identical shard files — tested). Same-box measurements, 32 cpus:
-
-      | strategy | 100k docs / 8M postings | 1M docs / 82M postings |
-      |----------|------------------------:|-----------------------:|
-      | decode   |                  14.2 s |   122 s  (fastest)     |
-      | fused    |                   7.2 s |   145 s                |
-      | shared   |       4.2 s  (fastest)  |   248 s  (slowest)     |
-
-      * ``"decode"`` (default) — build the index, then decode its term
-        buckets back into posting rows for the doc-shard shuffle
-        (``build_serving_shards``). The scale shape: the second exchange
-        moves the delta+varint+zstd encoded segments (~8x smaller than raw
-        posting rows) and never stages the posting stream in the object
-        store. Fixed per-job overhead makes it slowest on tiny corpora.
-      * ``"fused"`` — a second tokenize->reshard->encode pipeline over the
-        documents, each fused end-to-end. Pays tokenize twice but
-        exchanges raw rows; the middle ground at every size, and the right
-        pick when the analyzer chain dominates the build.
-      * ``"shared"`` — tokenize once, MATERIALIZE the posting rows, feed
-        both shuffles from the object store. Fastest while the posting
-        stream fits plasma comfortably; inverts to slowest once it doesn't
-        (both shuffles re-read ~100 B/posting from mmap) — a scale hazard,
-        kept for small-corpus interactive use.
-
-    The serving manifest carries the same ``serving_lineage`` key
-    ``build_serving_shards`` would compute, so a later ``ScorePool`` over
-    ``out_dir`` with the same shard count resume-skips its rebuild and just
-    pins the shards.
+    serving layout at ``out_dir/serving`` in one call, straight from docs:
+    ``build_index`` followed by ``build_serving_shards(resume=True)``, the
+    one serving-build path. A later ``ScorePool`` over ``out_dir`` with the
+    same shard count resume-skips its rebuild and just pins the shards.
 
     Returns ``(index_manifest, serving_manifest)``.
     """
-    if strategy not in ("decode", "fused", "shared"):
-        raise ValueError(f"unknown strategy {strategy!r}")
-    from whoosh_novo_ray.index.build import prepare_postings
-
-    rows, cfg, doc_count = prepare_postings(docs, cfg, doc_count, auto_heavy)
-    if strategy == "shared":
-        rows = rows.materialize()  # consumed by two shuffles — tokenize once
-    man = _run_bucket_shuffle(rows, out_dir, cfg, lineage, resume, doc_count)
-
-    if num_shards is None:
-        num_shards = default_num_shards()
-    if strategy == "decode":
-        sman = build_serving_shards(out_dir, num_shards=num_shards, resume=True)
-        return man, sman
-    serving_dir = serving_dir_for(out_dir)
-    serving_lineage = (
-        f"serving:{man.get('lineage', '')}:{man.get('generation', 0)}:{num_shards}"
+    man = build_index(
+        docs, out_dir, cfg, lineage, resume, auto_heavy=auto_heavy,
+        doc_count=doc_count,
     )
-    if strategy == "fused":
-        # second fused pipeline: re-tokenize (cheap) rather than re-read raw
-        # posting rows from the object store (expensive); auto-detected
-        # heavy terms are irrelevant here (doc-sharding absorbs skew)
-        rows, _cfg, _dc = prepare_postings(docs, cfg, doc_count, False)
-    sharded = rows.map_batches(
-        _add_doc_shard(num_shards), batch_format="pyarrow", zero_copy_batch=True
+    sman = build_serving_shards(
+        out_dir, num_shards=num_shards or default_num_shards(), resume=True
     )
-    # doc-sharded layout needs no heavy-term salting: skew splits by doc hash
-    cfg2 = dataclasses.replace(cfg, num_buckets=num_shards, heavy_terms=())
-    sman = _run_bucket_shuffle(
-        sharded, serving_dir, cfg2, serving_lineage, resume=resume, doc_count=doc_count
-    )
-    sman["layout"] = "docshard"
-    sman["serving_lineage"] = serving_lineage
-    sman["num_shards"] = num_shards
-    sman["doc_count"] = man["doc_count"]
-    sman["total_field_length"] = man["total_field_length"]
-    man_path = os.path.join(serving_dir, MANIFEST_NAME)
-    tmp = man_path + ".tmp"
-    with open(tmp, "w") as f:
-        json.dump(sman, f, indent=1)
-    os.replace(tmp, man_path)
     return man, sman
 
 

@@ -271,6 +271,13 @@ class QueryParser:
                 return Q.Term(words[0], field=ctx)
             return Q.Phrase(words, slop=slop, field=ctx)
         if kind == "range":
+            if self._ctx_field() is not None:
+                # TermRange has no field: dropping the group's field would
+                # silently search the default field instead
+                raise ParseError(
+                    f"range inside {self._ctx_field()}:( ... ) is not "
+                    "supported: ranges apply to the default field only"
+                )
             lo, hi, loexcl, hiexcl = val
             lo = None if lo == "*" else lo.lower()
             hi = None if hi == "*" else hi.lower()

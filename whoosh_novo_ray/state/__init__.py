@@ -1,4 +1,3 @@
-from whoosh_novo_ray.state.query_pool import QueryPool  # deprecated A/B baseline
 from whoosh_novo_ray.state.score_pool import ScorePool
 
-__all__ = ["ScorePool", "QueryPool"]
+__all__ = ["ScorePool"]

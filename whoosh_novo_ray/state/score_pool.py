@@ -24,12 +24,24 @@ Driver responsibilities (cheap, metadata-only):
 Queries whose semantics are inherently global-order-dependent (Otherwise's
 "b only if a matches NOTHING anywhere", NestedParent/NestedChildren block
 joins that need doc-contiguity) fall back to the driver-side Searcher.
+
+Time budgets: every ScoreServer operation (``score``, ``score_many``,
+``facet_counts``, ``collapse_candidates``, ``wand``) is ONE method taking
+``timelimit=None`` — the reference's single TimeLimitCollector wrapping any
+collector (collectors.py:1012-1107), not a deadline twin per collector.
+Without a budget an operation is one whole-actor search; with one, the
+shared loop ``ScoreServer._each`` walks the pinned tables under the clock.
+Running out of time is a flag in the result table's schema metadata
+(:func:`timed_out`); every merge ORs its parts' flags, and the pool turns a
+flagged merge into :class:`whoosh_novo_ray.search.wand.TimeLimit` (or a
+``(table, timed_out)`` pair on the micro-batch path).
 """
 
 from __future__ import annotations
 
 import json
 import os
+import time
 
 import numpy as np
 import pyarrow as pa
@@ -54,6 +66,7 @@ from whoosh_novo_ray.search import query as Q
 from whoosh_novo_ray.search.searcher import Searcher, _in_sorted
 from whoosh_novo_ray.search.scoring import WeightingModel
 from whoosh_novo_ray.search.sorting import collapse_keep_mask, falsy_key_mask
+from whoosh_novo_ray.search.wand import TimeLimit, searcher_wand_topk
 
 
 # lazily loaded positional row groups an actor keeps (shared by all of its
@@ -233,7 +246,7 @@ class ScoreServer:
         self._lazy_cols: tuple[str, ...] = ()
         self._table_shards: list[int] = []  # bucket id per pinned table
         # per-TABLE doc universe: with multi-member serving, several tables
-        # share a shard id but partition its docs — the deadline path's
+        # share a shard id but partition its docs — the budgeted loop's
         # per-table evaluation needs the table's OWN universe (a shard-wide
         # one would duplicate Not/Every/Column matches across members)
         self._table_universe: list[np.ndarray] = []
@@ -276,7 +289,7 @@ class ScoreServer:
         # with_positions). Bounded: cleared past 50k entries (stopword-grade
         # terms dominate reuse long before that).
         self._tcache: dict = {}
-        # per-table caches for the deadline path (same bound via _searcher)
+        # per-table caches for the budgeted loop (same bound, kept by _each)
         self._table_caches: dict[int, dict] = {}
 
     def _searcher(self, gstats, weighting) -> ShardSearcher:
@@ -310,35 +323,43 @@ class ScoreServer:
 
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
-    def score(
-        self,
-        q: Q.Query,
-        limit: int | None,
-        gstats: dict[str, tuple[int, float, float]],
-        weighting: WeightingModel | None = None,
-        fq=None,
-        mq=None,
-    ) -> pa.Table:
-        """Top-``limit`` (score desc, doc_id asc) over THIS actor's docs.
+    def _each(
+        self, gstats, weighting, timelimit, _delay_per_table, run
+    ) -> tuple[list, bool]:
+        """The one evaluation loop behind every budgeted method.
 
-        ``fq`` / ``mq``: FilterCollector allow/restrict (reference
-        collectors.py:659-763) — a Query evaluated against THIS shard's
-        docs, or a pre-sorted global doc-id array. Per-shard filtering
-        before the per-shard top-k cut composes exactly: the global merge
-        of post-filter shard top-k's is the post-filter global top-k."""
-        return self._searcher(gstats, weighting).search(
-            q, limit=limit, filter=fq, mask=mq
-        )
+        Without a budget, ``run`` gets the whole-actor searcher once. With
+        ``timelimit`` (seconds) it is the reference TimeLimitCollector
+        (collectors.py:1012-1107: on expiry the partial results collected
+        so far remain available). The vectorized eval can't be interrupted
+        mid-kernel, so the check granularity is one pinned shard TABLE: the
+        actor runs one table at a time (scores are identical — they depend
+        only on the driver-shipped global stats — and tables partition the
+        doc space, so merging the per-table results is exact) and checks
+        the clock before each. Returns (per-part results, timed_out).
 
-    def _bound_table_caches(self) -> None:
+        ``_delay_per_table`` is a test hook: sleep that long before each
+        table so deadline crossings land at deterministic table boundaries.
+        """
+        if timelimit is None:
+            return [run(self._searcher(gstats, weighting))], False
         if sum(len(c) for c in self._table_caches.values()) > 50_000:
             self._table_caches.clear()
+        t0 = time.perf_counter()
+        parts = []
+        for i in range(len(self._tables)):
+            if time.perf_counter() - t0 > timelimit:
+                return parts, True
+            if _delay_per_table:
+                time.sleep(_delay_per_table)
+            parts.append(run(self._table_searcher(i, gstats, weighting)))
+        return parts, False
 
     def _table_searcher(self, i: int, gstats, weighting) -> ShardSearcher:
-        """Per-TABLE searcher for the deadline paths (the shared whole-actor
+        """Per-TABLE searcher for the budgeted loop (the shared whole-actor
         TermRow cache is keyed by term only, so sub-searchers over different
         table subsets must not share it) with its own persistent per-table
-        cache, so repeated deadline queries stay warm."""
+        cache, so repeated budgeted queries stay warm."""
         view = _GlobalStatsView(
             self._doc_count,
             self._tfl,
@@ -351,70 +372,34 @@ class ScoreServer:
         s._term_cache = self._table_caches.setdefault(i, {})
         return s
 
-    def score_deadline(
+    def score(
         self,
         q: Q.Query,
         limit: int | None,
         gstats: dict[str, tuple[int, float, float]],
-        budget_s: float,
         weighting: WeightingModel | None = None,
-        _delay_per_table: float = 0.0,
         fq=None,
         mq=None,
-    ) -> tuple[pa.Table, bool]:
-        """Time-budgeted evaluation (reference TimeLimitCollector,
-        collectors.py:1012-1107: on expiry the partial results collected so
-        far remain available). The vectorized eval can't be interrupted
-        mid-kernel, so the check granularity is one pinned shard TABLE: the
-        actor searches its tables one at a time (scores are identical —
-        they depend only on the driver-shipped global stats — and shards
-        partition the doc space, so the per-table merge is exact) and checks
-        the clock before each. Returns (partial-or-full top-k, timed_out).
-
-        ``_delay_per_table`` is a test hook: sleep that long before each
-        table so deadline crossings land at deterministic table boundaries.
-        """
-        import time as _time
-
-        self._bound_table_caches()
-        t0 = _time.perf_counter()
-        parts: list[pa.Table] = []
-        timed_out = False
-        for i in range(len(self._tables)):
-            if _time.perf_counter() - t0 > budget_s:
-                timed_out = True
-                break
-            if _delay_per_table:
-                _time.sleep(_delay_per_table)
-            parts.append(
-                self._table_searcher(i, gstats, weighting).search(
-                    q, limit=limit, filter=fq, mask=mq
-                )
-            )
-        return _merge_topk(parts, limit), timed_out
-
-    def score_many_deadline(
-        self,
-        qs: list[Q.Query],
-        limit: int | None,
-        gstats: dict[str, tuple[int, float, float]],
-        budget_s: float,
-        weighting: WeightingModel | None = None,
+        timelimit: float | None = None,
         _delay_per_table: float = 0.0,
-    ) -> tuple[list[pa.Table], list[bool]]:
-        """Micro-batch with a PER-QUERY deadline: each search gets its own
-        ``budget_s`` clock (the reference's TimeLimitCollector is armed per
-        search, so a batch is B independent deadlines, not one shared one).
-        Returns (tables, timed_out flags) aligned with ``qs``."""
-        tables: list[pa.Table] = []
-        flags: list[bool] = []
-        for q in qs:
-            t, to = self.score_deadline(
-                q, limit, gstats, budget_s, weighting, _delay_per_table
-            )
-            tables.append(t)
-            flags.append(to)
-        return tables, flags
+    ) -> pa.Table:
+        """Top-``limit`` (score desc, doc_id asc) over THIS actor's docs.
+
+        ``fq`` / ``mq``: FilterCollector allow/restrict (reference
+        collectors.py:659-763) — a Query evaluated against THIS shard's
+        docs, or a pre-sorted global doc-id array. Per-shard filtering
+        before the per-shard top-k cut composes exactly: the global merge
+        of post-filter shard top-k's is the post-filter global top-k.
+
+        With ``timelimit`` the result is the merge of the tables that
+        finished, flagged (:func:`timed_out`) when the budget ran out."""
+        parts, out_of_time = self._each(
+            gstats, weighting, timelimit, _delay_per_table,
+            lambda s: s.search(q, limit=limit, filter=fq, mask=mq),
+        )
+        if timelimit is None:
+            return parts[0]
+        return _flag(_merge_topk(parts, limit), out_of_time)
 
     def score_many(
         self,
@@ -422,14 +407,23 @@ class ScoreServer:
         limit: int | None,
         gstats: dict[str, tuple[int, float, float]],
         weighting: WeightingModel | None = None,
+        timelimit: float | None = None,
+        _delay_per_table: float = 0.0,
     ) -> list[pa.Table]:
         """One remote round-trip for a MICRO-BATCH of queries (the serving
         throughput path): Ray task submission costs ~0.5 ms per call on the
         driver, so fanning out per query caps a pool at ~200 QPS regardless
         of actor count — batching B queries per call divides that by B.
-        ``gstats`` is the union map for the whole batch."""
-        s = self._searcher(gstats, weighting)
-        return [s.search(q, limit=limit) for q in qs]
+        ``gstats`` is the union map for the whole batch. A ``timelimit`` is
+        PER QUERY (the reference arms a TimeLimitCollector per search, so a
+        batch is B independent deadlines, not one shared one)."""
+        return [
+            self.score(
+                q, limit, gstats, weighting,
+                timelimit=timelimit, _delay_per_table=_delay_per_table,
+            )
+            for q in qs
+        ]
 
     def wand(
         self,
@@ -440,8 +434,6 @@ class ScoreServer:
         strategy: str = "auto",
         timelimit: float | None = None,
     ) -> tuple[pa.Table, dict]:
-        from whoosh_novo_ray.search.wand import TimeLimit, searcher_wand_topk
-
         try:
             return searcher_wand_topk(
                 self._searcher(gstats, weighting),
@@ -486,17 +478,12 @@ class ScoreServer:
             self._attr_cache[key] = tbl
         return self._attr_cache[key]
 
-    def _matched_keys(self, q, gstats, attrs_dir, column, weighting):
-        """(ids, scores, keys) for THIS shard's matches: key lookup is a
+    def _matched_keys(self, s: "Searcher", q, attrs_dir, column):
+        """(ids, scores, keys) for the docs ``s`` sees: key lookup is a
         searchsorted into the actor's own attribute partition. Matched docs
         MISSING from the attrs table are dropped (mirroring the None-key
         masking in sorting.facet_counts) rather than taking an out-of-bounds
         position or a neighbor's key."""
-        return self._matched_keys_for(
-            self._searcher(gstats, weighting), q, attrs_dir, column
-        )
-
-    def _matched_keys_for(self, s: "Searcher", q, attrs_dir, column):
         ids, scores = s.postings(q)
         if not len(ids):
             return ids, scores, np.empty(0, object)
@@ -531,138 +518,30 @@ class ScoreServer:
         return out
 
     def facet_counts(
-        self, q, gstats, attrs_dir: str, column: str, weighting=None
+        self, q, gstats, attrs_dir: str, column: str, weighting=None,
+        timelimit: float | None = None, _delay_per_table: float = 0.0,
     ) -> pa.Table:
-        """Partial per-key matched-doc counts over THIS shard."""
-        ids, _scores, keys = self._matched_keys(
-            q, gstats, attrs_dir, column, weighting
+        """Partial per-key matched-doc counts over THIS shard. With
+        ``timelimit`` (a TimeLimitCollector wrapping a FacetCollector) the
+        counts are exact over the tables that finished and the table is
+        flagged when coverage is partial."""
+        parts, out_of_time = self._each(
+            gstats, weighting, timelimit, _delay_per_table,
+            lambda s: self._matched_keys(s, q, attrs_dir, column)[2],
         )
-        if not len(ids):
-            return pa.table(
-                {"key": pa.array([], pa.string()), "count": pa.array([], pa.int64())}
-            )
-        uniq, counts = np.unique(keys.astype(str), return_counts=True)
-        return pa.table(
-            {
-                "key": pa.array(uniq, pa.string()),
-                "count": pa.array(counts.astype(np.int64), pa.int64()),
-            }
-        )
-
-    def facet_counts_deadline(
-        self,
-        q,
-        gstats,
-        attrs_dir: str,
-        column: str,
-        budget_s: float,
-        weighting=None,
-        _delay_per_table: float = 0.0,
-    ) -> tuple[pa.Table, bool]:
-        """Time-budgeted facet counts (TimeLimitCollector wrapping a
-        FacetCollector): one pinned table at a time under the clock; counts
-        over the tables that finished are exact (tables partition the doc
-        space), coverage is partial when ``timed_out``."""
-        import time as _time
-
-        self._bound_table_caches()
-        t0 = _time.perf_counter()
-        key_parts: list[np.ndarray] = []
-        timed_out = False
-        for i in range(len(self._tables)):
-            if _time.perf_counter() - t0 > budget_s:
-                timed_out = True
-                break
-            if _delay_per_table:
-                _time.sleep(_delay_per_table)
-            s = self._table_searcher(i, gstats, weighting)
-            ids, _scores, keys = self._matched_keys_for(s, q, attrs_dir, column)
-            if len(ids):
-                key_parts.append(keys.astype(str))
-        if not key_parts:
-            empty = pa.table(
-                {"key": pa.array([], pa.string()), "count": pa.array([], pa.int64())}
-            )
-            return empty, timed_out
-        uniq, counts = np.unique(np.concatenate(key_parts), return_counts=True)
-        return (
+        keys = [k.astype(str) for k in parts if len(k)]
+        if not keys:
+            return _flag(_empty_counts(), out_of_time)
+        uniq, counts = np.unique(np.concatenate(keys), return_counts=True)
+        return _flag(
             pa.table(
                 {
                     "key": pa.array(uniq, pa.string()),
                     "count": pa.array(counts.astype(np.int64), pa.int64()),
                 }
             ),
-            timed_out,
+            out_of_time,
         )
-
-    def collapse_candidates_deadline(
-        self,
-        q,
-        gstats,
-        attrs_dir: str,
-        column: str,
-        per_key: int,
-        budget_s: float,
-        weighting=None,
-        _delay_per_table: float = 0.0,
-        order_dir: str | None = None,
-        order_column: str | None = None,
-    ) -> tuple[pa.Table, bool]:
-        """Time-budgeted per-key best candidates: per-table evaluation under
-        the clock, then one keep-pass over the union — still a superset of
-        the global winners for the covered tables."""
-        import time as _time
-
-        self._bound_table_caches()
-        t0 = _time.perf_counter()
-        id_parts: list[np.ndarray] = []
-        sc_parts: list[np.ndarray] = []
-        key_parts: list[np.ndarray] = []
-        okey_parts: list[np.ndarray] = []
-        timed_out = False
-        for i in range(len(self._tables)):
-            if _time.perf_counter() - t0 > budget_s:
-                timed_out = True
-                break
-            if _delay_per_table:
-                _time.sleep(_delay_per_table)
-            s = self._table_searcher(i, gstats, weighting)
-            ids, scores, keys = self._matched_keys_for(s, q, attrs_dir, column)
-            if len(ids):
-                id_parts.append(ids)
-                sc_parts.append(scores)
-                key_parts.append(keys)
-                if order_column is not None:
-                    okey_parts.append(
-                        self._keys_at(order_dir, order_column, ids)
-                    )
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.uint64()),
-                "key": pa.array([], pa.string()),
-                "score": pa.array([], pa.float64()),
-            }
-        )
-        if not id_parts:
-            return empty, timed_out
-        ids = np.concatenate(id_parts)
-        scores = np.concatenate(sc_parts)
-        keys = np.concatenate(key_parts)
-        okeys = (
-            np.concatenate(okey_parts) if order_column is not None else None
-        )
-        order = _collapse_sel_order(ids, scores, okeys)
-        ids, scores, keys = ids[order], scores[order], keys[order]
-        keep = _collapse_keep_mask(keys.astype(str), per_key)
-        keep |= falsy_key_mask(keys)
-        cols = {
-            "doc_id": pa.array(ids[keep], pa.uint64()),
-            "key": pa.array(keys[keep]),
-            "score": pa.array(scores[keep], pa.float64()),
-        }
-        if okeys is not None:
-            cols["okey"] = pa.array(okeys[order][keep])
-        return pa.table(cols), timed_out
 
     def collapse_candidates(
         self,
@@ -674,23 +553,25 @@ class ScoreServer:
         weighting=None,
         order_dir: str | None = None,
         order_column: str | None = None,
+        timelimit: float | None = None,
+        _delay_per_table: float = 0.0,
     ) -> pa.Table:
         """THIS shard's best ``per_key`` hits per collapse key — a superset
         of the global winners (any global winner is within its shard's
         per-key top, and falsy-key docs are never eliminated), so the
         driver's re-collapse over the union is exact. With an order column
         the shard also ships each candidate's order key (raw type) for the
-        driver's global re-selection."""
-        ids, scores, keys = self._matched_keys(
-            q, gstats, attrs_dir, column, weighting
+        driver's global re-selection. With ``timelimit`` the candidates
+        cover the tables that finished (still a superset of their winners),
+        flagged when the budget ran out."""
+        parts, out_of_time = self._each(
+            gstats, weighting, timelimit, _delay_per_table,
+            lambda s: self._matched_keys(s, q, attrs_dir, column),
         )
-        if not len(ids):
-            cols = {
-                "doc_id": pa.array([], pa.uint64()),
-                "key": pa.array([], pa.string()),
-                "score": pa.array([], pa.float64()),
-            }
-            return pa.table(cols)
+        parts = [p for p in parts if len(p[0])]
+        if not parts:
+            return _flag(_empty_hits(), out_of_time)
+        ids, scores, keys = (np.concatenate(c) for c in zip(*parts))
         okeys = None
         if order_column is not None:
             okeys = self._keys_at(order_dir, order_column, ids)
@@ -705,7 +586,7 @@ class ScoreServer:
         }
         if okeys is not None:
             cols["okey"] = pa.array(okeys[order][keep])
-        return pa.table(cols)
+        return _flag(pa.table(cols), out_of_time)
 
     def sorted_candidates(
         self,
@@ -725,7 +606,7 @@ class ScoreServer:
         Docs missing from the FIRST sort column are dropped (mirroring
         _matched_keys); later columns null-fill."""
         ids, scores, k0 = self._matched_keys(
-            q, gstats, attrs_dirs[0], columns[0], weighting
+            self._searcher(gstats, weighting), q, attrs_dirs[0], columns[0]
         )
         if not len(ids):
             out = {
@@ -772,20 +653,11 @@ def _merge_many_task(
     return [_merge_topk([ar[i] for ar in actor_results], limit) for i in range(n)]
 
 
-@ray.remote(num_cpus=0.25)
-def _merge_many_deadline_task(
-    limit: int | None, *actor_results: tuple[list[pa.Table], list[bool]]
-) -> list[tuple[pa.Table, bool]]:
-    """Merge a deadline micro-batch: each actor ships (tables, flags); a
-    query's merged flag is True when ANY actor ran out on it."""
-    n = len(actor_results[0][0])
-    return [
-        (
-            _merge_topk([ar[0][i] for ar in actor_results], limit),
-            any(ar[1][i] for ar in actor_results),
-        )
-        for i in range(n)
-    ]
+@ray.remote(num_cpus=0)
+def _flag_pairs_task(tables: list[pa.Table]) -> list[tuple[pa.Table, bool]]:
+    """``(table, timed_out)`` pairs: the budgeted micro-batch result shape
+    (an async path can't raise per query)."""
+    return [(t, timed_out(t)) for t in tables]
 
 
 @ray.remote(num_cpus=0)
@@ -816,18 +688,64 @@ def _splice_task(
     return out
 
 
+# A budgeted ScoreServer method returns an ordinary result table; running
+# out of time is a schema-metadata flag on it, so single-actor shortcuts and
+# direct callers keep handling plain tables, and every merge ORs its parts.
+_TIMED_OUT = b"timed_out"
+
+
+def _flag(t: pa.Table, out_of_time: bool) -> pa.Table:
+    return t.replace_schema_metadata({_TIMED_OUT: b"1"}) if out_of_time else t
+
+
+def timed_out(t: pa.Table) -> bool:
+    """True when ``t`` came from a budgeted evaluation that ran out of time
+    (its rows are then the exact result over the covered shard tables)."""
+    md = t.schema.metadata
+    return bool(md) and md.get(_TIMED_OUT) == b"1"
+
+
+def _budget_args(timelimit: float | None, _delay_per_table: float) -> tuple:
+    """Trailing ``(timelimit, _delay_per_table)`` arguments of a budgeted
+    ScoreServer call — none without a budget, so an unbudgeted dispatch
+    ships only the arguments it needs (Ray serializes each argument on its
+    own, a cost paid on every query)."""
+    return () if timelimit is None else (timelimit, _delay_per_table)
+
+
+def _empty_counts() -> pa.Table:
+    return pa.table(
+        {"key": pa.array([], pa.string()), "count": pa.array([], pa.int64())}
+    )
+
+
+def _empty_hits() -> pa.Table:
+    return pa.table(
+        {
+            "doc_id": pa.array([], pa.uint64()),
+            "key": pa.array([], pa.string()),
+            "score": pa.array([], pa.float64()),
+        }
+    )
+
+
 def _merge_topk(parts: list[pa.Table], limit: int | None) -> pa.Table:
     """k-way merge of per-shard result tables — the reference tie-break
     (score desc, doc_id asc), truncated to limit. Shards partition the doc
     space, so every global top-k doc appears in exactly one part and within
-    that part's top-k: concatenation + lexsort is exact."""
+    that part's top-k: concatenation + lexsort is exact. The merge is
+    flagged when ANY part timed out — an empty part included."""
+    out_of_time = any(timed_out(p) for p in parts)
     parts = [p for p in parts if len(p)]
     if not parts:
-        return pa.table(
-            {
-                "doc_id": pa.array([], pa.uint64()),
-                "score": pa.array([], pa.float64()),
-            }
+        return _flag(
+            pa.table(
+                {
+                    "doc_id": pa.array([], pa.uint64()),
+                    "score": pa.array([], pa.float64()),
+                }
+            ),
+            out_of_time,
         )
     ids = np.concatenate(
         [p["doc_id"].to_numpy(zero_copy_only=False) for p in parts]
@@ -838,11 +756,14 @@ def _merge_topk(parts: list[pa.Table], limit: int | None) -> pa.Table:
     order = np.lexsort((ids, -scores))
     if limit is not None:
         order = order[:limit]
-    return pa.table(
-        {
-            "doc_id": pa.array(ids[order], pa.uint64()),
-            "score": pa.array(scores[order], pa.float64()),
-        }
+    return _flag(
+        pa.table(
+            {
+                "doc_id": pa.array(ids[order], pa.uint64()),
+                "score": pa.array(scores[order], pa.float64()),
+            }
+        ),
+        out_of_time,
     )
 
 
@@ -1190,8 +1111,8 @@ class ScorePool:
         mask=None,
     ) -> pa.Table:
         """With ``timelimit`` (seconds), each actor honors the budget
-        independently (shard-table check granularity — ScoreServer
-        .score_deadline); if ANY actor ran out, raises
+        independently (shard-table check granularity — ScoreServer._each);
+        if ANY actor ran out, raises
         :class:`whoosh_novo_ray.search.wand.TimeLimit` carrying the exact
         merge of everything that DID finish in ``.partial`` (the reference
         TimeLimitCollector contract: partial results stay available).
@@ -1213,26 +1134,17 @@ class ScorePool:
         mq, mterms = self._norm_filter(mask)
         stat_terms = self._stat_terms(q2)
         gstats = self._gstats(sorted({*stat_terms, *fterms, *mterms}))
-        if timelimit is not None:
-            from whoosh_novo_ray.search.wand import TimeLimit
-
-            futs = [
-                a.score_deadline.remote(
-                    q2, limit, gstats, timelimit, weighting, _delay_per_table,
-                    fq, mq,
-                )
-                for a in self._route(self._est_cost(gstats, stat_terms))
-            ]
-            results = ray.get(futs)
-            merged = _merge_topk([t for t, _to in results], limit)
-            if any(to for _t, to in results):
-                raise TimeLimit(merged, {"timed_out": True})
-            return merged
         futs = [
-            a.score.remote(q2, limit, gstats, weighting, fq, mq)
+            a.score.remote(
+                q2, limit, gstats, weighting, fq, mq,
+                *_budget_args(timelimit, _delay_per_table),
+            )
             for a in self._route(self._est_cost(gstats, stat_terms))
         ]
-        return _merge_topk(ray.get(futs), limit)
+        merged = _merge_topk(ray.get(futs), limit)
+        if timed_out(merged):
+            raise TimeLimit(merged, {"timed_out": True})
+        return merged
 
     def search_async(
         self,
@@ -1303,40 +1215,33 @@ class ScorePool:
             rewritten.append(q2)
             stat_terms.update(self._stat_terms(q2))
 
-        def _wrap_local(t: pa.Table):
-            return (t, False) if timelimit is not None else t
-
-        def _score_many_futs(actors, qs):
-            if timelimit is not None:
-                return [
-                    a.score_many_deadline.remote(
-                        qs, limit, gstats, timelimit, weighting, _delay_per_table
-                    )
-                    for a in actors
-                ]
-            return [a.score_many.remote(qs, limit, gstats, weighting) for a in actors]
-
-        def _merge_chunk(futs):
-            # deadline results are (tables, flags) per actor — they always
-            # need the zip/merge task, even from a single actor
-            if timelimit is not None:
-                return _merge_many_deadline_task.remote(limit, *futs)
+        def _score_chunk(actors, qs):
+            futs = [
+                a.score_many.remote(
+                    qs, limit, gstats, weighting,
+                    *_budget_args(timelimit, _delay_per_table),
+                )
+                for a in actors
+            ]
             return futs[0] if len(futs) == 1 else _merge_many_task.remote(limit, *futs)
+
+        def _result(ref):
+            # ref resolves to the merged tables, each flagged by timed_out()
+            return ref if timelimit is None else _flag_pairs_task.remote(ref)
 
         remote_qs = [q2 for q2 in rewritten if q2 is not None]
         if not remote_qs:
             s = Searcher(self.index, weighting=weighting)
-            return ray.put(
-                [_wrap_local(s.search(queries[i], limit=limit)) for i in fallback_idx]
+            return _result(
+                ray.put([s.search(queries[i], limit=limit) for i in fallback_idx])
             )
         gstats = self._gstats(sorted(stat_terms))
         R = len(self._replicas)
         if R == 1 or len(remote_qs) == 1:
-            futs = _score_many_futs(
+            merged_ref = _score_chunk(
                 self._route(sum(self._est_cost(gstats, self._stat_terms(q2)) for q2 in remote_qs)),
                 remote_qs,
             )
-            merged_ref = _merge_chunk(futs)
         else:
             # split the batch ACROSS replica groups, LPT-style: queries in
             # descending estimated cost, each to the least-loaded replica
@@ -1363,21 +1268,19 @@ class ScorePool:
                 if not idxs:
                     continue
                 chunk = [remote_qs[i] for i in idxs]
-                chunk_refs.append(_merge_chunk(_score_many_futs(grp, chunk)))
+                chunk_refs.append(_score_chunk(grp, chunk))
                 idx_lists.append(idxs)
             merged_ref = _scatter_task.remote(
                 len(remote_qs), idx_lists, *chunk_refs
             )
         if not fallback_idx:
-            return merged_ref
+            return _result(merged_ref)
         # fallbacks (Otherwise/Nested*) evaluate driver-side AFTER the remote
         # dispatch, so the actor fleet is already working while the driver
         # handles the (rare) global-semantics stragglers
         s = Searcher(self.index, weighting=weighting)
-        local = {
-            i: _wrap_local(s.search(queries[i], limit=limit)) for i in fallback_idx
-        }
-        return _splice_task.remote(len(queries), local, merged_ref)
+        local = {i: s.search(queries[i], limit=limit) for i in fallback_idx}
+        return _result(_splice_task.remote(len(queries), local, merged_ref))
 
     def wand_topk(
         self,
@@ -1392,8 +1295,6 @@ class ScorePool:
         exactly like search(). With ``timelimit``, each actor's cursor loop
         checks the deadline per iteration; any expiry raises
         :class:`TimeLimit` carrying the merged partials."""
-        from whoosh_novo_ray.search.wand import TimeLimit
-
         gstats = self._gstats(list(terms))
         futs = [
             a.wand.remote(list(terms), k, gstats, weighting, strategy, timelimit)
@@ -1450,37 +1351,23 @@ class ScorePool:
         attrs_dir = self._attrs_dir_for(attrs_path, column)
         q2 = self._wrap_filter(self._rewrite(q), filter, mask)
         gstats = self._gstats(self._stat_terms(q2))
-        actors = self._route(self._est_cost(gstats, self._stat_terms(q2)))
-        timed_out = False
-        if timelimit is not None:
-            futs = [
-                a.facet_counts_deadline.remote(
-                    q2, gstats, attrs_dir, column, timelimit, weighting,
-                    _delay_per_table,
-                )
-                for a in actors
-            ]
-            results = ray.get(futs)
-            parts = [t for t, _to in results if len(t)]
-            timed_out = any(to for _t, to in results)
-        else:
-            futs = [
-                a.facet_counts.remote(q2, gstats, attrs_dir, column, weighting)
-                for a in actors
-            ]
-            parts = [t for t in ray.get(futs) if len(t)]
-        if not parts:
-            out = pa.table(
-                {"key": pa.array([], pa.string()), "count": pa.array([], pa.int64())}
+        futs = [
+            a.facet_counts.remote(
+                q2, gstats, attrs_dir, column, weighting,
+                *_budget_args(timelimit, _delay_per_table),
             )
+            for a in self._route(self._est_cost(gstats, self._stat_terms(q2)))
+        ]
+        results = ray.get(futs)
+        parts = [t for t in results if len(t)]
+        if not parts:
+            out = _empty_counts()
         else:
             tbl = pa.concat_tables(parts)
             g = pa.TableGroupBy(tbl, "key").aggregate([("count", "sum")])
             g = g.rename_columns(["key", "count"])
             out = g.sort_by("key")
-        if timed_out:
-            from whoosh_novo_ray.search.wand import TimeLimit
-
+        if any(timed_out(t) for t in results):
             raise TimeLimit(out, {"timed_out": True})
         return out
 
@@ -1506,36 +1393,18 @@ class ScorePool:
         )
         q2 = self._wrap_filter(self._rewrite(q), filter, mask)
         gstats = self._gstats(self._stat_terms(q2))
-        actors = self._route(self._est_cost(gstats, self._stat_terms(q2)))
-        timed_out = False
-        if timelimit is not None:
-            futs = [
-                a.collapse_candidates_deadline.remote(
-                    q2, gstats, attrs_dir, column, per_key, timelimit,
-                    weighting, _delay_per_table, order_dir, order_column,
-                )
-                for a in actors
-            ]
-            results = ray.get(futs)
-            parts = [t for t, _to in results if len(t)]
-            timed_out = any(to for _t, to in results)
-        else:
-            futs = [
-                a.collapse_candidates.remote(
-                    q2, gstats, attrs_dir, column, per_key, weighting,
-                    order_dir, order_column,
-                )
-                for a in actors
-            ]
-            parts = [t for t in ray.get(futs) if len(t)]
-        if not parts:
-            out = pa.table(
-                {
-                    "doc_id": pa.array([], pa.uint64()),
-                    "key": pa.array([], pa.string()),
-                    "score": pa.array([], pa.float64()),
-                }
+        futs = [
+            a.collapse_candidates.remote(
+                q2, gstats, attrs_dir, column, per_key, weighting,
+                order_dir, order_column,
+                *_budget_args(timelimit, _delay_per_table),
             )
+            for a in self._route(self._est_cost(gstats, self._stat_terms(q2)))
+        ]
+        results = ray.get(futs)
+        parts = [t for t in results if len(t)]
+        if not parts:
+            out = _empty_hits()
         else:
             tbl = pa.concat_tables(parts)
             ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
@@ -1564,9 +1433,7 @@ class ScorePool:
                     "score": pa.array(scores, pa.float64()),
                 }
             )
-        if timed_out:
-            from whoosh_novo_ray.search.wand import TimeLimit
-
+        if any(timed_out(t) for t in results):
             raise TimeLimit(out, {"timed_out": True})
         return out
 
@@ -1606,13 +1473,7 @@ class ScorePool:
         ]
         parts = [t for t in ray.get(futs) if len(t)]
         if not parts:
-            return pa.table(
-                {
-                    "doc_id": pa.array([], pa.uint64()),
-                    "key": pa.array([], pa.string()),
-                    "score": pa.array([], pa.float64()),
-                }
-            )
+            return _empty_hits()
         tbl = pa.concat_tables(parts)
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
         scores = tbl["score"].to_numpy(zero_copy_only=False)
