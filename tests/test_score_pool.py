@@ -766,9 +766,9 @@ def test_many_async_deadline_partial(spool, built_index):
 
 
 def test_many_async_deadline_replicated(built_index):
-    """The deadline micro-batch composes with replica-split dispatch (chunks
-    merge through _merge_many_task, scatter preserves slots, the flags
-    become (table, timed_out) pairs)."""
+    """The deadline micro-batch composes with replica-split dispatch (the
+    batch task merges each chunk into its slots, the flags become
+    (table, timed_out) pairs)."""
     import ray
 
     rp = ScorePool(built_index.path, num_actors=2, num_shards=5, num_replicas=2)
@@ -916,6 +916,176 @@ def test_merge_keeps_flag_of_empty_timed_out_part():
     assert merged["doc_id"].to_pylist() == [3, 1]
     assert timed_out(_merge_topk([empty], 10))
     assert not timed_out(_merge_topk([full, full.slice(0, 0)], 10))
+
+
+# -- the transport: one pickled request in, raw top-k arrays out ---------------
+
+TRANSPORT_OPS = [
+    "score", "score_many", "wand", "facet_counts", "collapse_candidates",
+    "sorted_candidates",
+]
+
+
+def _hits_table(blob):
+    """A raw top-k reply decoded back into a (flagged) result table."""
+    import pyarrow as pa
+
+    from whoosh_novo_ray.state.score_pool import _flag, _unpack_hits
+
+    ids, scores, flag = _unpack_hits(blob)
+    return _flag(pa.table({"doc_id": ids, "score": scores}), flag)
+
+
+def _transport_case(spool, server, attrs_parquet, attrs2_parquet, op):
+    """(args, kwargs, decode) for ``op``: decode turns the entry point's
+    reply into the shape the method itself returns."""
+    q = Or(Term("search"), Term("data"), Term("index"))
+    g = spool._gstats(spool._stat_terms(q))
+    attrs = spool._attrs_dir_for(attrs_parquet, "lang")
+    same = lambda r: r  # noqa: E731
+    return {
+        "score": ((q, 10, g), _hits_table),
+        "score_many": (
+            ([q, Term("zzzznope")], 10, g),
+            lambda rs: [_hits_table(b) for b in rs],
+        ),
+        "wand": (
+            (["search", "data", "index"], 10, g),
+            lambda r: (_hits_table(r[0]), r[1]),
+        ),
+        "facet_counts": ((q, g, attrs, "lang"), same),
+        "collapse_candidates": ((q, g, attrs, "lang", 2), same),
+        "sorted_candidates": (
+            (q, g, [spool._attrs_dir_for(attrs2_parquet, "n")], ["n"], [False], 7),
+            same,
+        ),
+    }[op]
+
+
+def _tables(result):
+    """The result tables inside one operation's result."""
+    if isinstance(result, list):
+        return result
+    if isinstance(result, tuple):  # wand: (table, stats)
+        return [result[0]]
+    return [result]
+
+
+@pytest.mark.parametrize(
+    "op,timelimit",
+    [
+        (op, tl)
+        for op in TRANSPORT_OPS
+        for tl in (None, 60.0, 0.0)
+        # sorted_candidates takes no time budget
+        if op != "sorted_candidates" or tl is None
+    ],
+)
+def test_entry_point_reply_equals_method(
+    spool, server, attrs_parquet, attrs2_parquet, op, timelimit
+):
+    """Decoding ``ScoreServer.call``'s reply gives what calling the method
+    directly returns: unbudgeted, under a generous budget, and out of time
+    (flagged and empty)."""
+    from whoosh_novo_ray.state.score_pool import _pack_request, timed_out
+
+    args, decode = _transport_case(spool, server, attrs_parquet, attrs2_parquet, op)
+    kw = {} if timelimit is None else {"timelimit": timelimit}
+    direct = getattr(server, op)(*args, **kw)
+    request, refs = _pack_request(op, *args, **kw)
+    assert refs == []
+    got = decode(server.call(request))
+    for d, t in zip(_tables(direct), _tables(got), strict=True):
+        assert t.equals(d), op
+        assert timed_out(t) == timed_out(d)
+    if op == "wand":
+        assert got[1] == direct[1]
+    if timelimit == 0.0:
+        out = _tables(got)
+        assert out and all(len(t) == 0 for t in out)
+        if op == "wand":
+            assert got[1]["timed_out"]
+        else:
+            assert all(timed_out(t) for t in out)
+    else:
+        assert any(len(t) for t in _tables(got))
+        assert not any(timed_out(t) for t in _tables(got))
+
+
+def test_pool_search_packs_request_once(spool, monkeypatch):
+    """A pooled search pickles its request once, whatever its fan-out."""
+    from whoosh_novo_ray.state import score_pool
+
+    calls = []
+    pack = score_pool._pack_request
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return pack(*args, **kwargs)
+
+    monkeypatch.setattr(score_pool, "_pack_request", counting)
+    assert len(spool._actors) == 2
+    assert len(spool.search(Term("search"), limit=10)) > 0
+    assert calls == ["score"]
+
+
+def test_large_allow_set_rides_object_store(spool, built_index, monkeypatch):
+    """An allow set over 64 KiB is put in the object store once and passed
+    as a top-level call argument (not pickled in the request); results
+    match the local Searcher."""
+    import ray
+
+    from whoosh_novo_ray.state import score_pool
+
+    ids = built_index.all_doc_ids()
+    allow = set(ids[::2].tolist()) | set(range(10**12, 10**12 + 9000))
+    assert len(allow) * 8 > 65536
+    refs_sent = []
+    pack = score_pool._pack_request
+
+    def recording(*args, **kwargs):
+        request, refs = pack(*args, **kwargs)
+        refs_sent.append((len(request), refs))
+        return request, refs
+
+    monkeypatch.setattr(score_pool, "_pack_request", recording)
+    q = Or(Term("search"), Term("data"))
+    for kw in ({"filter": allow}, {"mask": allow}):
+        local = Searcher(built_index).search(q, limit=None, **kw)
+        pooled = spool.search(q, limit=None, **kw)
+        assert pooled.to_pydict() == local.to_pydict(), kw
+    assert len(local) > 0
+    assert len(refs_sent) == 2
+    for size, refs in refs_sent:
+        assert len(refs) == 1 and isinstance(refs[0], ray.ObjectRef)
+        assert size < 65536
+
+
+def test_async_paths_resolve_to_tables(spool, built_index):
+    """search_async resolves to a table and search_many_async(timelimit=)
+    to (table, timed_out) pairs — on a 2-actor pool and on a 1-actor one,
+    whose single reply still needs decoding."""
+    import pyarrow as pa
+    import ray
+
+    qs = [Term("search"), Or(Term("search"), Term("data")), Term("zzzznope")]
+    one = ScorePool(built_index.path, num_actors=1, num_shards=5)
+    try:
+        for pool in (spool, one):
+            sync = [pool.search(q, limit=10) for q in qs]
+            got = ray.get([pool.search_async(q, limit=10) for q in qs])
+            assert all(isinstance(t, pa.Table) for t in got)
+            assert [t.to_pydict() for t in got] == [t.to_pydict() for t in sync]
+            pairs = ray.get(pool.search_many_async(qs, limit=10, timelimit=60.0))
+            assert [to for _t, to in pairs] == [False] * len(qs)
+            assert all(isinstance(t, pa.Table) for t, _to in pairs)
+            assert [t.to_pydict() for t, _to in pairs] == [
+                t.to_pydict() for t in sync
+            ]
+            plain = ray.get(pool.search_many_async(qs, limit=10))
+            assert [t.to_pydict() for t in plain] == [t.to_pydict() for t in sync]
+    finally:
+        one.shutdown()
 
 
 def test_incremental_serving_reuses_member_shards(ray_session, tmp_path):

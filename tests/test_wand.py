@@ -34,19 +34,28 @@ def big_index(ray_session, tmp_path_factory):
     ],
 )
 def test_wand_matches_exhaustive(big_index, terms, k):
+    # both strategies in one test id: "auto" takes the vectorized merge,
+    # "wand" keeps the block-max cursor loop covered
     s = Searcher(big_index)
     expect = s.search(Or(*[Term(t) for t in terms]), limit=k)
-    got, stats = searcher_wand_topk(Searcher(big_index), terms, k)
-    assert got["doc_id"].to_pylist() == expect["doc_id"].to_pylist()
-    assert got["score"].to_pylist() == pytest.approx(
-        expect["score"].to_pylist(), rel=1e-12
-    )
+    for strategy in ("auto", "wand"):
+        got, stats = searcher_wand_topk(
+            Searcher(big_index), terms, k, strategy=strategy
+        )
+        assert stats["strategy"] == (
+            "exhaustive" if strategy == "auto" else "wand"
+        )
+        assert got["doc_id"].to_pylist() == expect["doc_id"].to_pylist(), strategy
+        assert got["score"].to_pylist() == pytest.approx(
+            expect["score"].to_pylist(), rel=1e-12
+        ), strategy
 
 
 def test_wand_actually_skips(big_index):
     # classic WAND win: a very common term OR'd with a rare, high-idf term;
     # once the top-k fills with rare-term docs, whole blocks of the common
-    # term's list are skipped via the skip table
+    # term's list are skipped via the skip table (auto takes the vectorized
+    # merge without a time budget, so the cursor loop is forced)
     stats_tbl = big_index.iter_term_stats(("term", "df")).to_pandas()
     common = stats_tbl.sort_values("df", ascending=False).iloc[0]["term"]
     rare_rows = stats_tbl[(stats_tbl["df"] >= 3) & (stats_tbl["df"] <= 10)]
@@ -54,7 +63,9 @@ def test_wand_actually_skips(big_index):
 
     s = Searcher(big_index)
     expect = s.search(Or(Term(common), Term(rare)), limit=3)
-    got, stats = searcher_wand_topk(Searcher(big_index), [common, rare], 3)
+    got, stats = searcher_wand_topk(
+        Searcher(big_index), [common, rare], 3, strategy="wand"
+    )
     assert got["doc_id"].to_pylist() == expect["doc_id"].to_pylist()
     assert stats["total_blocks"] > 10
     assert stats["skipped_blocks"] > 0, stats

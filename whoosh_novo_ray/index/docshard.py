@@ -86,8 +86,6 @@ def build_attr_shards(
     (one partition, no id-list filters) for facet / sort / collapse keys.
     Writes ``out_dir/vshard=K/`` parquet + a small manifest; resumable by
     lineage."""
-    import ray as _ray
-
     man_path = os.path.join(out_dir, "attr_manifest.json")
     if resume and lineage and os.path.exists(man_path):
         with open(man_path) as f:
@@ -95,7 +93,7 @@ def build_attr_shards(
         if old.get("lineage") == lineage and old.get("num_shards") == num_shards:
             return old
     cols = ["doc_id"] + [c for c in columns if c != "doc_id"]
-    n_blocks = int(_ray.cluster_resources().get("CPU", 8))
+    n_blocks = int(ray.cluster_resources().get("CPU", 8))
     ds = ray.data.read_parquet(
         attrs_path, columns=cols, override_num_blocks=n_blocks
     )

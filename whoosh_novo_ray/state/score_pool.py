@@ -35,6 +35,34 @@ Running out of time is a flag in the result table's schema metadata
 (:func:`timed_out`); every merge ORs its parts' flags, and the pool turns a
 flagged merge into :class:`whoosh_novo_ray.search.wand.TimeLimit` (or a
 ``(table, timed_out)`` pair on the micro-batch path).
+
+Transport: the pool reaches its actors through ONE entry point,
+``ScoreServer.call``. The driver pickles ``(operation, args, kwargs)`` once
+per query (``ray.cloudpickle``: some queries carry closures) and sends the
+same bytes to every actor of the fan-out; Ray would otherwise serialize
+every argument again for every actor. ObjectRefs (large filter arrays put
+in the object store) stay top-level call arguments, so Ray resolves them
+and tracks the borrow; the request holds a placeholder in their place.
+The entry point calls the operation's method, and a top-k table goes back
+as raw bytes: the uint64 doc ids, the float64 scores, one timed-out byte.
+The merges work on those arrays, and the driver (or the async path's one
+merge task) builds the result table once, after the merge. Other results
+(facet counts, collapse and sort candidates) go back as tables.
+
+Per-call CPU in ms (driver thread + actor main threads), 2,000 synthetic
+pages, 4 shards on 2 actors, a warm one-term query, 400 calls x 2 rounds
+on a 4-vCPU shared VM (``python scripts/probe_dispatch.py``; ranges over
+the rounds, both versions measured back to back). The per-argument transport
+this one replaced sent 6 arguments to each actor and got a table back:
+
+==============================================  =========  =========
+call                                            driver     actors
+==============================================  =========  =========
+``ping`` (one actor, no work)                   0.16-0.21  0.15-0.20
+``score.remote`` (one actor, 3 arguments)       0.51-0.56  0.87-0.97
+``ScorePool.search``, per-argument transport    1.06-1.18  1.88-2.00
+``ScorePool.search``, one request, raw replies  0.54-0.62  1.15-1.27
+==============================================  =========  =========
 """
 
 from __future__ import annotations
@@ -48,6 +76,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 import ray
+from ray import cloudpickle
 
 from whoosh_novo_ray.index.build import MANIFEST_NAME
 from whoosh_novo_ray.index.docshard import (
@@ -411,12 +440,15 @@ class ScoreServer:
         _delay_per_table: float = 0.0,
     ) -> list[pa.Table]:
         """One remote round-trip for a MICRO-BATCH of queries (the serving
-        throughput path): Ray task submission costs ~0.5 ms per call on the
-        driver, so fanning out per query caps a pool at ~200 QPS regardless
-        of actor count — batching B queries per call divides that by B.
-        ``gstats`` is the union map for the whole batch. A ``timelimit`` is
-        PER QUERY (the reference arms a TimeLimitCollector per search, so a
-        batch is B independent deadlines, not one shared one)."""
+        throughput path). Every actor call has a fixed CPU cost: a call
+        that does no work costs 0.16-0.21 ms on the driver and 0.15-0.20 ms
+        on the actor, and a pooled one-term search 0.54-0.62 ms on the
+        driver and 1.15-1.27 ms over its 2 actors (4-vCPU shared VM; table
+        in the module docstring). Batching B queries per call divides the fixed
+        part by B. ``gstats`` is the union map for the whole batch. A
+        ``timelimit`` is PER QUERY (the reference arms a TimeLimitCollector
+        per search, so a batch is B independent deadlines, not one shared
+        one)."""
         return [
             self.score(
                 q, limit, gstats, weighting,
@@ -634,58 +666,50 @@ class ScoreServer:
             out[f"k{i}"] = pa.array(k[order])
         return pa.table(out)
 
+    def call(self, request: bytes, *refs):
+        """The pool's one entry point: run the operation a
+        :func:`_pack_request` request names, with the ObjectRef arguments
+        Ray resolved (``refs``) put back in their placeholders' places. A
+        top-k result goes back as raw bytes (:func:`_hits_blob`)."""
+        op, args, kwargs = cloudpickle.loads(request)
+        args = [refs[a.i] if isinstance(a, _Ref) else a for a in args]
+        return _REPLY[op](getattr(self, op)(*args, **kwargs))
+
     def ping(self) -> bool:
         return True
 
 
 @ray.remote(num_cpus=0.25)
-def _merge_topk_task(limit: int | None, *parts: pa.Table) -> pa.Table:
-    """Task-shaped _merge_topk for the async serving path (search_async)."""
-    return _merge_topk(list(parts), limit)
+def _merge_topk_task(limit: int | None, *replies: bytes) -> pa.Table:
+    """The async serving path's merge (search_async): the actors' raw
+    replies in, the merged top-k table out."""
+    return _merge_replies(list(replies), limit)
 
 
 @ray.remote(num_cpus=0.25)
-def _merge_many_task(
-    limit: int | None, *actor_results: list[pa.Table]
-) -> list[pa.Table]:
-    """Merge a micro-batch: one aligned result list per actor."""
-    n = len(actor_results[0])
-    return [_merge_topk([ar[i] for ar in actor_results], limit) for i in range(n)]
-
-
-@ray.remote(num_cpus=0)
-def _flag_pairs_task(tables: list[pa.Table]) -> list[tuple[pa.Table, bool]]:
-    """``(table, timed_out)`` pairs: the budgeted micro-batch result shape
-    (an async path can't raise per query)."""
-    return [(t, timed_out(t)) for t in tables]
-
-
-@ray.remote(num_cpus=0)
-def _scatter_task(
-    n: int, idx_lists: list[list[int]], *chunks: list[pa.Table]
-) -> list[pa.Table]:
-    """Put each replica chunk's results back at their original batch
-    positions (chunks are cost-balanced, not strided)."""
-    out: list = [None] * n
-    for idxs, chunk in zip(idx_lists, chunks):
-        for i, t in zip(idxs, chunk):
-            out[i] = t
-    return out
-
-
-@ray.remote(num_cpus=0)
-def _splice_task(
-    n: int, local: dict[int, pa.Table], merged: list[pa.Table]
-) -> list[pa.Table]:
-    """Put eagerly-evaluated fallback results back in their batch slots."""
-    out, j = [], 0
-    for i in range(n):
-        if i in local:
-            out.append(local[i])
-        else:
-            out.append(merged[j])
-            j += 1
-    return out
+def _batch_task(
+    limit: int | None,
+    pairs: bool,
+    n: int,
+    local: dict[int, pa.Table],
+    chunks: list[tuple[list[int], int]],
+    *replies: list[bytes],
+) -> list:
+    """Assemble a micro-batch (search_many_async) in one task. ``chunks``
+    lists, per replica group the batch was split over, the batch positions
+    of its queries and its actor count; ``replies`` are those actors'
+    ``score_many`` replies, group by group. Each query's replies merge into
+    its slot; the driver-side fallback results (``local``) fill the rest.
+    With ``pairs`` each slot is ``(table, timed_out)`` (an async path can't
+    raise per query)."""
+    out: list = [local.get(i) for i in range(n)]
+    j = 0
+    for positions, width in chunks:
+        group = replies[j:j + width]
+        j += width
+        for k, i in enumerate(positions):
+            out[i] = _merge_replies([r[k] for r in group], limit)
+    return [(t, timed_out(t)) for t in out] if pairs else out
 
 
 # A budgeted ScoreServer method returns an ordinary result table; running
@@ -705,12 +729,66 @@ def timed_out(t: pa.Table) -> bool:
     return bool(md) and md.get(_TIMED_OUT) == b"1"
 
 
-def _budget_args(timelimit: float | None, _delay_per_table: float) -> tuple:
-    """Trailing ``(timelimit, _delay_per_table)`` arguments of a budgeted
-    ScoreServer call — none without a budget, so an unbudgeted dispatch
-    ships only the arguments it needs (Ray serializes each argument on its
-    own, a cost paid on every query)."""
-    return () if timelimit is None else (timelimit, _delay_per_table)
+class _Ref:
+    """Placeholder, inside a request, for the ``i``-th ObjectRef passed
+    next to it as a top-level call argument."""
+
+    __slots__ = ("i",)
+
+    def __init__(self, i: int):
+        self.i = i
+
+
+def _pack_request(op: str, *args, **kwargs) -> tuple[bytes, list]:
+    """``(request, refs)`` for ``ScoreServer.call``: the operation and its
+    arguments pickled once, with every top-level positional ObjectRef
+    swapped for a placeholder and returned in ``refs``, to be passed as
+    call arguments so Ray resolves them and tracks the borrow."""
+    refs: list = []
+    slots = []
+    for a in args:
+        if isinstance(a, ray.ObjectRef):
+            slots.append(_Ref(len(refs)))
+            refs.append(a)
+        else:
+            slots.append(a)
+    return cloudpickle.dumps((op, slots, kwargs)), refs
+
+
+def _fan_out(actors: list, op: str, *args, **kwargs) -> list:
+    """One ``ScoreServer.call`` per actor, all sending the same request."""
+    request, refs = _pack_request(op, *args, **kwargs)
+    return [a.call.remote(request, *refs) for a in actors]
+
+
+def _hits_blob(t: pa.Table) -> bytes:
+    """A (doc_id, score) result table as an actor's raw reply: the uint64
+    doc ids, then the float64 scores, then one timed-out byte."""
+    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64, copy=False)
+    scores = t["score"].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
+    return ids.tobytes() + scores.tobytes() + (b"\1" if timed_out(t) else b"\0")
+
+
+def _unpack_hits(blob: bytes) -> tuple[np.ndarray, np.ndarray, bool]:
+    """``(doc ids, scores, timed_out)`` of a :func:`_hits_blob` reply."""
+    n = len(blob) // 16
+    return (
+        np.frombuffer(blob, np.uint64, n),
+        np.frombuffer(blob, np.float64, n, 8 * n),
+        blob[-1] == 1,
+    )
+
+
+# how ``ScoreServer.call`` ships each operation's result: top-k tables as
+# raw bytes; facet counts and collapse/sort candidates as they are
+_REPLY = {
+    "score": _hits_blob,
+    "score_many": lambda ts: [_hits_blob(t) for t in ts],
+    "wand": lambda r: (_hits_blob(r[0]), r[1]),
+    "facet_counts": lambda t: t,
+    "collapse_candidates": lambda t: t,
+    "sorted_candidates": lambda t: t,
+}
 
 
 def _empty_counts() -> pa.Table:
@@ -729,30 +807,24 @@ def _empty_hits() -> pa.Table:
     )
 
 
-def _merge_topk(parts: list[pa.Table], limit: int | None) -> pa.Table:
-    """k-way merge of per-shard result tables — the reference tie-break
-    (score desc, doc_id asc), truncated to limit. Shards partition the doc
-    space, so every global top-k doc appears in exactly one part and within
-    that part's top-k: concatenation + lexsort is exact. The merge is
-    flagged when ANY part timed out — an empty part included."""
-    out_of_time = any(timed_out(p) for p in parts)
-    parts = [p for p in parts if len(p)]
-    if not parts:
-        return _flag(
-            pa.table(
-                {
-                    "doc_id": pa.array([], pa.uint64()),
-                    "score": pa.array([], pa.float64()),
-                }
-            ),
-            out_of_time,
-        )
-    ids = np.concatenate(
-        [p["doc_id"].to_numpy(zero_copy_only=False) for p in parts]
-    ).astype(np.uint64)
-    scores = np.concatenate(
-        [p["score"].to_numpy(zero_copy_only=False) for p in parts]
-    ).astype(np.float64)
+_NO_IDS = np.empty(0, np.uint64)
+_NO_SCORES = np.empty(0, np.float64)
+
+
+def _merge_hits(
+    parts: list[tuple[np.ndarray, np.ndarray, bool]], limit: int | None
+) -> pa.Table:
+    """k-way merge of per-shard ``(doc ids, scores, timed_out)`` top-k's —
+    the reference tie-break (score desc, doc_id asc), truncated to limit —
+    as the result table. Shards partition the doc space, so every global
+    top-k doc appears in exactly one part and within that part's top-k:
+    concatenation + lexsort is exact. The merge is flagged when ANY part
+    timed out — an empty part included."""
+    out_of_time = any(p[2] for p in parts)
+    ids = np.concatenate([p[0] for p in parts] or [_NO_IDS])
+    scores = np.concatenate([p[1] for p in parts] or [_NO_SCORES])
+    ids = ids.astype(np.uint64, copy=False)
+    scores = scores.astype(np.float64, copy=False)
     order = np.lexsort((ids, -scores))
     if limit is not None:
         order = order[:limit]
@@ -764,6 +836,27 @@ def _merge_topk(parts: list[pa.Table], limit: int | None) -> pa.Table:
             }
         ),
         out_of_time,
+    )
+
+
+def _merge_replies(blobs: list[bytes], limit: int | None) -> pa.Table:
+    """The merged top-k table of the actors' raw replies."""
+    return _merge_hits([_unpack_hits(b) for b in blobs], limit)
+
+
+def _merge_topk(parts: list[pa.Table], limit: int | None) -> pa.Table:
+    """:func:`_merge_hits` over result tables (a budgeted actor merges the
+    tables it finished)."""
+    return _merge_hits(
+        [
+            (
+                p["doc_id"].to_numpy(zero_copy_only=False),
+                p["score"].to_numpy(zero_copy_only=False),
+                timed_out(p),
+            )
+            for p in parts
+        ],
+        limit,
     )
 
 
@@ -1134,14 +1227,12 @@ class ScorePool:
         mq, mterms = self._norm_filter(mask)
         stat_terms = self._stat_terms(q2)
         gstats = self._gstats(sorted({*stat_terms, *fterms, *mterms}))
-        futs = [
-            a.score.remote(
-                q2, limit, gstats, weighting, fq, mq,
-                *_budget_args(timelimit, _delay_per_table),
-            )
-            for a in self._route(self._est_cost(gstats, stat_terms))
-        ]
-        merged = _merge_topk(ray.get(futs), limit)
+        futs = _fan_out(
+            self._route(self._est_cost(gstats, stat_terms)),
+            "score", q2, limit, gstats, weighting, fq, mq,
+            timelimit=timelimit, _delay_per_table=_delay_per_table,
+        )
+        merged = _merge_replies(ray.get(futs), limit)
         if timed_out(merged):
             raise TimeLimit(merged, {"timed_out": True})
         return merged
@@ -1173,14 +1264,10 @@ class ScorePool:
         mq, mterms = self._norm_filter(mask)
         stat_terms = self._stat_terms(q2)
         gstats = self._gstats(sorted({*stat_terms, *fterms, *mterms}))
-        futs = [
-            a.score.remote(q2, limit, gstats, weighting, fq, mq)
-            for a in self._route(self._est_cost(gstats, stat_terms))
-        ]
-        if len(futs) == 1:
-            # single-actor replica covers every shard: its top-k IS the
-            # answer — skip the merge task (one less dispatch per query)
-            return futs[0]
+        futs = _fan_out(
+            self._route(self._est_cost(gstats, stat_terms)),
+            "score", q2, limit, gstats, weighting, fq, mq,
+        )
         return _merge_topk_task.remote(limit, *futs)
 
     def search_many_async(
@@ -1214,34 +1301,18 @@ class ScorePool:
             q2 = self._rewrite(q)
             rewritten.append(q2)
             stat_terms.update(self._stat_terms(q2))
-
-        def _score_chunk(actors, qs):
-            futs = [
-                a.score_many.remote(
-                    qs, limit, gstats, weighting,
-                    *_budget_args(timelimit, _delay_per_table),
-                )
-                for a in actors
-            ]
-            return futs[0] if len(futs) == 1 else _merge_many_task.remote(limit, *futs)
-
-        def _result(ref):
-            # ref resolves to the merged tables, each flagged by timed_out()
-            return ref if timelimit is None else _flag_pairs_task.remote(ref)
-
-        remote_qs = [q2 for q2 in rewritten if q2 is not None]
-        if not remote_qs:
-            s = Searcher(self.index, weighting=weighting)
-            return _result(
-                ray.put([s.search(queries[i], limit=limit) for i in fallback_idx])
-            )
+        positions = [i for i, q2 in enumerate(rewritten) if q2 is not None]
+        remote_qs = [rewritten[i] for i in positions]
         gstats = self._gstats(sorted(stat_terms))
+        # (replica group, indices into remote_qs) per dispatched chunk
+        split: list[tuple[list, list[int]]] = []
         R = len(self._replicas)
-        if R == 1 or len(remote_qs) == 1:
-            merged_ref = _score_chunk(
-                self._route(sum(self._est_cost(gstats, self._stat_terms(q2)) for q2 in remote_qs)),
-                remote_qs,
-            )
+        if R == 1 or len(remote_qs) <= 1:
+            if remote_qs:
+                cost = sum(
+                    self._est_cost(gstats, self._stat_terms(q2)) for q2 in remote_qs
+                )
+                split.append((self._route(cost), list(range(len(remote_qs)))))
         else:
             # split the batch ACROSS replica groups, LPT-style: queries in
             # descending estimated cost, each to the least-loaded replica
@@ -1262,25 +1333,25 @@ class ScorePool:
                 m = min(loads)
                 for j in range(R):
                     loads[j] -= m
-            chunk_refs = []
-            idx_lists = []
-            for grp, idxs in zip(self._replicas, assign):
-                if not idxs:
-                    continue
-                chunk = [remote_qs[i] for i in idxs]
-                chunk_refs.append(_score_chunk(grp, chunk))
-                idx_lists.append(idxs)
-            merged_ref = _scatter_task.remote(
-                len(remote_qs), idx_lists, *chunk_refs
+            split = [(grp, idxs) for grp, idxs in zip(self._replicas, assign) if idxs]
+        replies: list = []
+        chunks: list[tuple[list[int], int]] = []
+        for grp, idxs in split:
+            replies += _fan_out(
+                grp, "score_many", [remote_qs[i] for i in idxs], limit, gstats,
+                weighting, timelimit=timelimit, _delay_per_table=_delay_per_table,
             )
-        if not fallback_idx:
-            return _result(merged_ref)
+            chunks.append(([positions[i] for i in idxs], len(grp)))
         # fallbacks (Otherwise/Nested*) evaluate driver-side AFTER the remote
         # dispatch, so the actor fleet is already working while the driver
         # handles the (rare) global-semantics stragglers
-        s = Searcher(self.index, weighting=weighting)
-        local = {i: s.search(queries[i], limit=limit) for i in fallback_idx}
-        return _result(_splice_task.remote(len(queries), local, merged_ref))
+        local = {}
+        if fallback_idx:
+            s = Searcher(self.index, weighting=weighting)
+            local = {i: s.search(queries[i], limit=limit) for i in fallback_idx}
+        return _batch_task.remote(
+            limit, timelimit is not None, len(queries), local, chunks, *replies
+        )
 
     def wand_topk(
         self,
@@ -1296,12 +1367,14 @@ class ScorePool:
         checks the deadline per iteration; any expiry raises
         :class:`TimeLimit` carrying the merged partials."""
         gstats = self._gstats(list(terms))
-        futs = [
-            a.wand.remote(list(terms), k, gstats, weighting, strategy, timelimit)
-            for a in self._route(self._est_cost(gstats, list(terms)))
-        ]
-        results = ray.get(futs)
-        merged = _merge_topk([t for t, _s in results], k)
+        results = ray.get(
+            _fan_out(
+                self._route(self._est_cost(gstats, list(terms))),
+                "wand", list(terms), k, gstats, weighting, strategy,
+                timelimit=timelimit,
+            )
+        )
+        merged = _merge_replies([b for b, _s in results], k)
         stats: dict[str, float] = {}
         for _t, s in results:
             for key, v in s.items():
@@ -1351,14 +1424,13 @@ class ScorePool:
         attrs_dir = self._attrs_dir_for(attrs_path, column)
         q2 = self._wrap_filter(self._rewrite(q), filter, mask)
         gstats = self._gstats(self._stat_terms(q2))
-        futs = [
-            a.facet_counts.remote(
-                q2, gstats, attrs_dir, column, weighting,
-                *_budget_args(timelimit, _delay_per_table),
+        results = ray.get(
+            _fan_out(
+                self._route(self._est_cost(gstats, self._stat_terms(q2))),
+                "facet_counts", q2, gstats, attrs_dir, column, weighting,
+                timelimit=timelimit, _delay_per_table=_delay_per_table,
             )
-            for a in self._route(self._est_cost(gstats, self._stat_terms(q2)))
-        ]
-        results = ray.get(futs)
+        )
         parts = [t for t in results if len(t)]
         if not parts:
             out = _empty_counts()
@@ -1393,15 +1465,14 @@ class ScorePool:
         )
         q2 = self._wrap_filter(self._rewrite(q), filter, mask)
         gstats = self._gstats(self._stat_terms(q2))
-        futs = [
-            a.collapse_candidates.remote(
-                q2, gstats, attrs_dir, column, per_key, weighting,
-                order_dir, order_column,
-                *_budget_args(timelimit, _delay_per_table),
+        results = ray.get(
+            _fan_out(
+                self._route(self._est_cost(gstats, self._stat_terms(q2))),
+                "collapse_candidates", q2, gstats, attrs_dir, column, per_key,
+                weighting, order_dir, order_column,
+                timelimit=timelimit, _delay_per_table=_delay_per_table,
             )
-            for a in self._route(self._est_cost(gstats, self._stat_terms(q2)))
-        ]
-        results = ray.get(futs)
+        )
         parts = [t for t in results if len(t)]
         if not parts:
             out = _empty_hits()
@@ -1463,14 +1534,11 @@ class ScorePool:
         attrs_dirs = [self._attrs_dir_for(attrs_path, c) for c in columns]
         q2 = self._wrap_filter(self._rewrite(q), filter, mask)
         gstats = self._gstats(self._stat_terms(q2))
-        actors = self._route(self._est_cost(gstats, self._stat_terms(q2)))
-        futs = [
-            a.sorted_candidates.remote(
-                q2, gstats, attrs_dirs, columns, list(reverses), limit,
-                weighting,
-            )
-            for a in actors
-        ]
+        futs = _fan_out(
+            self._route(self._est_cost(gstats, self._stat_terms(q2))),
+            "sorted_candidates", q2, gstats, attrs_dirs, columns,
+            list(reverses), limit, weighting,
+        )
         parts = [t for t in ray.get(futs) if len(t)]
         if not parts:
             return _empty_hits()
