@@ -143,3 +143,57 @@ def test_auto_heavy_detection_and_balance(ray_session, pages_table, tmp_path):
         ra = sp.search(Term(t), limit=10).to_pydict()
         rb = sa.search(Term(t), limit=10).to_pydict()
         assert ra == rb, t
+
+
+def test_routing_rules_agree(ray_session, pages_table, tmp_path):
+    """One term-routing rule: the tokenizer and the merge path both place a
+    posting in ``bucket_for_terms``, which ``buckets_for_query_term``
+    inverts (salted heavy terms included); docmeta rows follow
+    ``doc_shard_of``. Checked on the posting rows and on the built files."""
+    import glob
+
+    import pyarrow.parquet as pq
+    import ray.data
+
+    from whoosh_novo_ray.index.build import (
+        DOCMETA_TERM,
+        TokenizePostings,
+        _bucketize_postings,
+        bucket_for_terms,
+        buckets_for_query_term,
+        doc_shard_of,
+    )
+
+    cfg = IndexConfig(
+        num_buckets=8, heavy_terms=("search", "the", "index", "data"), salt_k=4, salt_shift=3
+    )
+    docs = pages_table.select(["doc_id", "text"])
+    rows = TokenizePostings(cfg)(docs)
+    merged = _bucketize_postings(cfg)(rows.drop_columns(["bucket"]))
+    bucket = rows["bucket"].to_numpy()
+    assert bucket.tolist() == merged["bucket"].to_numpy().tolist()
+
+    terms = np.asarray(rows["term"].to_pylist(), object)
+    ids = rows["doc_id"].to_numpy()
+    meta = terms == DOCMETA_TERM
+    assert meta.sum() == len(docs)
+    assert (bucket[meta] == doc_shard_of(ids[meta], cfg.num_buckets)).all()
+    post = ~meta
+    assert (bucket[post] == bucket_for_terms(cfg, terms[post], ids[post])).all()
+    assert len(set(bucket[terms == "search"].tolist())) > 1  # the salt split it
+    for t, b in set(zip(terms[post].tolist(), bucket[post].tolist())):
+        assert b in buckets_for_query_term(cfg, t), t
+
+    out = str(tmp_path / "idx")
+    build_index(ray.data.from_arrow(docs), out, cfg, lineage="routing")
+    n_meta = 0
+    for f in glob.glob(os.path.join(out, "docmeta", "*.parquet")):
+        b = int(os.path.basename(f).split("=")[1].split(".")[0])
+        dm_ids = pq.read_table(f)["doc_id"].to_numpy()
+        assert (doc_shard_of(dm_ids, cfg.num_buckets) == b).all()
+        n_meta += len(dm_ids)
+    assert n_meta == len(docs)
+    for f in glob.glob(os.path.join(out, "segments", "*.parquet")):
+        b = int(os.path.basename(f).split("=")[1].split(".")[0])
+        for t in pq.read_table(f, columns=["term"])["term"].to_pylist():
+            assert b in buckets_for_query_term(cfg, t), t

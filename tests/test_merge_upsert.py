@@ -115,9 +115,13 @@ def test_merge_docmeta_only_buckets(ray_session, tmp_path):
     assert len(r) == 40
 
 
-def test_latest_by_key(ray_session):
+def test_latest_by_key(ray_session, monkeypatch):
     import ray.data
 
+    from whoosh_novo_ray import shuffle
+
+    # one shard: every key meets in the same reducer call
+    monkeypatch.setattr(shuffle, "N_SHARDS", 1)
     tbl = pa.table(
         {
             "url": ["a", "b", "a", "c", "b", "a"],
@@ -125,9 +129,7 @@ def test_latest_by_key(ray_session):
             "row": [0, 1, 2, 3, 4, 5],
         }
     )
-    out = latest_by_key(
-        ray.data.from_arrow(tbl), key="url", ts="ts", tiebreak="row", num_buckets=3
-    )
+    out = latest_by_key(ray.data.from_arrow(tbl), key="url", ts="ts", tiebreak="row")
     got = sorted(out.take_all(), key=lambda r: r["url"])
     # a: ts 9 twice -> tiebreak smallest row (2); b: ts 5 twice -> row 1
     assert [(r["url"], r["row"]) for r in got] == [("a", 2), ("b", 1), ("c", 3)]

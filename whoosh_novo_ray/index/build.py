@@ -7,10 +7,11 @@ sort + single-process segment writer, de-odex/whoosh-novo
     docs (doc_id, text)
       -> map_batches(TokenizePostings)        # stateless, zero-copy Arrow out
            rows: (bucket, term, doc_id, tf, len_byte[, positions])
-      -> groupby("bucket").map_groups(BucketEncoder)   # THE all-to-all shuffle
-           one hash-bucket of the term space per group; vectorized sort by
-           (term, doc_id) + block encode; writes segments/bucket=%05d.parquet
-           atomically and returns one manifest row
+      -> shard_reduce(postings, "bucket", BucketEncoder)   # THE all-to-all shuffle
+           every posting of a term-space bucket meets in one reducer call;
+           per bucket: vectorized sort by (term, doc_id) + block encode;
+           writes segments/bucket=%05d.parquet atomically and returns one
+           manifest row
       -> driver collects the (tiny) manifest rows -> manifest.json (the "TOC")
 
 Scale notes:
@@ -41,6 +42,7 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
+from ray.data.dataset import MaterializedDataset
 
 from whoosh_novo_ray.analysis import StandardAnalyzer
 from whoosh_novo_ray.codec import (
@@ -49,18 +51,13 @@ from whoosh_novo_ray.codec import (
     varint_encode,
 )
 from whoosh_novo_ray.lengths import lengths_to_bytes
+from whoosh_novo_ray.shuffle import key_hash, run_starts, shard_of, shard_reduce
 
 MANIFEST_NAME = "manifest.json"
 _SALT_PRIME = np.uint64(2654435761)
 # no analyzer token can contain NUL, so this term marks per-doc metadata rows
 # that ride the same shuffle as postings (doc length + length byte)
 DOCMETA_TERM = "\x00doc"
-
-
-def stable_term_hash(terms) -> np.ndarray:
-    """Deterministic (process-independent) uint64 hash of term strings."""
-    arr = np.asarray(terms, dtype=object)
-    return pd.util.hash_array(arr, categorize=False)
 
 
 @dataclass
@@ -171,23 +168,35 @@ class IndexConfig:
         return IndexConfig(analyzer=ana, **d)
 
 
-def bucket_for_terms(cfg: IndexConfig, terms, doc_ids: np.ndarray | None = None) -> np.ndarray:
-    """Shuffle key per posting row. Heavy terms mix a doc-id range salt."""
-    h = stable_term_hash(terms)
-    if cfg.heavy_terms and doc_ids is not None:
-        heavy = pd.Series(np.asarray(terms, dtype=object)).isin(cfg.heavy_terms).to_numpy()
-        if heavy.any():
-            salt = (doc_ids.astype(np.uint64) >> np.uint64(cfg.salt_shift)) % np.uint64(
-                cfg.salt_k
-            )
-            h = h.copy()
-            h[heavy] = h[heavy] + salt[heavy] * _SALT_PRIME
+def bucket_for_terms(
+    cfg: IndexConfig, terms, doc_ids: np.ndarray, codes: np.ndarray | None = None
+) -> np.ndarray:
+    """Term bucket per posting row, the one term-routing rule of the index
+    (``buckets_for_query_term`` inverts it). Heavy terms mix in a doc-id
+    range salt. With ``codes``, row i holds ``terms[codes[i]]`` and each
+    term is hashed once; without it row i holds ``terms[i]``."""
+    terms = np.asarray(terms, dtype=object)
+    h = key_hash(terms)
+    heavy = pd.Series(terms).isin(cfg.heavy_terms).to_numpy()
+    if codes is not None:
+        h, heavy = h[codes], heavy[codes]
+    if heavy.any():
+        salt = (doc_ids.astype(np.uint64) >> np.uint64(cfg.salt_shift)) % np.uint64(
+            cfg.salt_k
+        )
+        h = h + np.where(heavy, salt * _SALT_PRIME, np.uint64(0))
     return (h % np.uint64(cfg.num_buckets)).astype(np.uint32)
+
+
+def doc_shard_of(doc_ids, num_shards: int) -> np.ndarray:
+    """Doc-id routing rule of every doc-keyed layout: docmeta buckets,
+    serving shards, term vectors and attribute shards."""
+    return shard_of(doc_ids, num_shards)
 
 
 def buckets_for_query_term(cfg: IndexConfig, term: str) -> list[int]:
     """All buckets a term's postings may live in (1 normally, salt_k if heavy)."""
-    h = int(stable_term_hash([term])[0])
+    h = int(key_hash([term])[0])
     if term in cfg.heavy_terms:
         return sorted(
             {int((h + s * int(_SALT_PRIME)) % (1 << 64)) % cfg.num_buckets for s in range(cfg.salt_k)}
@@ -249,27 +258,12 @@ class TokenizePostings:
         g_doc_ids = doc_ids[g_doc_idx]
         g_len_bytes = lengths_to_bytes(field_lengths)[g_doc_idx]
 
-        # shuffle key: hash once per UNIQUE term, broadcast via codes
-        hash_u = stable_term_hash(uniques)
-        h = hash_u[g_codes]
-        if cfg.heavy_terms:
-            heavy_u = pd.Series(uniques).isin(cfg.heavy_terms).to_numpy()
-            heavy = heavy_u[g_codes]
-            if heavy.any():
-                salt = (
-                    g_doc_ids >> np.uint64(cfg.salt_shift)
-                ) % np.uint64(cfg.salt_k)
-                h = h.copy()
-                h[heavy] = h[heavy] + salt[heavy] * _SALT_PRIME
-        g_bucket = (h % np.uint64(cfg.num_buckets)).astype(np.uint32)
+        g_bucket = bucket_for_terms(cfg, uniques, g_doc_ids, codes=g_codes)
 
         # per-document metadata rows (one per input doc, including token-less
         # docs): term=DOCMETA_TERM, tf=true field length; spread by doc hash
         n_docs = len(texts)
-        dm_bucket = (
-            pd.util.hash_array(doc_ids.astype(np.uint64))
-            % np.uint64(cfg.num_buckets)
-        ).astype(np.uint32)
+        dm_bucket = doc_shard_of(doc_ids, cfg.num_buckets)
         dm_terms = np.full(n_docs, DOCMETA_TERM, dtype=object)
 
         all_bucket = np.concatenate([g_bucket, dm_bucket])
@@ -342,11 +336,8 @@ class TokenizePostings:
 
 def _docmeta_only_table(cfg: IndexConfig, doc_ids: np.ndarray, field_lengths: np.ndarray) -> pa.Table:
     n_docs = len(doc_ids)
-    dm_bucket = (
-        pd.util.hash_array(doc_ids.astype(np.uint64)) % np.uint64(cfg.num_buckets)
-    ).astype(np.uint32)
     cols = {
-        "bucket": pa.array(dm_bucket, pa.uint32()),
+        "bucket": pa.array(doc_shard_of(doc_ids, cfg.num_buckets), pa.uint32()),
         "term": pa.array(np.full(n_docs, DOCMETA_TERM, dtype=object), pa.string()),
         "doc_id": pa.array(doc_ids.astype(np.uint64), pa.uint64()),
         "tf": pa.array(
@@ -369,19 +360,6 @@ def _docmeta_only_table(cfg: IndexConfig, doc_ids: np.ndarray, field_lengths: np
         cols["chars"] = pa.ListArray.from_arrays(
             pa.array(np.zeros(n_docs + 1, np.int32)), pa.array([], pa.int32())
         )
-    return pa.table(cols)
-
-
-def _empty_postings_table(with_positions: bool) -> pa.Table:
-    cols = {
-        "bucket": pa.array([], pa.uint32()),
-        "term": pa.array([], pa.string()),
-        "doc_id": pa.array([], pa.uint64()),
-        "tf": pa.array([], pa.uint32()),
-        "len_byte": pa.array([], pa.uint8()),
-    }
-    if with_positions:
-        cols["positions"] = pa.array([], pa.list_(pa.int32()))
     return pa.table(cols)
 
 
@@ -585,21 +563,24 @@ def encode_bucket_table(tbl: pa.Table, block_size: int, with_positions: bool) ->
 
 
 class BucketEncoder:
-    """groupby("bucket").map_groups callable: encode + atomically write one
-    bucket's segment file; emits a one-row manifest record."""
+    """``shard_reduce`` reducer on "bucket": encode + atomically write each
+    bucket's segment file; emits one manifest row per bucket."""
 
     def __init__(self, out_dir: str, cfg: IndexConfig, lineage: str):
         self.out_dir = out_dir
         self.cfg = cfg
         self.lineage = lineage
 
-    def __call__(self, group: pa.Table) -> pa.Table:
-        if len(group) == 0:
-            return _empty_manifest_table()
-        bucket = int(group["bucket"][0].as_py())
-        is_meta = pc.equal(group["term"], DOCMETA_TERM)
-        meta_rows = group.filter(is_meta)
-        group = group.filter(pc.invert(is_meta))
+    def __call__(self, shard: pa.Table) -> pa.Table:
+        is_meta = pc.equal(shard["term"], DOCMETA_TERM)
+        return pa.concat_tables(
+            self._encode(b, shard, pc.equal(shard["bucket"], b), is_meta)
+            for b in pc.unique(shard["bucket"]).to_pylist()
+        )
+
+    def _encode(self, bucket: int, shard: pa.Table, in_bucket, is_meta) -> pa.Table:
+        meta_rows = shard.filter(pc.and_(in_bucket, is_meta))
+        group = shard.filter(pc.and_(in_bucket, pc.invert(is_meta)))
         n_meta = len(meta_rows)
         if n_meta:
             dm = pa.table(
@@ -616,8 +597,6 @@ class BucketEncoder:
             pq.write_table(dm, dm_tmp, compression="zstd")
             os.replace(dm_tmp, dm_final)
         if len(group) == 0:
-            if n_meta == 0:
-                return _empty_manifest_table()
             # docmeta-only bucket: no segment file, but the n_docs_meta count
             # MUST survive into the manifest — the merge path derives
             # doc_count from sum(n_docs_meta), and dropping these rows
@@ -665,22 +644,6 @@ class BucketEncoder:
         )
 
 
-def _empty_manifest_table() -> pa.Table:
-    return pa.table(
-        {
-            "bucket": pa.array([], pa.uint32()),
-            "path": pa.array([], pa.string()),
-            "n_terms": pa.array([], pa.uint64()),
-            "n_postings": pa.array([], pa.uint64()),
-            "sum_tf": pa.array([], pa.float64()),
-            "n_docs_meta": pa.array([], pa.uint64()),
-            "min_term": pa.array([], pa.string()),
-            "max_term": pa.array([], pa.string()),
-            "lineage": pa.array([], pa.string()),
-        }
-    )
-
-
 def _bucketize_postings(cfg: IndexConfig):
     """map_batches fn adding the shuffle key to bare posting rows (used by the
     merge job, which re-creates posting rows from existing segments)."""
@@ -689,16 +652,8 @@ def _bucketize_postings(cfg: IndexConfig):
         terms = np.asarray(batch["term"].to_pylist(), dtype=object)
         doc_ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
         is_meta = terms == DOCMETA_TERM
-        h = stable_term_hash(terms)
-        if cfg.heavy_terms:
-            heavy = pd.Series(terms).isin(cfg.heavy_terms).to_numpy()
-            if heavy.any():
-                salt = (doc_ids >> np.uint64(cfg.salt_shift)) % np.uint64(cfg.salt_k)
-                h = h.copy()
-                h[heavy] = h[heavy] + salt[heavy] * _SALT_PRIME
-        if is_meta.any():
-            h[is_meta] = pd.util.hash_array(doc_ids[is_meta])
-        bucket = (h % np.uint64(cfg.num_buckets)).astype(np.uint32)
+        bucket = bucket_for_terms(cfg, terms, doc_ids)
+        bucket[is_meta] = doc_shard_of(doc_ids[is_meta], cfg.num_buckets)
         return batch.add_column(0, "bucket", pa.array(bucket, pa.uint32()))
 
     return add_bucket
@@ -749,12 +704,10 @@ def _run_bucket_shuffle(
     if postings is not None:
         encoder = BucketEncoder(out_dir, cfg, lineage)
 
-        def encode_group(group: pa.Table) -> pa.Table:
-            return encoder(group)
+        def encode_group(shard: pa.Table) -> pa.Table:
+            return encoder(shard)
 
-        manifest_ds = postings.groupby("bucket").map_groups(
-            encode_group, batch_format="pyarrow"
-        )
+        manifest_ds = shard_reduce(postings, "bucket", encode_group)
         rows = manifest_ds.take_all()  # tiny: one row per bucket
 
     build_secs = time.perf_counter() - t0
@@ -841,8 +794,9 @@ def detect_heavy_terms(
 ) -> tuple[str, ...]:
     """Cheap df-sketch pre-pass: terms whose (sampled) document frequency is
     >= ``heavy_df_frac`` of sampled docs — the candidates for bucket-shuffle
-    salting (SURVEY §7.2 milestone 6). One light shuffle of per-batch
-    (term, df) partials; the result list is tiny by construction.
+    salting (SURVEY §7.2 milestone 6). Per-batch (term, df) partials go
+    through one ``shard_reduce`` on term, whose reducer sums each term's
+    run and applies the threshold; the result list is tiny by construction.
 
     ``sample_frac=None`` auto-sizes the sample to ~50k docs (full scan below
     that); the detection threshold applies within the sample."""
@@ -856,35 +810,12 @@ def detect_heavy_terms(
     n_sample = doc_count if sample_frac >= 1.0 else max(1, sampled.count())
     threshold = max(float(min_batch_df), heavy_df_frac * n_sample)
 
-    # shard by term hash: a per-term groupby would pay one Python group
-    # call per VOCABULARY entry; each shard sums its term runs in one
-    # vectorized pass and applies the threshold locally
-    n_shards = 64
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        h = stable_term_hash(batch["term"].to_pylist())
-        return batch.append_column(
-            "shard", pa.array((h % np.uint64(n_shards)).astype(np.int32))
-        )
-
     def reduce_shard(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {"term": pa.array([], pa.string()), "df": pa.array([], pa.int64())}
-        )
-        if not len(group):
-            return empty
         g = group.sort_by("term")
         terms = g["term"].combine_chunks()
-        codes = pc.dictionary_encode(terms).indices.to_numpy(zero_copy_only=False)
-        dfs = g["df"].to_numpy(zero_copy_only=False)
-        change = np.empty(len(codes), bool)
-        change[0] = True
-        change[1:] = codes[1:] != codes[:-1]
-        starts = np.flatnonzero(change)
-        sums = np.add.reduceat(dfs, starts)
+        starts = run_starts(terms)
+        sums = np.add.reduceat(g["df"].to_numpy(zero_copy_only=False), starts)
         keep = sums >= threshold
-        if not keep.any():
-            return empty
         return pa.table(
             {
                 "term": terms.take(pa.array(starts[keep])),
@@ -892,14 +823,10 @@ def detect_heavy_terms(
             }
         )
 
-    out = (
-        sampled.map_batches(
-            _BatchDf(cfg, min_batch_df), batch_format="pyarrow", zero_copy_batch=True
-        )
-        .map_batches(add_shard, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard")
-        .map_groups(reduce_shard, batch_format="pyarrow")
+    partials = sampled.map_batches(
+        _BatchDf(cfg, min_batch_df), batch_format="pyarrow", zero_copy_batch=True
     )
+    out = shard_reduce(partials, "term", reduce_shard)
     tables = [t for t in ray.get(out.materialize().to_arrow_refs()) if len(t)]
     if not tables:
         return ()
@@ -939,11 +866,8 @@ def build_index(
     # ENTIRE tokenize stage as one serial task. When the input's block count
     # is visible (materialized) and too small for the cluster, repartition —
     # the extra pass over raw text is far cheaper than serial tokenization.
-    try:
-        nb = docs.num_blocks()
-    except Exception:
-        nb = None  # lazy dataset: block count is the reader's choice
-    if nb is not None:
+    if isinstance(docs, MaterializedDataset):
+        nb = docs.num_blocks()  # a lazy dataset's block count is the reader's
         ncpu = int(ray.cluster_resources().get("CPU", 8))
         target = min(max(ncpu, 8), max(1, doc_count // 200))
         if nb < max(2, target // 2):

@@ -35,8 +35,6 @@ import dataclasses
 import json
 import os
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray
@@ -46,6 +44,7 @@ from whoosh_novo_ray.index.build import (
     MANIFEST_NAME,
     _run_bucket_shuffle,
     build_index,
+    doc_shard_of,
 )
 from whoosh_novo_ray.index.merge import DecodeSegmentRows, docmeta_rows_fn
 from whoosh_novo_ray.index.segment import Index
@@ -53,18 +52,10 @@ from whoosh_novo_ray.index.segment import Index
 SERVING_SUBDIR = "serving"
 
 
-def doc_shard_of(doc_ids: np.ndarray, num_shards: int) -> np.ndarray:
-    """Deterministic (process-independent) doc-id -> shard assignment."""
-    return (
-        pd.util.hash_array(np.asarray(doc_ids, np.uint64)) % np.uint64(num_shards)
-    ).astype(np.uint32)
-
-
 def _add_doc_shard(num_shards: int):
     def add(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        shard = pa.array(doc_shard_of(ids, num_shards), pa.uint32())
-        return batch.add_column(0, "bucket", shard)
+        shard = doc_shard_of(batch["doc_id"], num_shards)
+        return batch.add_column(0, "bucket", pa.array(shard, pa.uint32()))
 
     return add
 
@@ -99,10 +90,8 @@ def build_attr_shards(
     )
 
     def add_shard(batch: pa.Table) -> pa.Table:
-        ids = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        return batch.append_column(
-            "vshard", pa.array(doc_shard_of(ids, num_shards), pa.uint32())
-        )
+        shard = doc_shard_of(batch["doc_id"], num_shards)
+        return batch.append_column("vshard", pa.array(shard, pa.uint32()))
 
     import shutil
 

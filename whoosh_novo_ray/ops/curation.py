@@ -34,10 +34,9 @@ import ray.data
 
 from whoosh_novo_ray.analysis import simple_analyzer
 from whoosh_novo_ray.ops.hashing import md5_u64_arr
+from whoosh_novo_ray.shuffle import shard_reduce
 
 _RAW = simple_analyzer()  # tokenize + lowercase, no stop removal
-
-N_SHARDS = 64
 
 
 def _deref(x):
@@ -276,29 +275,17 @@ def unigram_lm_table(docs: "ray.data.Dataset") -> "ray.data.Dataset":
     unigram model, (2) streaming scan scores every doc's mean log-prob.
 
     Pass 1 pre-aggregates per batch (term -> count inside ``map_batches``),
-    shuffles only the tiny per-batch count tables keyed on a 64-way hash
-    shard (one vectorized reduce per shard — never one Python call per
-    term), and collects the vocab (bounded: it grows ~log corpus) to build
-    the broadcast model."""
+    shuffles only the tiny per-batch count tables through one
+    ``shard_reduce`` on the term hash (one vectorized reduce per shard —
+    never one Python call per term), and collects the vocab (bounded: it
+    grows ~log corpus) to build the broadcast model."""
 
     def count_batch(batch: pa.Table) -> pa.Table:
         texts = batch["text"].to_pylist()
         ab = _RAW.analyze_batch(texts)
-        if not len(ab.tokens):
-            return pa.table(
-                {
-                    "shard": pa.array([], pa.int32()),
-                    "h": pa.array([], pa.uint64()),
-                    "c": pa.array([], pa.int64()),
-                }
-            )
-        h = md5_u64_arr(ab.tokens)
-        uh, cnt = np.unique(h, return_counts=True)
+        uh, cnt = np.unique(md5_u64_arr(ab.tokens), return_counts=True)
         return pa.table(
             {
-                "shard": pa.array(
-                    (uh % np.uint64(N_SHARDS)).astype(np.int32), pa.int32()
-                ),
                 "h": pa.array(uh, pa.uint64()),
                 "c": pa.array(cnt.astype(np.int64), pa.int64()),
             }
@@ -313,10 +300,10 @@ def unigram_lm_table(docs: "ray.data.Dataset") -> "ray.data.Dataset":
             {"h": pa.array(uh, pa.uint64()), "c": pa.array(tot, pa.int64())}
         )
 
-    counts = (
-        docs.map_batches(count_batch, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard")
-        .map_groups(reduce_shard, batch_format="pyarrow")
+    counts = shard_reduce(
+        docs.map_batches(count_batch, batch_format="pyarrow", zero_copy_batch=True),
+        "h",
+        reduce_shard,
     )
     parts = [
         t for t in ray.get(counts.materialize().to_arrow_refs()) if len(t)
@@ -361,8 +348,9 @@ def bigram_lm_table(docs: "ray.data.Dataset") -> "ray.data.Dataset":
          INSIDE each bigram shard (tagged union + np.unique/searchsorted —
          the same co-partitioned hash-join as dedup's distributed verify);
          partial (doc, sum_logp, n) rows re-shard by doc;
-      3. one vectorized per-doc reduce finishes the mean. Docs with < 2
-         tokens ride baseline rows (n=0, mean 0.0).
+      3. one vectorized per-doc reduce finishes the mean. Every doc also
+         contributes a baseline row (n=0) there, so docs with < 2 tokens
+         come out with mean 0.0.
 
     Every shuffle moves count-bounded pre-reduced rows; no stage holds the
     model or the corpus in one process. Returns
@@ -405,7 +393,6 @@ def bigram_lm_table(docs: "ray.data.Dataset") -> "ray.data.Dataset":
         if bb is None:
             return pa.table(
                 {
-                    "shard": pa.array([], pa.int32()),
                     "w1": pa.array([], pa.string()),
                     "key": pa.array([], pa.string()),
                     "c": pa.array([], pa.int64()),
@@ -417,10 +404,8 @@ def bigram_lm_table(docs: "ray.data.Dataset") -> "ray.data.Dataset":
         csum = np.zeros(len(uk), np.int64)
         np.add.at(csum, inv, cnt)
         w1 = np.asarray([k.split(SEP, 1)[0] for k in uk], object)
-        shard = (md5_u64_arr(list(w1)) % np.uint64(N_SHARDS)).astype(np.int32)
         return pa.table(
             {
-                "shard": pa.array(shard),
                 "w1": pa.array(w1.tolist(), pa.string()),
                 "key": pa.array(uk.tolist(), pa.string()),
                 "c": pa.array(csum),
@@ -442,12 +427,10 @@ def bigram_lm_table(docs: "ray.data.Dataset") -> "ray.data.Dataset":
         first_row = np.zeros(len(uk), np.int64)
         first_row[kinv[::-1]] = np.arange(len(kinv))[::-1]
         lp = np.log(c12.astype(np.float64) / c1[i1[first_row]].astype(np.float64))
-        jshard = (md5_u64_arr(uk.tolist()) % np.uint64(N_SHARDS)).astype(np.int32)
         n = len(uk)
         return pa.table(
             {
                 "src": pa.array(np.zeros(n, np.int8)),
-                "jshard": pa.array(jshard),
                 "key": pa.array(uk.tolist(), pa.string()),
                 "doc_id": pa.array(np.zeros(n, np.int64)),
                 "c": pa.array(np.zeros(n, np.int64)),
@@ -458,34 +441,32 @@ def bigram_lm_table(docs: "ray.data.Dataset") -> "ray.data.Dataset":
     def doc_rows(batch: pa.Table) -> pa.Table:
         ids = batch["doc_id"].cast(pa.int64()).to_numpy()
         bb = _batch_bigrams(batch)
-        # baseline rows keep every doc present in the output (n=0)
-        base = pa.table(
-            {
-                "src": pa.array(np.full(len(ids), 2, np.int8)),
-                "jshard": pa.array((ids % N_SHARDS).astype(np.int32)),
-                "key": pa.array([""] * len(ids), pa.string()),
-                "doc_id": pa.array(ids),
-                "c": pa.array(np.zeros(len(ids), np.int64)),
-                "logp": pa.array(np.zeros(len(ids))),
-            }
-        )
         if bb is None:
-            return base
-        d_of, _w1, keys, cnt, _u = bb
-        jshard = (md5_u64_arr(keys.tolist()) % np.uint64(N_SHARDS)).astype(
-            np.int32
-        )
-        rows = pa.table(
+            d_of = np.empty(0, np.int64)
+            keys = np.empty(0, object)
+            cnt = np.empty(0, np.int64)
+        else:
+            d_of, _w1, keys, cnt, _u = bb
+        return pa.table(
             {
                 "src": pa.array(np.ones(len(keys), np.int8)),
-                "jshard": pa.array(jshard),
                 "key": pa.array(keys.tolist(), pa.string()),
                 "doc_id": pa.array(ids[d_of]),
                 "c": pa.array(cnt),
                 "logp": pa.array(np.zeros(len(keys))),
             }
         )
-        return pa.concat_tables([base, rows])
+
+    def baseline_rows(batch: pa.Table) -> pa.Table:
+        # keep every doc present in the output (n=0)
+        n = len(batch)
+        return pa.table(
+            {
+                "doc_id": batch["doc_id"].cast(pa.int64()),
+                "slp": pa.array(np.zeros(n)),
+                "n": pa.array(np.zeros(n, np.int64)),
+            }
+        )
 
     def join_shard(tbl: pa.Table) -> pa.Table:
         src = tbl["src"].to_numpy(zero_copy_only=False)
@@ -493,62 +474,46 @@ def bigram_lm_table(docs: "ray.data.Dataset") -> "ray.data.Dataset":
         ids = tbl["doc_id"].to_numpy(zero_copy_only=False)
         c = tbl["c"].to_numpy(zero_copy_only=False)
         lp = tbl["logp"].to_numpy(zero_copy_only=False)
-        out_id: list[np.ndarray] = []
-        out_slp: list[np.ndarray] = []
-        out_n: list[np.ndarray] = []
-        base = src == 2
-        if base.any():
-            out_id.append(ids[base].astype(np.int64))
-            out_slp.append(np.zeros(int(base.sum())))
-            out_n.append(np.zeros(int(base.sum()), np.int64))
         is_m = src == 0
         is_d = src == 1
-        if is_d.any():
-            mk = np.sort(keys[is_m].astype("U"))
-            mlp_order = np.argsort(keys[is_m].astype("U"), kind="stable")
-            mlp = lp[is_m][mlp_order]
-            dk = keys[is_d].astype("U")
-            pos = np.searchsorted(mk, dk)
-            # model trained on the same corpus: every doc bigram SHOULD be
-            # present — but that invariant rides on two independent
-            # map_batches passes over a lazy upstream seeing identical rows.
-            # Verify rather than trust: a clipped-or-mismatched lookup would
-            # otherwise read a neighboring bigram's logp silently.
-            pos_c = np.minimum(pos, len(mk) - 1)
-            bad = (pos >= len(mk)) | (mk[pos_c] != dk)
-            if bad.any():
-                raise RuntimeError(
-                    f"bigram_lm join: {int(bad.sum())} doc bigrams missing "
-                    "from the model shard (non-deterministic upstream? "
-                    "first: " + str(dk[bad][:3].tolist()) + ")"
-                )
-            found = mlp[pos_c]
-            dids = ids[is_d]
-            dcnt = c[is_d]
-            uo, oi = np.unique(dids, return_inverse=True)
-            slp = np.zeros(len(uo))
-            np.add.at(slp, oi, found * dcnt)
-            nn = np.zeros(len(uo), np.int64)
-            np.add.at(nn, oi, dcnt)
-            out_id.append(uo.astype(np.int64))
-            out_slp.append(slp)
-            out_n.append(nn)
-        if not out_id:
+        if not is_d.any():
             return pa.table(
                 {
-                    "dshard": pa.array([], pa.int32()),
                     "doc_id": pa.array([], pa.int64()),
                     "slp": pa.array([], pa.float64()),
                     "n": pa.array([], pa.int64()),
                 }
             )
-        aid = np.concatenate(out_id)
+        mk = np.sort(keys[is_m].astype("U"))
+        mlp_order = np.argsort(keys[is_m].astype("U"), kind="stable")
+        mlp = lp[is_m][mlp_order]
+        dk = keys[is_d].astype("U")
+        pos = np.searchsorted(mk, dk)
+        # model trained on the same corpus: every doc bigram SHOULD be
+        # present — but that invariant rides on two independent
+        # map_batches passes over a lazy upstream seeing identical rows.
+        # Verify rather than trust: a clipped-or-mismatched lookup would
+        # otherwise read a neighboring bigram's logp silently.
+        pos_c = np.minimum(pos, len(mk) - 1)
+        bad = (pos >= len(mk)) | (mk[pos_c] != dk)
+        if bad.any():
+            raise RuntimeError(
+                f"bigram_lm join: {int(bad.sum())} doc bigrams missing "
+                "from the model shard (non-deterministic upstream? "
+                "first: " + str(dk[bad][:3].tolist()) + ")"
+            )
+        found = mlp[pos_c]
+        dcnt = c[is_d]
+        uo, oi = np.unique(ids[is_d], return_inverse=True)
+        slp = np.zeros(len(uo))
+        np.add.at(slp, oi, found * dcnt)
+        nn = np.zeros(len(uo), np.int64)
+        np.add.at(nn, oi, dcnt)
         return pa.table(
             {
-                "dshard": pa.array((aid % N_SHARDS).astype(np.int32)),
-                "doc_id": pa.array(aid),
-                "slp": pa.array(np.concatenate(out_slp)),
-                "n": pa.array(np.concatenate(out_n)),
+                "doc_id": pa.array(uo.astype(np.int64)),
+                "slp": pa.array(slp),
+                "n": pa.array(nn),
             }
         )
 
@@ -570,20 +535,12 @@ def bigram_lm_table(docs: "ray.data.Dataset") -> "ray.data.Dataset":
             }
         )
 
-    model = (
-        docs.map_batches(model_counts, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard")
-        .map_groups(model_shard, batch_format="pyarrow")
-    )
-    tagged = docs.map_batches(
-        doc_rows, batch_format="pyarrow", zero_copy_batch=True
-    ).union(model)
-    return (
-        tagged.groupby("jshard")
-        .map_groups(join_shard, batch_format="pyarrow")
-        .groupby("dshard")
-        .map_groups(finish_docs, batch_format="pyarrow")
-    )
+    def rows(fn):
+        return docs.map_batches(fn, batch_format="pyarrow", zero_copy_batch=True)
+
+    model = shard_reduce(rows(model_counts), "w1", model_shard)
+    joined = shard_reduce(rows(doc_rows).union(model), "key", join_shard)
+    return shard_reduce(joined.union(rows(baseline_rows)), "doc_id", finish_docs)
 
 
 # ---------------------------------------------------------------------------
@@ -618,18 +575,18 @@ def boilerplate_table(
 
     Pass 1 emits per-batch DISTINCT (gram, doc) pairs pre-reduced to
     (gram, n_docs_in_batch) — correct globally because a doc lives in
-    exactly one batch — then reduces per hash shard (vectorized within the
-    shard, never per-gram Python). Only the filtered HOT set survives to the
-    driver; that set is stopword-list-sized by construction (grams shared by
-    many docs), so broadcasting it for pass 2 is the honest scale choice —
-    the full gram table never leaves the cluster."""
+    exactly one batch — then one ``shard_reduce`` on the gram hash sums them
+    (vectorized within the shard, never per-gram Python). Only the filtered
+    HOT set survives to the driver; that set is stopword-list-sized by
+    construction (grams shared by many docs), so broadcasting it for pass 2
+    is the honest scale choice — the full gram table never leaves the
+    cluster."""
 
     def distinct_batch(batch: pa.Table) -> pa.Table:
         gdoc, gh = _doc_ngrams(batch, n)
         if not len(gh):
             return pa.table(
                 {
-                    "shard": pa.array([], pa.int32()),
                     "h": pa.array([], pa.uint64()),
                     "nd": pa.array([], pa.int64()),
                 }
@@ -639,9 +596,6 @@ def boilerplate_table(
         uh, cnt = np.unique(upair[:, 0], return_counts=True)
         return pa.table(
             {
-                "shard": pa.array(
-                    (uh % np.uint64(N_SHARDS)).astype(np.int32), pa.int32()
-                ),
                 "h": pa.array(uh, pa.uint64()),
                 "nd": pa.array(cnt.astype(np.int64), pa.int64()),
             }
@@ -655,10 +609,10 @@ def boilerplate_table(
         keep = tot >= min_docs
         return pa.table({"h": pa.array(uh[keep], pa.uint64())})
 
-    hot_ds = (
-        docs.map_batches(distinct_batch, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard")
-        .map_groups(hot_shard, batch_format="pyarrow")
+    hot_ds = shard_reduce(
+        docs.map_batches(distinct_batch, batch_format="pyarrow", zero_copy_batch=True),
+        "h",
+        hot_shard,
     )
     parts = [t for t in ray.get(hot_ds.materialize().to_arrow_refs()) if len(t)]
     if parts:

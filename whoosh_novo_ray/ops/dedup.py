@@ -1,17 +1,16 @@
 """Deduplication operators: exact, n-gram Jaccard, MinHash+LSH, SimHash.
 
-Shuffle discipline at scale:
-  * exact dedup = one hash-keyed groupby (combiner aggregation — Min — so the
-    shuffle moves one row per (hash, block), not per doc);
-  * n-gram Jaccard = explode shingles -> SHARDED pair emit -> SHARDED pair
-    reduce. Both shuffles key on a hash shard (64-way), never on the raw
-    shingle or pair: per-key map_groups pays one Python call per GROUP,
-    which is pathological with millions of tiny groups — inside a shard
-    everything is one vectorized numpy pass. ``max_group`` bounds the
-    quadratic pair blowup from boilerplate shingles (the web-scale skew
-    analog of stopword posting lists);
-  * MinHash/LSH = per-doc signature (map_batches, no shuffle) -> band-bucket
-    groupby -> candidate pairs -> candidate-only signature verify.
+Shuffle discipline at scale — every exchange is one ``shard_reduce``
+(whoosh_novo_ray/shuffle.py), never a per-key groupby (which would pay one
+Python call per shingle or pair):
+  * exact dedup = one shard_reduce on the content hash;
+  * n-gram Jaccard = explode shingles -> pair emit per shingle shard ->
+    pair reduce per (doc_a, doc_b) shard; inside a shard everything is one
+    vectorized numpy pass. ``max_group`` bounds the quadratic pair blowup
+    from boilerplate shingles (the web-scale skew analog of stopword
+    posting lists);
+  * MinHash/LSH = per-doc signature (map_batches, no shuffle) -> band-key
+    shards -> candidate pairs -> candidate-only signature verify.
 """
 
 from __future__ import annotations
@@ -25,16 +24,15 @@ import pyarrow.compute as pc
 import ray.data
 
 from whoosh_novo_ray.analysis import simple_analyzer
+from whoosh_novo_ray.shuffle import run_starts, shard_reduce
 
 _RAW = simple_analyzer()
 
 
-# -- sharded-reduce helpers ----------------------------------------------------
-# groupby(high-cardinality-key).map_groups costs one Python call per GROUP;
-# these helpers implement the shard pattern: groupby(hash(key) % n_shards)
-# with a single vectorized pass over all of a shard's runs.
-
-N_SHARDS = 64
+# -- pair helpers --------------------------------------------------------------
+# The shuffles themselves are shard_reduce calls; these helpers serve the
+# reducers, which find equal-key runs with run_starts and emit the pairs of
+# every run in one vectorized pass.
 
 
 def _collect_pairs(
@@ -55,19 +53,12 @@ def _collect_pairs(
     return pa.concat_tables(tables).sort_by(sort_keys)
 
 
-def _run_bounds(change_mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(starts, lens) of equal-key runs given a boundary mask."""
-    starts = np.flatnonzero(change_mask)
-    lens = np.diff(np.append(starts, len(change_mask)))
-    return starts, lens
-
-
 def _triu_pair_indices(
     starts: np.ndarray, lens: np.ndarray, keep_run: np.ndarray, nrows: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized upper-triangle (i < j) row-index pairs across every kept
     run: the row at within-run offset w pairs with the (len-1-w) rows after
-    it."""
+    it. Runs are given by ``starts`` (from ``run_starts``) and ``lens``."""
     run_of_row = np.repeat(np.arange(len(starts)), lens)
     w = np.arange(nrows) - np.repeat(starts, lens)
     a_counts = np.where(keep_run[run_of_row], lens[run_of_row] - 1 - w, 0).astype(
@@ -90,19 +81,14 @@ def _triu_pair_indices(
 class _TextMd5:
     def __call__(self, batch: pa.Table) -> pa.Table:
         texts = batch["text"].to_pylist()
-        # hashlib md5 over the full text is C-bound per call; everything
-        # around it (hex encode, shard derivation) is batch-vectorized
+        # hashlib md5 over the full text is C-bound per call; the hex
+        # encode around it is batch-vectorized
         digests = b"".join(hashlib.md5(t.encode("utf-8")).digest() for t in texts)
         dmat = np.frombuffer(digests, np.uint8).reshape(-1, 16)
-        h = _hex_prefixes(dmat, 16)
-        shard = (
-            (dmat[:, 0].astype(np.int32) << 8) | dmat[:, 1].astype(np.int32)
-        ) % N_SHARDS
         return pa.table(
             {
                 "doc_id": batch["doc_id"].cast(pa.int64()),
-                "text_md5": pa.array(h, pa.string()),
-                "shard": pa.array(shard.astype(np.int32), pa.int32()),
+                "text_md5": pa.array(_hex_prefixes(dmat, 16), pa.string()),
             }
         )
 
@@ -122,38 +108,20 @@ def _hex_prefixes(dmat: np.ndarray, nbytes: int) -> np.ndarray:
 def exact_dedup_keep(docs: "ray.data.Dataset") -> "ray.data.Dataset":
     """Exact dedup by content hash: keep the lowest doc_id per md5(text).
 
-    Returns (text_md5, doc_id) of survivors. The shuffle keys on a HASH
-    SHARD of the digest, not the digest itself — a per-hash groupby would
-    pay one Python group call per distinct document, which is the whole
-    corpus at 100 TB. Each shard reduces all of its runs in one vectorized
-    pass.
+    Returns (text_md5, doc_id) of survivors. The shuffle is a
+    ``shard_reduce`` on the digest — a per-hash groupby would pay one Python
+    group call per distinct document, which is the whole corpus at 100 TB.
+    Each shard reduces all of its runs in one vectorized pass.
     """
     hashed = docs.map_batches(_TextMd5(), batch_format="pyarrow", zero_copy_batch=True)
 
-    def keep_first(group: pa.Table) -> pa.Table:
-        if not len(group):
-            return pa.table(
-                {
-                    "text_md5": pa.array([], pa.string()),
-                    "doc_id": pa.array([], pa.int64()),
-                }
-            )
-        g = group.sort_by([("text_md5", "ascending"), ("doc_id", "ascending")])
-        md5s = g["text_md5"].combine_chunks()
-        codes = pc.dictionary_encode(md5s).indices.to_numpy(zero_copy_only=False)
-        change = np.empty(len(codes), bool)
-        change[0] = True
-        change[1:] = codes[1:] != codes[:-1]
-        starts = np.flatnonzero(change)
-        sel = pa.array(starts)
-        return pa.table(
-            {
-                "text_md5": md5s.take(sel),
-                "doc_id": g["doc_id"].take(sel),
-            }
+    def keep_first(shard: pa.Table) -> pa.Table:
+        g = shard.sort_by([("text_md5", "ascending"), ("doc_id", "ascending")])
+        return g.take(pa.array(run_starts(g["text_md5"]))).select(
+            ["text_md5", "doc_id"]
         )
 
-    return hashed.groupby("shard").map_groups(keep_first, batch_format="pyarrow")
+    return shard_reduce(hashed, "text_md5", keep_first)
 
 
 # -- word n-gram shingles ------------------------------------------------------
@@ -205,7 +173,7 @@ def ngram_jaccard_pairs_ds(
     driver (write_parquet it or feed it to a downstream join; on a
     dup-heavy crawl the pair set is a constant fraction of the corpus).
     Fully distributed: per-doc sizes ride the shingle rows, pair counts
-    come from one groupby.
+    come from one shard_reduce.
 
     ``max_group`` drops shingles shared by more than that many docs (a
     shingle shared by s docs emits s*(s-1)/2 pairs — boilerplate shingles are
@@ -216,104 +184,46 @@ def ngram_jaccard_pairs_ds(
     """
     sh = docs.map_batches(_Shingles(n), batch_format="pyarrow", zero_copy_batch=True)
 
-    # Shard by shingle HASH (not one group per shingle): per-shingle
+    # Shard by shingle hash (not one group per shingle): per-shingle
     # map_groups would pay one Python invocation per distinct shingle —
     # pathological at web scale. Each shard holds every row of its shingles,
     # and pair emission is vectorized across ALL runs in the shard at once.
-    n_shards = N_SHARDS
-
-    def add_shard(batch: pa.Table) -> pa.Table:
-        import pandas as pd
-
-        h = pd.util.hash_array(
-            np.asarray(batch["shingle"].to_pylist(), dtype=object),
-            categorize=False,
-        )
-        return batch.append_column(
-            "shard", pa.array((h % np.uint64(n_shards)).astype(np.int32))
-        )
-
-    def emit_pairs_shard(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "pshard": pa.array([], pa.int32()),
-                "doc_a": pa.array([], pa.int64()),
-                "doc_b": pa.array([], pa.int64()),
-                "n_a": pa.array([], pa.int64()),
-                "n_b": pa.array([], pa.int64()),
-            }
-        )
-        if len(group) < 2:
-            return empty
-        g = group.sort_by([("shingle", "ascending"), ("doc_id", "ascending")])
+    def emit_pairs_shard(shard: pa.Table) -> pa.Table:
+        g = shard.sort_by([("shingle", "ascending"), ("doc_id", "ascending")])
         ids = g["doc_id"].to_numpy()
         nsh = g["nsh"].to_numpy()
-        shingle = g["shingle"].combine_chunks()
-        # run boundaries per distinct shingle
-        sh_codes = pc.dictionary_encode(shingle).indices.to_numpy(
-            zero_copy_only=False
-        )
-        nrows = len(ids)
-        change = np.empty(nrows, bool)
-        change[0] = True
-        change[1:] = sh_codes[1:] != sh_codes[:-1]
-        starts = np.flatnonzero(change)
-        lens = np.diff(np.append(starts, nrows))
+        starts = run_starts(g["shingle"])
+        lens = np.diff(starts, append=len(ids))
+        keep_run = lens >= 2
         if max_group is not None:
-            keep_run = (lens >= 2) & (lens <= max_group)
-        else:
-            keep_run = lens >= 2
-        a_idx, b_idx = _triu_pair_indices(starts, lens, keep_run, nrows)
-        if not len(a_idx):
-            return empty
-        da = ids[a_idx]
-        db = ids[b_idx]
-        # second-stage shard keyed on the PAIR so duplicates of (a, b)
-        # emitted from different shingle shards meet in one reducer
-        pshard = (
-            (da.astype(np.uint64) * np.uint64(2654435761)) ^ db.astype(np.uint64)
-        ) % np.uint64(n_shards)
+            keep_run &= lens <= max_group
+        a_idx, b_idx = _triu_pair_indices(starts, lens, keep_run, len(ids))
         return pa.table(
             {
-                "pshard": pa.array(pshard.astype(np.int32), pa.int32()),
-                "doc_a": pa.array(da, pa.int64()),
-                "doc_b": pa.array(db, pa.int64()),
+                "doc_a": pa.array(ids[a_idx], pa.int64()),
+                "doc_b": pa.array(ids[b_idx], pa.int64()),
                 "n_a": pa.array(nsh[a_idx], pa.int64()),
                 "n_b": pa.array(nsh[b_idx], pa.int64()),
             }
         )
 
-    def reduce_finalize(group: pa.Table) -> pa.Table:
-        """Per pair-shard: count duplicate (a, b) rows (= intersection),
+    def reduce_finalize(shard: pa.Table) -> pa.Table:
+        """Per pair shard: count duplicate (a, b) rows (= intersection),
         compute jaccard, filter — one vectorized pass, not a
         one-group-per-pair aggregate (Ray's multi-key aggregate pays per
         GROUP; pair counts are in the millions)."""
-        empty = pa.table(
-            {
-                "doc_a": pa.array([], pa.int64()),
-                "doc_b": pa.array([], pa.int64()),
-                "jaccard": pa.array([], pa.float64()),
-            }
-        )
-        if not len(group):
-            return empty
-        da = group["doc_a"].to_numpy(zero_copy_only=False)
-        db = group["doc_b"].to_numpy(zero_copy_only=False)
-        na = group["n_a"].to_numpy(zero_copy_only=False)
-        nb = group["n_b"].to_numpy(zero_copy_only=False)
+        da = shard["doc_a"].to_numpy(zero_copy_only=False)
+        db = shard["doc_b"].to_numpy(zero_copy_only=False)
+        na = shard["n_a"].to_numpy(zero_copy_only=False)
+        nb = shard["n_b"].to_numpy(zero_copy_only=False)
         order = np.lexsort((db, da))
         da, db, na, nb = da[order], db[order], na[order], nb[order]
-        change = np.empty(len(da), bool)
-        change[0] = True
-        change[1:] = (da[1:] != da[:-1]) | (db[1:] != db[:-1])
-        starts = np.flatnonzero(change)
-        inter = np.diff(np.append(starts, len(da))).astype(np.float64)
+        starts = run_starts(da, db)
+        inter = np.diff(starts, append=len(da)).astype(np.float64)
         fa = na[starts].astype(np.float64)
         fb = nb[starts].astype(np.float64)
         jac = inter / (fa + fb - inter)
         keep = jac >= threshold
-        if not keep.any():
-            return empty
         sel = starts[keep]
         return pa.table(
             {
@@ -323,13 +233,10 @@ def ngram_jaccard_pairs_ds(
             }
         )
 
-    return (
-        sh.map_batches(add_shard, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard")
-        .map_groups(emit_pairs_shard, batch_format="pyarrow")
-        .groupby("pshard")
-        .map_groups(reduce_finalize, batch_format="pyarrow")
-    )
+    # the second shard_reduce keys on the PAIR so duplicates of (a, b)
+    # emitted from different shingle shards meet in one reducer
+    pairs = shard_reduce(sh, "shingle", emit_pairs_shard)
+    return shard_reduce(pairs, ["doc_a", "doc_b"], reduce_finalize)
 
 
 def ngram_jaccard_pairs(
@@ -424,14 +331,13 @@ class _MinHashSig:
 
 
 class _BandRows:
-    """Explode signatures into (band_key, doc_id, shard) rows; band_key is
-    the md5 hex prefix of '<band>:<v1>,<v2>,...' — identical to the SQL
-    oracle's ``substr(md5(bi || ':' || array_to_string(...)), 1, 16)``.
+    """Explode signatures into (band_key, doc_id) rows; band_key is the md5
+    hex prefix of '<band>:<v1>,<v2>,...' — identical to the SQL oracle's
+    ``substr(md5(bi || ':' || array_to_string(...)), 1, 16)``.
 
     The '<v1>,<v2>,...' strings are assembled with Arrow kernels (uint64 ->
     decimal string cast + element-wise join) instead of per-row Python
-    formatting; only the md5 calls themselves stay per-row (C-bound). The
-    band shard rides along so no second pass re-parses the hex key."""
+    formatting; only the md5 calls themselves stay per-row (C-bound)."""
 
     def __init__(self, bands: int, r: int):
         self.bands = bands
@@ -444,7 +350,6 @@ class _BandRows:
                 {
                     "band_key": pa.array([], pa.string()),
                     "doc_id": pa.array([], pa.int64()),
-                    "shard": pa.array([], pa.int32()),
                 }
             )
         sig = batch["sig"].combine_chunks()
@@ -454,7 +359,7 @@ class _BandRows:
             .reshape(n, -1)
         )
         doc = batch["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
-        keys, docs, shards = [], [], []
+        keys, docs = [], []
         r = self.r
         for bi in range(self.bands):
             cols = [
@@ -475,20 +380,10 @@ class _BandRows:
             dmat = np.frombuffer(digests, np.uint8).reshape(-1, 16)
             keys.append(_hex_prefixes(dmat, 8))
             docs.append(doc)
-            shards.append(
-                (
-                    (dmat[:, 0].astype(np.int32) << 8)
-                    | dmat[:, 1].astype(np.int32)
-                )
-                % N_SHARDS
-            )
         return pa.table(
             {
                 "band_key": pa.array(np.concatenate(keys), pa.string()),
                 "doc_id": pa.array(np.concatenate(docs), pa.int64()),
-                "shard": pa.array(
-                    np.concatenate(shards).astype(np.int32), pa.int32()
-                ),
             }
         )
 
@@ -509,49 +404,35 @@ def _collapse_equal_signatures(
     (member-member and member-other pairs are represented via the rep).
 
     Returns (reps_ds with the sigs schema, chain_pairs_ds(doc_a, doc_b,
-    est_jaccard)). One sharded groupby over signature rows; within a shard
-    equality runs are found with one vectorized pass over the sorted
-    signature matrix — no per-group Python, no driver state.
+    est_jaccard)). One shard_reduce over signature rows, keyed on a fold of
+    the whole signature; within a shard equality runs are found with one
+    vectorized pass over the sorted signature matrix — no per-group Python,
+    no driver state.
     """
     _MIX = np.uint64(0x9E3779B97F4A7C15)
 
-    def add_sig_shard(batch: pa.Table) -> pa.Table:
+    def add_sig_key(batch: pa.Table) -> pa.Table:
         n = len(batch)
         if not n:
-            return batch.append_column("sshard", pa.array([], pa.int32()))
+            return batch.append_column("sig_key", pa.array([], pa.uint64()))
         mat = _sig_mat(batch["sig"], n)
         # wrap-around uint64 mix of the whole signature row: equal rows
         # collide by construction; runs are still verified element-wise
         w = (np.arange(mat.shape[1], dtype=np.uint64) * _MIX) | np.uint64(1)
         key = (mat * w[None, :]).sum(axis=1, dtype=np.uint64)
-        return batch.append_column(
-            "sshard", pa.array((key % np.uint64(N_SHARDS)).astype(np.int32))
-        )
+        return batch.append_column("sig_key", pa.array(key, pa.uint64()))
 
-    def collapse_shard(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "role": pa.array([], pa.int8()),
-                "doc_id": pa.array([], pa.int64()),
-                "doc_b": pa.array([], pa.int64()),
-                "sig": pa.array([], pa.list_(pa.uint64())),
-            }
-        )
-        if not len(group):
-            return empty
-        n = len(group)
-        mat = _sig_mat(group["sig"], n)
-        ids = group["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
+    def collapse_shard(shard: pa.Table) -> pa.Table:
+        n = len(shard)
+        mat = _sig_mat(shard["sig"], n)
+        ids = shard["doc_id"].to_numpy(zero_copy_only=False).astype(np.int64)
         order = np.lexsort((ids,) + tuple(mat[:, j] for j in range(mat.shape[1] - 1, -1, -1)))
         mat, ids = mat[order], ids[order]
-        change = np.empty(n, bool)
-        change[0] = True
-        change[1:] = (mat[1:] != mat[:-1]).any(axis=1)
-        starts, lens = _run_bounds(change)
-        rep_of_row = np.repeat(starts, lens)
-        is_rep = change
-        members = ~is_rep
-        rep_rows = np.flatnonzero(is_rep)
+        rep_rows = run_starts(mat)
+        lens = np.diff(rep_rows, append=n)
+        rep_of_row = np.repeat(rep_rows, lens)
+        members = np.ones(n, bool)
+        members[rep_rows] = False
         mem_rows = np.flatnonzero(members)
         role = np.concatenate(
             [np.zeros(len(rep_rows), np.int8), np.ones(len(mem_rows), np.int8)]
@@ -584,14 +465,8 @@ def _collapse_equal_signatures(
             }
         )
 
-    tagged = (
-        sigs_ds.map_batches(
-            add_sig_shard, batch_format="pyarrow", zero_copy_batch=True
-        )
-        .groupby("sshard")
-        .map_groups(collapse_shard, batch_format="pyarrow")
-        .materialize()
-    )
+    keyed = sigs_ds.map_batches(add_sig_key, batch_format="pyarrow", zero_copy_batch=True)
+    tagged = shard_reduce(keyed, "sig_key", collapse_shard).materialize()
 
     def project_reps(batch: pa.Table) -> pa.Table:
         keep = pc.equal(batch["role"], pa.scalar(0, pa.int8()))
@@ -640,7 +515,6 @@ class _BandRowsFast:
                 {
                     "band_key": pa.array([], pa.uint64()),
                     "doc_id": pa.array([], pa.int64()),
-                    "shard": pa.array([], pa.int32()),
                 }
             )
         mat = _sig_mat(batch["sig"], n)
@@ -654,14 +528,10 @@ class _BandRowsFast:
                 h ^= h >> np.uint64(33)
             keys.append(h)
             docs_.append(doc)
-        key = np.concatenate(keys)
         return pa.table(
             {
-                "band_key": pa.array(key, pa.uint64()),
+                "band_key": pa.array(np.concatenate(keys), pa.uint64()),
                 "doc_id": pa.array(np.concatenate(docs_), pa.int64()),
-                "shard": pa.array(
-                    (key % np.uint64(N_SHARDS)).astype(np.int32), pa.int32()
-                ),
             }
         )
 
@@ -682,8 +552,9 @@ def minhash_lsh_candidates_ds(
     ``bands`` (band_key, doc_id) rows; sharded vectorized reducers emit and
     dedup candidate pairs (no per-band-key Python groups). The est_jaccard
     verify is a DISTRIBUTED two-pass hash-join of pairs against signatures
-    (shard by hash(doc) — signatures meet their pairs inside map_groups, the
-    driver never holds the signature set or the pair set at any point).
+    (shard_reduce on the doc id — signatures meet their pairs inside one
+    reducer call, the driver never holds the signature set or the pair set
+    at any point).
     Rows are (doc_a, doc_b, est_jaccard) where est_jaccard is the
     signature-agreement fraction; ``threshold`` drops pairs below it INSIDE
     the join. Consume with write_parquet or a downstream join — on a
@@ -725,78 +596,34 @@ def minhash_lsh_candidates_ds(
     band_cls = _BandRows if band_hash == "md5" else _BandRowsFast
     banded = sigs_ds.map_batches(band_cls(bands, r), batch_format="pyarrow")
 
-    def emit_pairs_shard(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "pshard": pa.array([], pa.int32()),
-                "doc_a": pa.array([], pa.int64()),
-                "doc_b": pa.array([], pa.int64()),
-            }
-        )
-        if len(group) < 2:
-            return empty
-        g = group.sort_by([("band_key", "ascending"), ("doc_id", "ascending")])
+    def emit_pairs_shard(shard: pa.Table) -> pa.Table:
+        g = shard.sort_by([("band_key", "ascending"), ("doc_id", "ascending")])
         ids = g["doc_id"].to_numpy()
-        bk = g["band_key"].combine_chunks()
-        keys = (
-            pc.dictionary_encode(bk).indices.to_numpy(zero_copy_only=False)
-            if pa.types.is_string(bk.type)
-            else bk.to_numpy(zero_copy_only=False)
-        )
-        nrows = len(ids)
-        change = np.empty(nrows, bool)
-        change[0] = True
-        change[1:] = keys[1:] != keys[:-1]
-        starts, lens = _run_bounds(change)
-        a_idx, b_idx = _triu_pair_indices(starts, lens, lens >= 2, nrows)
-        if not len(a_idx):
-            return empty
-        da, db = ids[a_idx], ids[b_idx]
-        pshard = (
-            (da.astype(np.uint64) * np.uint64(2654435761)) ^ db.astype(np.uint64)
-        ) % np.uint64(N_SHARDS)
+        starts = run_starts(g["band_key"])
+        lens = np.diff(starts, append=len(ids))
+        a_idx, b_idx = _triu_pair_indices(starts, lens, lens >= 2, len(ids))
         return pa.table(
             {
-                "pshard": pa.array(pshard.astype(np.int32), pa.int32()),
-                "doc_a": pa.array(da, pa.int64()),
-                "doc_b": pa.array(db, pa.int64()),
+                "doc_a": pa.array(ids[a_idx], pa.int64()),
+                "doc_b": pa.array(ids[b_idx], pa.int64()),
             }
         )
 
-    def unique_pairs_shard(group: pa.Table) -> pa.Table:
-        if not len(group):
-            return pa.table(
-                {
-                    "doc_a": pa.array([], pa.int64()),
-                    "doc_b": pa.array([], pa.int64()),
-                }
-            )
-        da = group["doc_a"].to_numpy(zero_copy_only=False)
-        db = group["doc_b"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((db, da))
-        da, db = da[order], db[order]
-        change = np.empty(len(da), bool)
-        change[0] = True
-        change[1:] = (da[1:] != da[:-1]) | (db[1:] != db[:-1])
-        sel = np.flatnonzero(change)
-        return pa.table(
-            {
-                "doc_a": pa.array(da[sel], pa.int64()),
-                "doc_b": pa.array(db[sel], pa.int64()),
-            }
-        )
+    def unique_pairs_shard(shard: pa.Table) -> pa.Table:
+        g = shard.sort_by([("doc_a", "ascending"), ("doc_b", "ascending")])
+        return g.take(pa.array(run_starts(g["doc_a"], g["doc_b"])))
 
-    # Both pair shuffles key on 64-way hash shards (never on the raw band
-    # key or pair — one Python call per group would be pathological at web
-    # scale). The pair set stays a DATASET through the verify join: on a
-    # dup-heavy crawl "candidate pairs" is a large fraction of the corpus,
-    # so neither the pairs nor the signatures may be collected to the
-    # driver before the estimate filter.
-    pairs_ds = (
-        banded.groupby("shard")
-        .map_groups(emit_pairs_shard, batch_format="pyarrow")
-        .groupby("pshard")
-        .map_groups(unique_pairs_shard, batch_format="pyarrow")
+    # Both pair shuffles are shard_reduce calls (never a per-band-key or
+    # per-pair group — one Python call per group would be pathological at
+    # web scale); the second keys on the pair so duplicates of (a, b) from
+    # different bands meet. The pair set stays a DATASET through the verify
+    # join: on a dup-heavy crawl "candidate pairs" is a large fraction of
+    # the corpus, so neither the pairs nor the signatures may be collected
+    # to the driver before the estimate filter.
+    pairs_ds = shard_reduce(
+        shard_reduce(banded, "band_key", emit_pairs_shard),
+        ["doc_a", "doc_b"],
+        unique_pairs_shard,
     )
     est_ds = _estimate_pairs_distributed(pairs_ds, sigs_ds, num_perm, threshold)
     return est_ds if chains is None else est_ds.union(chains)
@@ -836,15 +663,6 @@ def minhash_lsh_candidates(
     )
 
 
-_PAIR_PRIME = np.uint64(2654435761)
-
-
-def _join_shard_of(ids: np.ndarray) -> np.ndarray:
-    return (
-        (ids.astype(np.uint64) * _PAIR_PRIME) % np.uint64(N_SHARDS)
-    ).astype(np.int32)
-
-
 def _sig_list(mat: np.ndarray) -> pa.ListArray:
     n, w = mat.shape if mat.ndim == 2 else (0, 0)
     return pa.ListArray.from_arrays(
@@ -872,7 +690,7 @@ def _sig_mat(col: pa.ChunkedArray | pa.Array, n_rows: int) -> np.ndarray:
 def _empty_tagged() -> pa.Table:
     return pa.table(
         {
-            "jshard": pa.array([], pa.int32()),
+            "jkey": pa.array([], pa.int64()),
             "role": pa.array([], pa.int8()),
             "doc_a": pa.array([], pa.int64()),
             "doc_b": pa.array([], pa.int64()),
@@ -891,12 +709,13 @@ def _estimate_pairs_distributed(
     """Distributed est-jaccard verify: a two-pass hash-join of candidate
     pairs against the signature dataset.
 
-    Pass 1 shards BOTH streams by hash(doc_a) (signatures by their doc_id),
-    so each map_groups call attaches sig_a to its pairs with a vectorized
-    searchsorted — no driver-side dict. Pass 2 re-shards the sig_a-carrying
-    pairs by hash(doc_b) against the signatures again, computes the
-    agreement fraction, and (optionally) drops pairs below ``threshold``
-    INSIDE the join. The driver only ever sees the final survivor table.
+    Both streams carry the join key in ``jkey``. Pass 1 shards them on it
+    with the pairs keyed by doc_a (signatures by their doc_id), so each
+    reducer call attaches sig_a to its pairs with a vectorized searchsorted
+    — no driver-side dict. Pass 2 re-keys the sig_a-carrying pairs by doc_b
+    against the signatures again, computes the agreement fraction, and
+    (optionally) drops pairs below ``threshold`` INSIDE the join. The
+    driver only ever sees the final survivor table.
     """
 
     def tag_sigs(batch: pa.Table) -> pa.Table:
@@ -904,7 +723,7 @@ def _estimate_pairs_distributed(
         n = len(ids)
         return pa.table(
             {
-                "jshard": pa.array(_join_shard_of(ids), pa.int32()),
+                "jkey": pa.array(ids, pa.int64()),
                 "role": pa.array(np.zeros(n, np.int8), pa.int8()),
                 "doc_a": pa.array(ids, pa.int64()),
                 "doc_b": pa.array(np.full(n, -1, np.int64), pa.int64()),
@@ -914,11 +733,10 @@ def _estimate_pairs_distributed(
         )
 
     def tag_pairs(batch: pa.Table) -> pa.Table:
-        da = batch["doc_a"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(da)
+        n = len(batch)
         return pa.table(
             {
-                "jshard": pa.array(_join_shard_of(da), pa.int32()),
+                "jkey": batch["doc_a"],
                 "role": pa.array(np.ones(n, np.int8), pa.int8()),
                 "doc_a": batch["doc_a"],
                 "doc_b": batch["doc_b"],
@@ -942,11 +760,10 @@ def _estimate_pairs_distributed(
             return _empty_tagged()
         sigs = group.filter(pa.array(roles == 0))
         sig_a = _attach(sigs, pairs, "doc_a")
-        db = pairs["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
-        n = len(db)
+        n = len(pairs)
         return pa.table(
             {
-                "jshard": pa.array(_join_shard_of(db), pa.int32()),
+                "jkey": pairs["doc_b"],
                 "role": pa.array(np.ones(n, np.int8), pa.int8()),
                 "doc_a": pairs["doc_a"],
                 "doc_b": pairs["doc_b"],
@@ -994,16 +811,8 @@ def _estimate_pairs_distributed(
     tagged_pairs = pairs_ds.map_batches(
         tag_pairs, batch_format="pyarrow", zero_copy_batch=True
     )
-    pass1 = (
-        tagged_sigs.union(tagged_pairs)
-        .groupby("jshard")
-        .map_groups(join_on_a, batch_format="pyarrow")
-    )
-    return (
-        tagged_sigs.union(pass1)
-        .groupby("jshard")
-        .map_groups(join_on_b, batch_format="pyarrow")
-    )
+    pass1 = shard_reduce(tagged_sigs.union(tagged_pairs), "jkey", join_on_a)
+    return shard_reduce(tagged_sigs.union(pass1), "jkey", join_on_b)
 
 
 def connected_components(
@@ -1047,7 +856,7 @@ def near_dup_clusters_ds(
 ) -> pa.Table:
     """Distributed min-label propagation over a near-dup pair Dataset:
     each round, every node takes the minimum label among itself and its
-    neighbors (one sharded groupby per round; rounds needed = component
+    neighbors (one shard_reduce per round; rounds needed = component
     diameter). Converges to cluster_id = component-minimum doc id, same
     output as ``connected_components``."""
 
@@ -1056,12 +865,8 @@ def near_dup_clusters_ds(
         b = batch["doc_b"].to_numpy(zero_copy_only=False).astype(np.int64)
         u = np.concatenate([a, b, a, b])
         v = np.concatenate([b, a, a, b])  # both directions + self loops
-        shard = (
-            (u.astype(np.uint64) * _PAIR_PRIME) % np.uint64(N_SHARDS)
-        ).astype(np.int32)
         return pa.table(
             {
-                "shard": pa.array(shard, pa.int32()),
                 "u": pa.array(u, pa.int64()),
                 "v": pa.array(v, pa.int64()),
             }
@@ -1072,7 +877,7 @@ def near_dup_clusters_ds(
     ).materialize()
 
     # labels start as the node id itself; each round joins labels to edges
-    # on v (shard by v) and takes min per u
+    # on v and takes min per u
     def relabel_round(labels: dict[int, int]) -> dict[int, int]:
         # labels is broadcast via closure (per-round object store ship);
         # at web scale this becomes a second sharded stream exactly like
@@ -1082,40 +887,16 @@ def near_dup_clusters_ds(
             u = batch["u"].to_numpy(zero_copy_only=False)
             v = batch["v"].to_numpy(zero_copy_only=False)
             lv = np.fromiter((labels[int(x)] for x in v), np.int64, len(v))
-            return pa.table(
-                {
-                    "shard": batch["shard"],
-                    "u": batch["u"],
-                    "lab": pa.array(lv, pa.int64()),
-                }
-            )
+            return pa.table({"u": batch["u"], "lab": pa.array(lv, pa.int64())})
 
-        def reduce_min(group: pa.Table) -> pa.Table:
-            if not len(group):
-                return pa.table(
-                    {
-                        "u": pa.array([], pa.int64()),
-                        "lab": pa.array([], pa.int64()),
-                    }
-                )
-            g = group.sort_by([("u", "ascending"), ("lab", "ascending")])
-            us = g["u"].to_numpy(zero_copy_only=False)
-            ls = g["lab"].to_numpy(zero_copy_only=False)
-            change = np.empty(len(us), bool)
-            change[0] = True
-            change[1:] = us[1:] != us[:-1]
-            sel = np.flatnonzero(change)
-            return pa.table(
-                {
-                    "u": pa.array(us[sel], pa.int64()),
-                    "lab": pa.array(ls[sel], pa.int64()),
-                }
-            )
+        def reduce_min(shard: pa.Table) -> pa.Table:
+            g = shard.sort_by([("u", "ascending"), ("lab", "ascending")])
+            return g.take(pa.array(run_starts(g["u"])))
 
-        out = (
-            edges.map_batches(step, batch_format="pyarrow", zero_copy_batch=True)
-            .groupby("shard")
-            .map_groups(reduce_min, batch_format="pyarrow")
+        out = shard_reduce(
+            edges.map_batches(step, batch_format="pyarrow", zero_copy_batch=True),
+            "u",
+            reduce_min,
         )
         new = {}
         for t in ray.get(out.materialize().to_arrow_refs()):
@@ -1201,90 +982,39 @@ def simhash_near_dup_pairs_ds(
             keys.append((np.uint64(b) << np.uint64(width)) | val)
             docs_.append(ids)
             sims.append(hu)
-        key = np.concatenate(keys)
-        shard = ((key * _PAIR_PRIME) % np.uint64(N_SHARDS)).astype(np.int32)
         return pa.table(
             {
-                "shard": pa.array(shard, pa.int32()),
-                "band_key": pa.array(key, pa.uint64()),
+                "band_key": pa.array(np.concatenate(keys), pa.uint64()),
                 "doc_id": pa.array(np.concatenate(docs_), pa.int64()),
                 "sim": pa.array(np.concatenate(sims), pa.uint64()),
             }
         )
 
-    def emit_pairs(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "pshard": pa.array([], pa.int32()),
-                "doc_a": pa.array([], pa.int64()),
-                "doc_b": pa.array([], pa.int64()),
-                "hamming": pa.array([], pa.int64()),
-            }
-        )
-        if len(group) < 2:
-            return empty
-        g = group.sort_by([("band_key", "ascending"), ("doc_id", "ascending")])
-        keys = g["band_key"].to_numpy(zero_copy_only=False)
+    def emit_pairs(shard: pa.Table) -> pa.Table:
+        g = shard.sort_by([("band_key", "ascending"), ("doc_id", "ascending")])
         ids = g["doc_id"].to_numpy(zero_copy_only=False)
         sims = g["sim"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        change = np.empty(len(ids), bool)
-        change[0] = True
-        change[1:] = keys[1:] != keys[:-1]
-        starts, lens = _run_bounds(change)
+        starts = run_starts(g["band_key"])
+        lens = np.diff(starts, append=len(ids))
         a_idx, b_idx = _triu_pair_indices(starts, lens, lens >= 2, len(ids))
-        if not len(a_idx):
-            return empty
         ham = popcount64(sims[a_idx] ^ sims[b_idx])
         keep = ham <= k
-        if not keep.any():
-            return empty
         da, db = ids[a_idx[keep]], ids[b_idx[keep]]
-        lo, hi = np.minimum(da, db), np.maximum(da, db)
-        pshard = (
-            (lo.astype(np.uint64) * _PAIR_PRIME) ^ hi.astype(np.uint64)
-        ) % np.uint64(N_SHARDS)
         return pa.table(
             {
-                "pshard": pa.array(pshard.astype(np.int32), pa.int32()),
-                "doc_a": pa.array(lo, pa.int64()),
-                "doc_b": pa.array(hi, pa.int64()),
+                "doc_a": pa.array(np.minimum(da, db), pa.int64()),
+                "doc_b": pa.array(np.maximum(da, db), pa.int64()),
                 "hamming": pa.array(ham[keep], pa.int64()),
             }
         )
 
-    def dedup_pairs(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_a": pa.array([], pa.int64()),
-                "doc_b": pa.array([], pa.int64()),
-                "hamming": pa.array([], pa.int64()),
-            }
-        )
-        if not len(group):
-            return empty
-        da = group["doc_a"].to_numpy(zero_copy_only=False)
-        db = group["doc_b"].to_numpy(zero_copy_only=False)
-        hm = group["hamming"].to_numpy(zero_copy_only=False)
-        order = np.lexsort((db, da))
-        da, db, hm = da[order], db[order], hm[order]
-        sel = np.flatnonzero(
-            np.concatenate([[True], (da[1:] != da[:-1]) | (db[1:] != db[:-1])])
-        )
-        return pa.table(
-            {
-                "doc_a": pa.array(da[sel], pa.int64()),
-                "doc_b": pa.array(db[sel], pa.int64()),
-                "hamming": pa.array(hm[sel], pa.int64()),
-            }
-        )
+    def dedup_pairs(shard: pa.Table) -> pa.Table:
+        g = shard.sort_by([("doc_a", "ascending"), ("doc_b", "ascending")])
+        return g.take(pa.array(run_starts(g["doc_a"], g["doc_b"])))
 
-    return (
-        sigs.map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("shard")
-        .map_groups(emit_pairs, batch_format="pyarrow")
-        .groupby("pshard")
-        .map_groups(dedup_pairs, batch_format="pyarrow")
-    )
+    banded = sigs.map_batches(band_rows, batch_format="pyarrow", zero_copy_batch=True)
+    pairs = shard_reduce(banded, "band_key", emit_pairs)
+    return shard_reduce(pairs, ["doc_a", "doc_b"], dedup_pairs)
 
 
 def simhash_near_dup_pairs(

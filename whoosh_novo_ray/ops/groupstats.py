@@ -4,9 +4,9 @@ Three web-pipeline staples, each Ray-Data-first and DuckDB-oracle-able:
 
   * ``cap_per_group`` — per-domain frequency caps (keep at most ``cap``
     docs per group, lowest ``order_col`` first): the standard guard against
-    a handful of template-heavy hosts dominating a crawl. One 64-way
-    hash-shard shuffle of the SURVIVING columns; rank-within-key is a
-    single vectorized lexsort + run-offset pass per shard (never one
+    a handful of template-heavy hosts dominating a crawl. One
+    ``shard_reduce`` on the group over the pre-capped rows; rank-within-key
+    is a single vectorized lexsort + run-offset pass per shard (never one
     Python call per group).
   * ``exact_quantiles`` — exact quantiles of a discrete numeric column via
     a distributed value-count histogram: per-batch ``np.unique`` pre-reduce
@@ -17,15 +17,15 @@ Three web-pipeline staples, each Ray-Data-first and DuckDB-oracle-able:
   * ``top_terms_per_group`` — most frequent terms per group (per-domain
     vocabulary profiling): per-batch (group, term) count pre-reduce out of
     the coded analyzer stream, a sharded vectorized count reduce, then a
-    per-group top-k selection inside a second 64-way shard. Both shuffles
+    per-group top-k selection inside a second shard pass. Both shuffles
     move (group, term, count) rows — bounded by vocabulary x groups, never
     by corpus size.
 
 Reference analog: none (whoosh-novo has no corpus-statistics surface);
 these extend the engine along the SURVEY training-data axis like
-ops/curation.py. Shard keys are md5-derived (ops/hashing.py) so placement
-is identical across worker processes — Python's salted ``hash()`` is never
-used on data.
+ops/curation.py. Every exchange is a ``shard_reduce`` (whoosh_novo_ray/
+shuffle.py), whose key hash is identical across worker processes — Python's
+salted ``hash()`` is never used on data.
 """
 
 from __future__ import annotations
@@ -37,18 +37,16 @@ import ray
 import ray.data
 
 from whoosh_novo_ray.analysis import simple_analyzer
-from whoosh_novo_ray.ops.hashing import md5_u64_arr
-
-N_SHARDS = 64
+from whoosh_novo_ray.shuffle import run_starts, shard_reduce
 
 _RAW = simple_analyzer()
 
 
-def _group_shards(values) -> np.ndarray:
-    """Deterministic 64-way shard of arbitrary group values (md5 of str)."""
-    return (md5_u64_arr([str(v) for v in values]) % np.uint64(N_SHARDS)).astype(
-        np.int32
-    )
+def _rank_in_run(sorted_keys: np.ndarray) -> np.ndarray:
+    """0-based position of each row within its run of equal sorted keys."""
+    starts = run_starts(sorted_keys)
+    lens = np.diff(starts, append=len(sorted_keys))
+    return np.arange(len(sorted_keys)) - np.repeat(starts, lens)
 
 
 def _pack_gt(g: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -80,7 +78,7 @@ def cap_per_group(
     lowest ``order_col`` (deterministic: reruns and the SQL oracle pick the
     same rows). All input columns pass through.
 
-    Scale shape: one shuffle keyed on ``md5(group) % 64`` — co-locating
+    Scale shape: one ``shard_reduce`` on the group column — co-locating
     each group inside a shard — then a single lexsort + run-offset rank
     per shard. A per-group ``groupby(group_col)`` would pay one Python
     call per distinct group (pathological for million-domain crawls).
@@ -92,34 +90,22 @@ def cap_per_group(
         order_v = tbl[order_col].to_numpy(zero_copy_only=False)
         # stable sort: group asc, then order_col asc within the group
         srt = np.lexsort((order_v, groups))
-        g_s = groups[srt]
-        run_start = np.flatnonzero(
-            np.concatenate(([True], g_s[1:] != g_s[:-1]))
-        )
-        run_len = np.diff(np.append(run_start, len(g_s)))
-        rank = np.arange(len(g_s)) - np.repeat(run_start, run_len)
-        keep = srt[rank < cap]
+        keep = srt[_rank_in_run(groups[srt]) < cap]
         keep.sort()
         return keep
 
-    def precap_shard(batch: pa.Table) -> pa.Table:
+    def precap(batch: pa.Table) -> pa.Table:
         # combiner: a globally-kept row is among its BATCH's cap lowest too,
         # so the local pre-cap is lossless and the shuffle ships at most
         # cap x (groups present) rows per batch — a hot domain with half the
         # corpus never funnels the whole corpus into one shard
-        batch = batch.take(_cap_rows(batch))
-        return batch.append_column(
-            "_shard", pa.array(_group_shards(batch[group_col].to_pylist()))
-        )
+        return batch.take(_cap_rows(batch))
 
-    def keep_cap(tbl: pa.Table) -> pa.Table:
-        return tbl.take(_cap_rows(tbl)).drop_columns(["_shard"])
+    def keep_cap(shard: pa.Table) -> pa.Table:
+        return shard.take(_cap_rows(shard))
 
-    return (
-        docs.map_batches(precap_shard, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("_shard")
-        .map_groups(keep_cap, batch_format="pyarrow")
-    )
+    precapped = docs.map_batches(precap, batch_format="pyarrow", zero_copy_batch=True)
+    return shard_reduce(precapped, group_col, keep_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -419,10 +405,9 @@ def quantiles_continuous(
 
 
 class _GroupTermCounts:
-    """Per-batch (group, term, c, _shard) pre-reduce over the coded
-    analyzer stream: hashing runs once per unique term, counting is one
-    packed np.unique — rows emitted are bounded by the batch's
-    (groups x batch vocabulary), not its token count."""
+    """Per-batch (group, term, c) pre-reduce over the coded analyzer
+    stream: counting is one packed np.unique — rows emitted are bounded by
+    the batch's (groups x batch vocabulary), not its token count."""
 
     def __init__(self, group_col: str):
         self.group_col = group_col
@@ -437,7 +422,6 @@ class _GroupTermCounts:
                     "g": pa.array([], pa.string()),
                     "term": pa.array([], pa.string()),
                     "c": pa.array([], pa.int64()),
-                    "_shard": pa.array([], pa.int32()),
                 }
             )
         gvals, ginv = np.unique(groups, return_inverse=True)
@@ -446,16 +430,11 @@ class _GroupTermCounts:
         uk, cnt = np.unique(key, return_counts=True)
         g_of = gvals[(uk // V).astype(np.int64)]
         t_of = uniq[(uk % V).astype(np.int64)]
-        shard = (
-            (md5_u64_arr([str(g) for g in g_of]) ^ md5_u64_arr(list(t_of)))
-            % np.uint64(N_SHARDS)
-        ).astype(np.int32)
         return pa.table(
             {
                 "g": pa.array(g_of.tolist(), pa.string()),
                 "term": pa.array(t_of.tolist(), pa.string()),
                 "c": pa.array(cnt.astype(np.int64)),
-                "_shard": pa.array(shard),
             }
         )
 
@@ -466,10 +445,10 @@ def top_terms_per_group(
     """Top-``k`` most frequent analyzer terms per group (count desc, term
     asc tie-break). Returns a Dataset of ``(group, term, cnt)``.
 
-    Two tiny shuffles: (1) ``md5(g) ^ md5(term) % 64`` co-locates each
-    (group, term)'s partial counts for a vectorized sum; (2) ``md5(g) % 64``
-    co-locates each group's summed terms for the vectorized top-k. Every
-    row in flight is a (group, term, count) triple.
+    Two tiny ``shard_reduce`` passes: (1) on (group, term) co-locates each
+    pair's partial counts for a vectorized sum; (2) on group co-locates each
+    group's summed terms for the vectorized top-k. Every row in flight is a
+    (group, term, count) triple.
     """
 
     def sum_shard(tbl: pa.Table) -> pa.Table:
@@ -480,15 +459,11 @@ def top_terms_per_group(
         uk, rep, inv = np.unique(packed, return_index=True, return_inverse=True)
         sums = np.zeros(len(uk), np.int64)
         np.add.at(sums, inv, c)
-        gshard = (md5_u64_arr([str(x) for x in g[rep]]) % np.uint64(N_SHARDS)).astype(
-            np.int32
-        )
         return pa.table(
             {
                 "g": pa.array(g[rep].tolist(), pa.string()),
                 "term": pa.array(t[rep].tolist(), pa.string()),
                 "c": pa.array(sums),
-                "_shard": pa.array(gshard),
             }
         )
 
@@ -498,13 +473,7 @@ def top_terms_per_group(
         c = tbl["c"].to_numpy(zero_copy_only=False)
         # group asc, count desc, term asc
         srt = np.lexsort((t, -c, g))
-        g_s = g[srt]
-        run_start = np.flatnonzero(
-            np.concatenate(([True], g_s[1:] != g_s[:-1]))
-        )
-        run_len = np.diff(np.append(run_start, len(g_s)))
-        rank = np.arange(len(g_s)) - np.repeat(run_start, run_len)
-        keep = srt[rank < k]
+        keep = srt[_rank_in_run(g[srt]) < k]
         return pa.table(
             {
                 "group": pa.array(g[keep].tolist(), pa.string()),
@@ -513,17 +482,11 @@ def top_terms_per_group(
             }
         )
 
-    return (
-        docs.map_batches(
-            _GroupTermCounts(group_col),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        .groupby("_shard")
-        .map_groups(sum_shard, batch_format="pyarrow")
-        .groupby("_shard")
-        .map_groups(topk_shard, batch_format="pyarrow")
+    counts = docs.map_batches(
+        _GroupTermCounts(group_col), batch_format="pyarrow", zero_copy_batch=True
     )
+    summed = shard_reduce(counts, ["g", "term"], sum_shard)
+    return shard_reduce(summed, "g", topk_shard)
 
 
 def distinctive_terms_per_group(
@@ -534,21 +497,12 @@ def distinctive_terms_per_group(
     relative to the corpus (per-domain signature / template detector).
     Tie-break (score desc, term asc). Returns ``(group, term, cnt, score)``.
 
-    Shape: the (group, term) partial counts shard by ``md5(term)`` so a
-    term's GLOBAL count is computed co-located with its per-group counts
-    (no broadcast of the vocabulary); the only driver-side scalar is the
-    corpus token total. A second ``md5(group)`` shard runs the vectorized
-    per-group top-k.
+    Shape: the (group, term) partial counts shard by term so a term's
+    GLOBAL count is computed co-located with its per-group counts (no
+    broadcast of the vocabulary); the only driver-side scalar is the corpus
+    token total. A second shard by group runs the vectorized per-group
+    top-k.
     """
-
-    def term_shard(batch: pa.Table) -> pa.Table:
-        # re-shard stage-1 rows by TERM so global counts co-locate
-        t = batch["term"].to_pylist()
-        return batch.set_column(
-            batch.schema.get_field_index("_shard"),
-            "_shard",
-            pa.array((md5_u64_arr(t) % np.uint64(N_SHARDS)).astype(np.int32)),
-        )
 
     def sum_with_global(tbl: pa.Table) -> pa.Table:
         g = np.asarray(tbl["g"].to_pylist(), object)
@@ -563,16 +517,12 @@ def distinctive_terms_per_group(
         # complete by construction (every row of a term is in this shard)
         call = np.zeros(len(ut), np.int64)
         np.add.at(call, tinv, cg)
-        gshard = (
-            md5_u64_arr([str(x) for x in g[rep]]) % np.uint64(N_SHARDS)
-        ).astype(np.int32)
         return pa.table(
             {
                 "g": pa.array(g[rep].tolist(), pa.string()),
                 "term": pa.array(t[rep].tolist(), pa.string()),
                 "c": pa.array(cg),
                 "c_all": pa.array(call[tinv]),
-                "_shard": pa.array(gshard),
             }
         )
 
@@ -582,10 +532,8 @@ def distinctive_terms_per_group(
 
     stage1 = docs.map_batches(
         _GroupTermCounts(group_col), batch_format="pyarrow", zero_copy_batch=True
-    ).map_batches(term_shard, batch_format="pyarrow", zero_copy_batch=True)
-    summed = stage1.groupby("_shard").map_groups(
-        sum_with_global, batch_format="pyarrow"
-    ).materialize()
+    )
+    summed = shard_reduce(stage1, "term", sum_with_global).materialize()
     T = total_tokens(summed)
 
     def topk_distinct(tbl: pa.Table) -> pa.Table:
@@ -595,13 +543,7 @@ def distinctive_terms_per_group(
         call = tbl["c_all"].to_numpy(zero_copy_only=False)
         score = c.astype(np.float64) * np.log(T / call.astype(np.float64))
         srt = np.lexsort((t, -score, g))
-        g_s = g[srt]
-        run_start = np.flatnonzero(
-            np.concatenate(([True], g_s[1:] != g_s[:-1]))
-        )
-        run_len = np.diff(np.append(run_start, len(g_s)))
-        rank = np.arange(len(g_s)) - np.repeat(run_start, run_len)
-        keep = srt[rank < k]
+        keep = srt[_rank_in_run(g[srt]) < k]
         return pa.table(
             {
                 "group": pa.array(g[keep].tolist(), pa.string()),
@@ -611,6 +553,4 @@ def distinctive_terms_per_group(
             }
         )
 
-    return summed.groupby("_shard").map_groups(
-        topk_distinct, batch_format="pyarrow"
-    )
+    return shard_reduce(summed, "g", topk_distinct)

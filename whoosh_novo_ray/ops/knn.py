@@ -19,12 +19,26 @@ import pyarrow as pa
 import ray
 import ray.data
 
+from whoosh_novo_ray.shuffle import run_starts, shard_reduce
+
 
 def _batch_mat(batch: pa.Table, col: str, dtype=np.float64) -> np.ndarray:
     arr = batch[col].combine_chunks()
     flat = arr.values.to_numpy(zero_copy_only=False).astype(dtype)
     width = len(arr[0])
     return flat.reshape(-1, width)
+
+
+def _unit_blocks(shard: pa.Table, block_col: str, id_col: str, vec_col: str):
+    """``shard`` sorted by (block, id), its ids, its unit-norm vectors, and
+    the (lo, hi) row bounds of each block."""
+    g = shard.sort_by([(block_col, "ascending"), (id_col, "ascending")])
+    ids = g[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
+    mat = _batch_mat(g, vec_col)
+    norms = np.linalg.norm(mat, axis=1)
+    norms[norms == 0] = 1.0
+    starts = run_starts(g[block_col])
+    return g, ids, mat / norms[:, None], zip(starts, np.append(starts[1:], len(ids)))
 
 
 class _CosineTopK:
@@ -241,27 +255,26 @@ def cosine_near_dup_pairs(
     within ``block_col`` groups (the blocking key bounds the O(n^2): at scale
     use an LSH bucket column as the block)."""
 
-    def pairs_in_group(group: pa.Table) -> pa.Table:
-        mat = _batch_mat(group, vec_col)
-        ids = group[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        order = np.argsort(ids)
-        ids, mat = ids[order], mat[order]
-        norms = np.linalg.norm(mat, axis=1)
-        norms[norms == 0] = 1.0
-        sims = (mat / norms[:, None]) @ (mat / norms[:, None]).T
-        a, b = np.triu_indices(len(ids), k=1)
-        keep = sims[a, b] >= threshold
+    def pairs_in_shard(shard: pa.Table) -> pa.Table:
+        _g, ids, nm, blocks = _unit_blocks(shard, block_col, id_col, vec_col)
+        a_ids, b_ids, cos = [], [], []
+        for lo, hi in blocks:
+            sims = nm[lo:hi] @ nm[lo:hi].T
+            a, b = np.triu_indices(hi - lo, k=1)
+            keep = sims[a, b] >= threshold
+            a_ids.append(ids[lo:hi][a[keep]])
+            b_ids.append(ids[lo:hi][b[keep]])
+            cos.append(sims[a[keep], b[keep]].astype(np.float64))
         return pa.table(
             {
-                "vec_a": pa.array(ids[a[keep]], pa.int64()),
-                "vec_b": pa.array(ids[b[keep]], pa.int64()),
-                "cosine": pa.array(np.round(sims[a[keep], b[keep]].astype(np.float64), 6)),
+                "vec_a": pa.array(np.concatenate(a_ids), pa.int64()),
+                "vec_b": pa.array(np.concatenate(b_ids), pa.int64()),
+                "cosine": pa.array(np.round(np.concatenate(cos), 6)),
             }
         )
 
     refs = (
-        embeddings.groupby(block_col)
-        .map_groups(pairs_in_group, batch_format="pyarrow")
+        shard_reduce(embeddings, block_col, pairs_in_shard)
         .materialize()  # avoid to_arrow_refs' second schema-probe run
         .to_arrow_refs()
     )
@@ -420,8 +433,9 @@ def semdedup_table(
     Returns ``(vec_id, cell, keep)`` for every vector.  The pairwise work
     is O(m^2) per CELL, never per corpus — at scale the centroid count
     grows with the corpus so cells stay bounded, exactly the SemDeDup
-    recipe (they use k-means with k ~ sqrt(n)); cells run as independent
-    groups, so the stage parallelizes across the cluster.
+    recipe (they use k-means with k ~ sqrt(n)); cells spread over the
+    shards of one ``shard_reduce``, so the stage parallelizes across the
+    cluster.
     """
     c = np.asarray(centroids, np.float64)
     cn = np.linalg.norm(c, axis=1)
@@ -445,35 +459,29 @@ def semdedup_table(
                 }
             )
 
-    def dedup_cell(group: pa.Table) -> pa.Table:
-        ids = group[id_col].to_numpy(zero_copy_only=False).astype(np.int64)
-        mat = _batch_mat(group, vec_col)
-        order = np.argsort(ids)
-        ids, mat = ids[order], mat[order]
-        norms = np.linalg.norm(mat, axis=1)
-        norms[norms == 0] = 1.0
-        nm = mat / norms[:, None]
-        m = len(ids)
-        keep = np.ones(m, bool)
-        # row-block the matmul so a hot cell never materializes a full m x m
-        # similarity matrix; each block only compares against EARLIER rows
-        for lo in range(1, m, 1024):
-            hi = min(lo + 1024, m)
-            sims = nm[lo:hi] @ nm[:hi].T
-            local = np.tril(sims >= threshold, k=lo - 1)
-            keep[lo:hi] &= ~local.any(axis=1)
+    def dedup_cell(shard: pa.Table) -> pa.Table:
+        g, ids, nm, cells = _unit_blocks(shard, "cell", id_col, vec_col)
+        keep = np.ones(len(ids), bool)
+        for clo, chi in cells:
+            # row-block the matmul so a hot cell never materializes a full
+            # m x m similarity matrix; each block only compares against
+            # EARLIER rows of its cell
+            cm = nm[clo:chi]
+            for lo in range(1, chi - clo, 1024):
+                hi = min(lo + 1024, chi - clo)
+                sims = cm[lo:hi] @ cm[:hi].T
+                local = np.tril(sims >= threshold, k=lo - 1)
+                keep[clo + lo : clo + hi] &= ~local.any(axis=1)
         return pa.table(
             {
                 "vec_id": pa.array(ids, pa.int64()),
-                "cell": pa.array(
-                    np.full(m, group["cell"][0].as_py(), np.int64), pa.int64()
-                ),
-                "keep": pa.array(keep.tolist(), pa.bool_()),
+                "cell": g["cell"],
+                "keep": pa.array(keep, pa.bool_()),
             }
         )
 
     # size the assign pool below the CPU count so the read tasks and the
-    # groupby shuffle keep their slots (fixed pools reserve CPUs)
+    # shuffle keep their slots (fixed pools reserve CPUs)
     ncpu = int(ray.cluster_resources().get("CPU", 8))
     assigned = embeddings.map_batches(
         _CellAssign,
@@ -482,4 +490,4 @@ def semdedup_table(
         zero_copy_batch=True,
         concurrency=max(1, min(4, ncpu - 2)),
     )
-    return assigned.groupby("cell").map_groups(dedup_cell, batch_format="pyarrow")
+    return shard_reduce(assigned, "cell", dedup_cell)

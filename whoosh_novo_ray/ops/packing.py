@@ -35,6 +35,8 @@ import pyarrow.compute as pc
 
 import ray.data
 
+from whoosh_novo_ray.shuffle import run_starts, shard_reduce
+
 
 def _ws_tokens(col: pa.ChunkedArray | pa.Array) -> tuple[np.ndarray, pa.Array]:
     """(offsets, flat tokens) of the ``\\S+`` tokens of each string.
@@ -154,8 +156,9 @@ def pack_sequences(
          (``doc_id // range_width``), materialized (3 int64 columns);
       2. a small groupby sums tokens per RANGE; the driver prefix-sums that
          per-range table (rows = id-space / range_width, not corpus size);
-      3. one shuffle by range key; inside each range the cumsum is a single
-         vectorized pass seeded with the driver's offset for that range.
+      3. one ``shard_reduce`` on the range key; inside each range the cumsum
+         is a single vectorized pass seeded with the driver's offset for
+         that range.
     """
     counted = docs.map_batches(
         lambda b: _token_counts(b, range_width, keep_cols),
@@ -180,36 +183,17 @@ def pack_sequences(
 
     offsets_ref = ray.put(offsets)
 
-    # groupby on the raw range key would pay one Python map_groups call per
-    # RANGE (~1e5 at 100 TB); shard ranges 64 ways instead and run the
-    # per-range cumsum as a vectorized segmented pass inside each shard
-    # (ranges are contiguous in doc_id order, so sorting the shard by doc_id
-    # makes each range one run).
-    def _add_shard(batch: pa.Table) -> pa.Table:
-        r = batch["rng"].to_numpy().astype(np.uint64)
-        shard = ((r * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(58)).astype(
-            np.int64
-        )
-        return batch.append_column("shard", pa.array(shard, pa.int64()))
-
-    def assign(group: pa.Table) -> pa.Table:
+    # ranges are contiguous in doc_id order, so sorting a shard by doc_id
+    # makes each range one run and the per-range cumsum one segmented pass
+    def assign(shard: pa.Table) -> pa.Table:
         offsets = ray.get(offsets_ref)
-        g = group.sort_by("doc_id")
+        g = shard.sort_by("doc_id")
         ids = g["doc_id"].to_numpy()
         n = g["n_tokens"].to_numpy()
-        if len(ids) == 0:
-            cols = {
-                "doc_id": pa.array([], pa.int64()),
-                "n_tokens": pa.array([], pa.int64()),
-                "pack_id": pa.array([], pa.int64()),
-            }
-            for c in keep_cols:
-                cols[c] = pa.array([], group.schema.field(c).type)
-            return pa.table(cols)
         rngs = ids // range_width
         csum = np.cumsum(n) - n
-        starts = np.flatnonzero(np.r_[True, rngs[1:] != rngs[:-1]])
-        seg_lens = np.diff(np.append(starts, len(ids)))
+        starts = run_starts(rngs)
+        seg_lens = np.diff(starts, append=len(ids))
         seg_off = np.fromiter(
             (offsets[int(rngs[s])] for s in starts), np.int64, len(starts)
         )
@@ -225,10 +209,7 @@ def pack_sequences(
             cols[c] = g[c]
         return pa.table(cols)
 
-    sharded = counted.map_batches(
-        _add_shard, batch_format="pyarrow", zero_copy_batch=True
-    )
-    return sharded.groupby("shard").map_groups(assign, batch_format="pyarrow")
+    return shard_reduce(counted, "rng", assign)
 
 
 def _hash_u32(doc_ids: np.ndarray) -> np.ndarray:

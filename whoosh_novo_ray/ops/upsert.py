@@ -2,18 +2,17 @@
 semantics (de-odex/whoosh-novo ``src/whoosh/writing.py:439-502``: documents
 matching a unique key are replaced by the newest) as a batch Ray Data op.
 
-Scalable shape: the shuffle key is a HASH BUCKET of the unique key, not the
-key itself — one group per bucket (vectorized sort + run-boundary dedup
-inside), never one Python call per distinct key.
+Scalable shape: one ``shard_reduce`` on the unique key — a vectorized sort +
+run-boundary dedup per hash shard, never one Python call per distinct key.
 """
 
 from __future__ import annotations
 
-import numpy as np
-import pandas as pd
 import pyarrow as pa
 
 import ray.data
+
+from whoosh_novo_ray.shuffle import run_starts, shard_reduce
 
 
 def latest_by_key(
@@ -21,30 +20,15 @@ def latest_by_key(
     key: str,
     ts: str,
     tiebreak: str | None = None,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """Keep only the newest row per ``key`` (max ``ts``; ties broken by the
     smallest ``tiebreak`` value, then arbitrary-but-deterministic)."""
+    sort_keys = [(key, "ascending"), (ts, "descending")]
+    if tiebreak:
+        sort_keys.append((tiebreak, "ascending"))
 
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        keys = np.asarray(batch[key].to_pylist(), dtype=object)
-        bucket = (pd.util.hash_array(keys) % np.uint64(num_buckets)).astype(np.uint32)
-        return batch.add_column(0, "__bucket", pa.array(bucket, pa.uint32()))
+    def keep_latest(shard: pa.Table) -> pa.Table:
+        g = shard.sort_by(sort_keys)
+        return g.take(pa.array(run_starts(g[key])))
 
-    def keep_latest(group: pa.Table) -> pa.Table:
-        sort_keys = [(key, "ascending"), (ts, "descending")]
-        if tiebreak:
-            sort_keys.append((tiebreak, "ascending"))
-        g = group.sort_by(sort_keys)
-        keys = np.asarray(g[key].to_pylist(), dtype=object)
-        first = np.empty(len(keys), bool)
-        if len(keys):
-            first[0] = True
-            first[1:] = keys[1:] != keys[:-1]
-        return g.filter(pa.array(first)).drop_columns(["__bucket"])
-
-    return (
-        ds.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(keep_latest, batch_format="pyarrow")
-    )
+    return shard_reduce(ds, key, keep_latest)

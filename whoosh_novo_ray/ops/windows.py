@@ -6,20 +6,20 @@ needs over an events table (ts, key, value):
 * ``tumbling_window_agg`` — fixed-width time buckets per key: the window
   assignment is a pure vectorized map (no state), so the only exchange is
   the (key, window) groupby with combiner aggregation.
-* ``sessionize`` — gap-based sessions per user: rows shuffle once by a hash
-  bucket of the key, then each bucket is sorted and split vectorized
-  (diff > gap -> new session), never one Python call per user.
+* ``sessionize`` — gap-based sessions per user: one ``shard_reduce`` on the
+  user key; each shard is sorted and split vectorized (diff > gap -> new
+  session), never one Python call per user.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray.data
 from ray.data.aggregate import Count, Max, Mean, Min, Sum
+
+from whoosh_novo_ray.shuffle import run_starts, shard_reduce
 
 
 def tumbling_window_agg(
@@ -78,7 +78,6 @@ def sessionize(
     ts_col: str = "ts",
     id_col: str = "event_id",
     gap_s: int = 1800,
-    num_buckets: int = 64,
 ) -> "ray.data.Dataset":
     """Assign gap-based session ids per user.
 
@@ -86,48 +85,24 @@ def sessionize(
     where session_idx numbers a user's sessions in time order (0-based) and a
     new session starts when the gap since the previous event > gap_s.
     """
-
-    def add_bucket(batch: pa.Table) -> pa.Table:
-        keys = batch[user_col].cast(pa.int64()).to_numpy()
-        bucket = (
-            pd.util.hash_array(keys.astype(np.uint64)) % np.uint64(num_buckets)
-        ).astype(np.uint32)
-        return batch.append_column("__bucket", pa.array(bucket, pa.uint32()))
-
     gap_us = np.int64(gap_s) * 1_000_000
 
-    def split_sessions(group: pa.Table) -> pa.Table:
-        g = group.sort_by([(user_col, "ascending"), (ts_col, "ascending"), (id_col, "ascending")])
+    def split_sessions(shard: pa.Table) -> pa.Table:
+        g = shard.sort_by([(user_col, "ascending"), (ts_col, "ascending"), (id_col, "ascending")])
         users = g[user_col].cast(pa.int64()).to_numpy()
         ts = g[ts_col].cast(pa.int64()).to_numpy()
         n = len(g)
-        if n == 0:
-            return pa.table(
-                {
-                    id_col: pa.array([], pa.int64()),
-                    user_col: pa.array([], pa.int64()),
-                    "session_idx": pa.array([], pa.int64()),
-                    "session_start": pa.array([], pa.int64()),
-                }
-            )
-        new_user = np.empty(n, bool)
-        new_user[0] = True
-        new_user[1:] = users[1:] != users[:-1]
-        gap_break = np.empty(n, bool)
-        gap_break[0] = True
-        gap_break[1:] = (ts[1:] - ts[:-1]) > gap_us
-        new_session = new_user | gap_break
+        user_first = run_starts(users)
+        new_session = np.zeros(n, bool)
+        new_session[user_first] = True
+        new_session[1:] |= (ts[1:] - ts[:-1]) > gap_us
         # session ordinal within user: cumsum of session starts, reset per user
         sess_global = np.cumsum(new_session)
-        user_first = np.where(new_user)[0]
-        # value of sess_global at each user's first row, broadcast per row
-        runs = np.diff(np.append(user_first, n))
-        base = np.repeat(sess_global[user_first], runs)
+        base = np.repeat(sess_global[user_first], np.diff(user_first, append=n))
         session_idx = (sess_global - base).astype(np.int64)
         # session start ts broadcast to members
-        start_rows = np.where(new_session)[0]
-        sruns = np.diff(np.append(start_rows, n))
-        session_start = np.repeat(ts[start_rows], sruns)
+        start_rows = np.flatnonzero(new_session)
+        session_start = np.repeat(ts[start_rows], np.diff(start_rows, append=n))
         return pa.table(
             {
                 id_col: g[id_col].cast(pa.int64()),
@@ -137,8 +112,4 @@ def sessionize(
             }
         )
 
-    return (
-        events.map_batches(add_bucket, batch_format="pyarrow", zero_copy_batch=True)
-        .groupby("__bucket")
-        .map_groups(split_sessions, batch_format="pyarrow")
-    )
+    return shard_reduce(events, user_col, split_sessions)

@@ -10,7 +10,7 @@
       => curated (doc_id, n_bpe_tokens)
 
 Every stage is one of the engine's existing distributed ops; the final
-combination is ONE sharded groupby over role-tagged id streams (a bitmask
+combination is ONE ``shard_reduce`` on doc_id over role-tagged id streams (a bitmask
 union join — no driver-side id sets, the same shard-join shape as the
 MinHash verify). The near-dup pair stream flows into that join as a tagged
 Dataset too: on a dup-heavy crawl the loser list is a constant fraction of
@@ -25,12 +25,11 @@ from __future__ import annotations
 
 import numpy as np
 import pyarrow as pa
-import pyarrow.compute as pc
 
 import ray
 import ray.data
 
-from whoosh_novo_ray.ops.dedup import N_SHARDS, _PAIR_PRIME
+from whoosh_novo_ray.shuffle import run_starts, shard_reduce
 
 _SURVIVOR = np.uint8(1)
 _QUALITY = np.uint8(2)
@@ -47,12 +46,8 @@ def _tag(ds: "ray.data.Dataset", role: int, with_n: bool = False):
             if with_n
             else np.zeros(len(ids), np.int64)
         )
-        shard = (
-            (ids.astype(np.uint64) * _PAIR_PRIME) % np.uint64(N_SHARDS)
-        ).astype(np.int32)
         return pa.table(
             {
-                "shard": pa.array(shard, pa.int32()),
                 "doc_id": pa.array(ids, pa.int64()),
                 "role": pa.array(np.full(len(ids), r, np.uint8), pa.uint8()),
                 "n": pa.array(n, pa.int64()),
@@ -115,23 +110,12 @@ def curated_corpus_ds(
     ]
     tagged = streams[0].union(*streams[1:])
 
-    def combine(group: pa.Table) -> pa.Table:
-        empty = pa.table(
-            {
-                "doc_id": pa.array([], pa.int64()),
-                "n_bpe_tokens": pa.array([], pa.int64()),
-            }
-        )
-        if not len(group):
-            return empty
-        g = group.sort_by("doc_id")
+    def combine(shard: pa.Table) -> pa.Table:
+        g = shard.sort_by("doc_id")
         ids = g["doc_id"].to_numpy(zero_copy_only=False)
         roles = g["role"].to_numpy(zero_copy_only=False)
         ns = g["n"].to_numpy(zero_copy_only=False)
-        change = np.empty(len(ids), bool)
-        change[0] = True
-        change[1:] = ids[1:] != ids[:-1]
-        starts = np.flatnonzero(change)
+        starts = run_starts(ids)
         bits = np.bitwise_or.reduceat(roles, starts)
         n_bpe = np.maximum.reduceat(ns, starts)  # the bpe row carries it
         keep = (
@@ -139,8 +123,6 @@ def curated_corpus_ds(
             & ((bits & _QUALITY) > 0)
             & ((bits & _LOSER) == 0)
         )
-        if not keep.any():
-            return empty
         return pa.table(
             {
                 "doc_id": pa.array(ids[starts][keep], pa.int64()),
@@ -148,7 +130,7 @@ def curated_corpus_ds(
             }
         )
 
-    return tagged.groupby("shard").map_groups(combine, batch_format="pyarrow")
+    return shard_reduce(tagged, "doc_id", combine)
 
 
 def curated_corpus(
