@@ -92,6 +92,35 @@ def test_shingle_boost_is_first_components():
     assert list(boosts) == [2.0, 1.0]
 
 
+def test_short_stream_emits_one_joined_token():
+    """A stream of 1..k-1 surviving tokens gives ONE token joining all of
+    it (the reference ShingleFilter flushes its partial buffer), at the
+    first token's position and boost, spanning first start .. last end."""
+    assert shingle_tokens([], 2) == []
+    assert shingle_tokens(["query"], 2) == ["query"]
+    assert shingle_tokens(["query", "table"], 3, "_") == ["query_table"]
+    texts = ["the query", "the query table", "query table window", "the"]
+    ana = StandardAnalyzer(shingle=3, shingle_sep="_")
+    want = [["query"], ["query_table"], ["query_table_window"], []]
+    assert [ana(t) for t in texts] == want
+    assert _batch_tokens(ana, texts) == want
+    di, codes, uniq, pos, fl, sc, ec = ana.analyze_batch_coded(texts, with_chars=True)
+    assert list(di) == [0, 1, 2]
+    assert list(pos) == [1, 1, 0]
+    assert list(fl) == [1, 1, 1, 0]
+    assert [texts[d][s:e] for d, s, e in zip(di, sc, ec)] == [
+        "query", "query table", "query table window",
+    ]
+    ana = StandardAnalyzer(
+        pattern=r"\S+", boost_delim="^", shingle=3, stoplist=None, minsize=1
+    )
+    di, codes, uniq, pos, fl, boosts = ana.analyze_batch_coded(
+        ["query^2.0", "query^3.0 table", "query table^4.0 window"]
+    )
+    assert [uniq[c] for c in codes] == ["query", "query-table", "query-table-window"]
+    assert list(boosts) == [2.0, 3.0, 1.0]
+
+
 def test_manifest_roundtrip():
     from whoosh_novo_ray.index.build import IndexConfig
 

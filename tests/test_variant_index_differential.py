@@ -82,7 +82,9 @@ seq AS (SELECT doc_id, term,
                row_number() OVER (PARTITION BY doc_id ORDER BY ord) - 1 AS r
         FROM kept),
 filt AS (SELECT a.doc_id, a.term || '-' || b.term AS term, a.r AS ord
-         FROM seq a JOIN seq b ON b.doc_id = a.doc_id AND b.r = a.r + 1),
+         FROM seq a JOIN seq b ON b.doc_id = a.doc_id AND b.r = a.r + 1
+         UNION ALL  -- a one-token stream shingles to that token
+         SELECT doc_id, any_value(term), 0 FROM seq GROUP BY doc_id HAVING count(*) = 1),
 {_SCORE_CTES}"""
 
     for _ in range(12):

@@ -297,24 +297,35 @@ class StandardAnalyzer:
 
         if self.shingle:
             # windows of `shingle` consecutive surviving tokens within a doc;
-            # strings build once per UNIQUE combination via a left-fold pair
-            # factorization (int64 key = acc_code * |vocab| + next_code)
+            # a doc with fewer surviving tokens gets ONE window over all of
+            # them (the reference ShingleFilter flushes its partial buffer).
+            # Strings build once per UNIQUE combination via a left-fold pair
+            # factorization (int64 key = acc_code * (|vocab|+1) + next_code;
+            # next_code |vocab| marks a window that already ended)
             k = self.shingle
             sep = self.shingle_sep
             n2 = len(doc_idx)
+            run_start = np.flatnonzero(np.diff(doc_idx, prepend=-1))
+            run_len = np.diff(np.append(run_start, n2))
+            starts = np.zeros(n2, bool)
             if n2 >= k:
-                idx0 = np.flatnonzero(doc_idx[: n2 - k + 1] == doc_idx[k - 1 :])
-            else:
-                idx0 = np.empty(0, np.int64)
+                starts[: n2 - k + 1] = doc_idx[: n2 - k + 1] == doc_idx[k - 1 :]
+            starts[run_start[run_len < k]] = True
+            idx0 = np.flatnonzero(starts)
+            wlen = np.minimum(k, np.repeat(run_len, run_len)[idx0])
+            v = len(uniques)
             acc_codes = codes[idx0]
             acc_uniq = uniques
             for j in range(1, k):
-                nxt = codes[idx0 + j]
-                key = acc_codes.astype(np.int64) * len(uniques) + nxt
+                nxt = np.full(len(idx0), v, np.int64)
+                ext = wlen > j
+                nxt[ext] = codes[idx0[ext] + j]
+                key = acc_codes.astype(np.int64) * (v + 1) + nxt
                 acc_codes, ukey = pd.factorize(key, sort=False)
                 acc_uniq = np.array(
                     [
-                        acc_uniq[q // len(uniques)] + sep + uniques[q % len(uniques)]
+                        acc_uniq[q // (v + 1)]
+                        + (sep + uniques[q % (v + 1)] if q % (v + 1) < v else "")
                         for q in ukey
                     ],
                     dtype=object,
@@ -330,7 +341,7 @@ class StandardAnalyzer:
                 np.int64
             )
             if spans is not None:
-                spans = np.stack([spans[idx0, 0], spans[idx0 + k - 1, 1]], axis=1)
+                spans = np.stack([spans[idx0, 0], spans[idx0 + wlen - 1, 1]], axis=1)
             if boosts is not None:
                 boosts = boosts[idx0]
 
@@ -628,9 +639,10 @@ def path_tokens(value: str, expression: str = "[^/]+") -> list[str]:
 
 def shingle_tokens(tokens: list[str], size: int = 2, sep: str = "-") -> list[str]:
     """Adjacent-token shingles (reference ShingleFilter,
-    ``src/whoosh/analysis/intraword.py:181``)."""
+    ``src/whoosh/analysis/intraword.py:181``). A stream shorter than
+    ``size`` gives one token joining all of it."""
     if len(tokens) < size:
-        return []
+        return [sep.join(tokens)] if tokens else []
     return [sep.join(tokens[i : i + size]) for i in range(len(tokens) - size + 1)]
 
 

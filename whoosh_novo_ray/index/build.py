@@ -42,7 +42,6 @@ import pyarrow.compute as pc
 import pyarrow.parquet as pq
 
 import ray
-from ray.data.dataset import MaterializedDataset
 
 from whoosh_novo_ray.analysis import StandardAnalyzer
 from whoosh_novo_ray.codec import (
@@ -866,6 +865,8 @@ def build_index(
     # ENTIRE tokenize stage as one serial task. When the input's block count
     # is visible (materialized) and too small for the cluster, repartition —
     # the extra pass over raw text is far cheaper than serial tokenization.
+    from ray.data.dataset import MaterializedDataset
+
     if isinstance(docs, MaterializedDataset):
         nb = docs.num_blocks()  # a lazy dataset's block count is the reader's
         ncpu = int(ray.cluster_resources().get("CPU", 8))

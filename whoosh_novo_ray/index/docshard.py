@@ -38,7 +38,6 @@ import os
 import pyarrow as pa
 
 import ray
-import ray.data
 
 from whoosh_novo_ray.index.build import (
     MANIFEST_NAME,
@@ -83,6 +82,8 @@ def build_attr_shards(
             old = json.load(f)
         if old.get("lineage") == lineage and old.get("num_shards") == num_shards:
             return old
+    import ray.data
+
     cols = ["doc_id"] + [c for c in columns if c != "doc_id"]
     n_blocks = int(ray.cluster_resources().get("CPU", 8))
     ds = ray.data.read_parquet(
@@ -194,6 +195,8 @@ def build_serving_shards(
         if b["path"]
     ]
     import glob as _glob
+
+    import ray.data
 
     dm_files = sorted(
         f

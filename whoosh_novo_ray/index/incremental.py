@@ -29,8 +29,6 @@ import shutil
 
 import numpy as np
 
-import ray.data
-
 from whoosh_novo_ray.index.build import IndexConfig, build_index
 from whoosh_novo_ray.index.merge import merge_indexes
 from whoosh_novo_ray.index.multi import MultiIndex

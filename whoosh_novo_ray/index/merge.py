@@ -24,9 +24,6 @@ import numpy as np
 import pandas as pd
 import pyarrow as pa
 
-import ray
-import ray.data
-
 from whoosh_novo_ray.index.build import (
     DOCMETA_TERM,
     IndexConfig,
@@ -234,6 +231,8 @@ def merge_indexes(
     ``delete_doc_ids`` are dropped during the merge (the reference's
     merged-out deletions). Inputs must share the analyzer config.
     """
+    import ray.data
+
     idxs = [Index(d) for d in index_dirs]
     cfg = cfg or idxs[0].cfg
     wp = cfg.with_positions and all(i.cfg.with_positions for i in idxs)

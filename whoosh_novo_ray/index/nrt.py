@@ -35,12 +35,24 @@ import threading
 import numpy as np
 import pyarrow as pa
 
-import ray.data
-
 from whoosh_novo_ray.index.build import build_index
 from whoosh_novo_ray.index.incremental import GenerationalIndex
 from whoosh_novo_ray.index.multi import MultiIndex
 from whoosh_novo_ray.index.segment import Index
+
+
+def _docs_ds(docs: dict[int, str]) -> "ray.data.Dataset":
+    """One-block Dataset of ``(doc_id, text)`` rows in ``docs``'s order."""
+    import ray.data
+
+    return ray.data.from_arrow(
+        pa.table(
+            {
+                "doc_id": pa.array(list(docs), pa.int64()),
+                "text": pa.array(list(docs.values()), pa.string()),
+            }
+        )
+    )
 
 
 def _in_sorted(values, sorted_arr):
@@ -167,16 +179,10 @@ class BufferedWriter:
         if not self._buf:
             return None
         if self._bufseg_version != self._version:
-            tbl = pa.table(
-                {
-                    "doc_id": pa.array(list(self._buf), pa.int64()),
-                    "text": pa.array(list(self._buf.values()), pa.string()),
-                }
-            )
             shutil.rmtree(self._bufseg_path, ignore_errors=True)
             cfg = self.gidx.cfg
             build_index(
-                ray.data.from_arrow(tbl), self._bufseg_path, cfg, lineage="nrt-buffer"
+                _docs_ds(self._buf), self._bufseg_path, cfg, lineage="nrt-buffer"
             )
             self._bufseg_version = self._version
         return self._bufseg_path
@@ -215,15 +221,7 @@ class BufferedWriter:
         if len(pure_deletes) and self.gidx.current_path() is not None:
             self.gidx.delete_documents(pure_deletes, lineage="nrt-delete")
         if self._buf:
-            tbl = pa.table(
-                {
-                    "doc_id": pa.array(list(self._buf), pa.int64()),
-                    "text": pa.array(list(self._buf.values()), pa.string()),
-                }
-            )
-            self.gidx.update_documents(
-                ray.data.from_arrow(tbl), lineage="nrt-flush"
-            )
+            self.gidx.update_documents(_docs_ds(self._buf), lineage="nrt-flush")
         self._buf.clear()
         self._pending_delete.clear()
         self._version += 1
@@ -283,15 +281,7 @@ class AsyncWriter:
         if len(deletes) and self.gidx.current_path() is not None:
             self.gidx.delete_documents(deletes, lineage="async-delete")
         if adds:
-            tbl = pa.table(
-                {
-                    "doc_id": pa.array(list(adds), pa.int64()),
-                    "text": pa.array(list(adds.values()), pa.string()),
-                }
-            )
-            self.gidx.update_documents(
-                ray.data.from_arrow(tbl), lineage="async-flush"
-            )
+            self.gidx.update_documents(_docs_ds(adds), lineage="async-flush")
 
     def commit(self) -> None:
         events, self._events = self._events, []

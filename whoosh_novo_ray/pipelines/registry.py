@@ -2244,8 +2244,9 @@ SELECT (row_number() OVER (ORDER BY sec, r) - 1)::BIGINT AS rank,
        doc_id::BIGINT AS doc_id, score
 FROM merged ORDER BY rank""",
         # adjacent-surviving-token bigrams: consecutive rank in the KEPT
-        # stream (the engine shingles post-stop/minsize tokens); dl = bigram
-        # count per doc
+        # stream (the engine shingles post-stop/minsize tokens); a doc with
+        # ONE kept token contributes that token (the reference ShingleFilter
+        # flushes a short stream); dl = token count per doc
         "biword_bm25_top10": f"""WITH
 tokarr AS (
   SELECT doc_id, regexp_extract_all(lower(text), '{_RX_SQL}') AS arr FROM documents
@@ -2265,6 +2266,8 @@ seq AS (
 filt AS (
   SELECT a.doc_id, a.term || '-' || b.term AS term, a.r AS ord
   FROM seq a JOIN seq b ON b.doc_id = a.doc_id AND b.r = a.r + 1
+  UNION ALL
+  SELECT doc_id, any_value(term), 0 FROM seq GROUP BY doc_id HAVING count(*) = 1
 ),
 {_SCORE_CTES}
 SELECT doc_id::BIGINT AS doc_id, round(sum(score), 6) AS score

@@ -22,8 +22,6 @@ import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
-import ray.data
-
 N_SHARDS = 64
 _SHARD_COL = "__shard"
 # multiplier folding a multi-column key into one hash

@@ -63,6 +63,17 @@ call                                            driver     actors
 ``ScorePool.search``, per-argument transport    1.06-1.18  1.88-2.00
 ``ScorePool.search``, one request, raw replies  0.54-0.62  1.15-1.27
 ==============================================  =========  =========
+
+Actor start: every pool start, refresh, replica and restart spawns fresh
+actors, so a ScoreServer process imports only the serving code. No module
+it reaches imports ``ray.data`` at module level, and it reads Parquet with
+``pq.ParquetFile(...).read``, because ``pq.read_table`` loads
+``pyarrow.dataset``. Per actor at ready, 2,000 synthetic pages, 4 shards,
+6 rounds of ``python scripts/probe_actor_start.py`` on the same 4-vCPU
+shared VM: 1,338 modules loaded (1,539 with both), peak RSS 177.5-178.0 MB
+(189.3-190.1), main-thread CPU 1.20-2.03 s (1.40-2.07; lower in every
+round). A bare ``@ray.remote`` actor: 975 modules, 121.5-121.9 MB,
+0.63-1.14 s.
 """
 
 from __future__ import annotations
@@ -261,11 +272,14 @@ class ScoreServer:
             if not os.path.exists(p):
                 return np.empty(0, np.uint64)
             return np.sort(
-                pq.read_table(p, columns=["doc_id"])["doc_id"]
+                pq.ParquetFile(p).read(columns=["doc_id"])["doc_id"]
                 .to_numpy(zero_copy_only=False)
                 .astype(np.uint64)
             )
 
+        # each (member, shard) docmeta file is read once: it is both a pinned
+        # table's universe and a part of the actor's
+        dm = {(d, k): _dm_universe(d, k) for d in dirs for k in self._shards}
         self._tables: list[pa.Table] = []
         # per pinned table: its sorted term column (term lookups are a
         # binary search) and its file's block index (lazy columns)
@@ -283,36 +297,19 @@ class ScoreServer:
             for b in man["buckets"]:
                 if b["bucket"] in shards and b["path"]:
                     p = os.path.join(d, b["path"])
-                    names = pq.read_schema(p).names
+                    pf = pq.ParquetFile(p)
+                    names = pf.schema_arrow.names
                     pin = [c for c in _SCORING_COLUMNS if c in names]
                     if "wts_blob" in names:
                         pin.append("wts_blob")
                     self._lazy_cols = tuple(c for c in _LAZY if c in names)
-                    tbl = pq.read_table(p, columns=pin)
+                    tbl = pf.read(columns=pin)
                     self._tables.append(tbl)
                     self._terms.append(tbl["term"].to_numpy(zero_copy_only=False))
                     self._blocks.append(_TermBlocks(p, self._block_cache))
                     self._table_shards.append(int(b["bucket"]))
-                    self._table_universe.append(_dm_universe(d, int(b["bucket"])))
-        self._shard_universe: dict[int, np.ndarray] = {}
-        parts = []
-        for k in shards:
-            k_parts = [
-                _dm_universe(d, k)
-                for d in dirs
-                if os.path.exists(
-                    os.path.join(d, "docmeta", f"bucket={k:05d}.parquet")
-                )
-            ]
-            if k_parts:
-                u = np.sort(np.concatenate(k_parts))
-                self._shard_universe[k] = u
-                parts.append(u)
-        self._universe = (
-            np.sort(np.concatenate(parts))
-            if parts
-            else np.empty(0, np.uint64)
-        )
+                    self._table_universe.append(dm[d, int(b["bucket"])])
+        self._universe = np.sort(np.concatenate([np.empty(0, np.uint64), *dm.values()]))
         # decoded-TermRow cache shared across queries: the pinned tables are
         # immutable, so rows only ever need filtering once per (term,
         # with_positions). Bounded: cleared past 50k entries (stopword-grade
@@ -498,7 +495,7 @@ class ScoreServer:
             ]
             if files:
                 tbl = pa.concat_tables(
-                    [pq.read_table(f, columns=["doc_id", column]) for f in files]
+                    [pq.ParquetFile(f).read(columns=["doc_id", column]) for f in files]
                 ).sort_by("doc_id")
             else:
                 tbl = pa.table(
