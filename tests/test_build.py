@@ -197,3 +197,31 @@ def test_routing_rules_agree(ray_session, pages_table, tmp_path):
         b = int(os.path.basename(f).split("=")[1].split(".")[0])
         for t in pq.read_table(f, columns=["term"])["term"].to_pylist():
             assert b in buckets_for_query_term(cfg, t), t
+
+
+def test_build_runs_the_input_pipeline_once(ray_session, pages_table, tmp_path):
+    """Without a ``doc_count`` the build must not run a lazy input pipeline
+    a second time just to count it: the manifest counts the docmeta rows,
+    one per input doc, token-less docs included."""
+    import uuid
+
+    import pyarrow as pa
+    import ray.data
+
+    docs = pages_table.select(["doc_id", "text"]).slice(0, 90)
+    texts = docs["text"].to_pylist()
+    texts[:2] = ["", "the and of a"]  # no tokens; only stop words
+    docs = docs.set_column(1, "text", pa.array(texts))
+    calls = tmp_path / "calls"
+    calls.mkdir()
+
+    def mark(batch):
+        (calls / uuid.uuid4().hex).touch()
+        return batch
+
+    blocks = [docs.slice(i, 30) for i in range(0, 90, 30)]
+    lazy = ray.data.from_arrow(blocks).map_batches(mark, batch_format="pyarrow")
+    man = build_index(lazy, str(tmp_path / "idx"), IndexConfig(num_buckets=4))
+    assert len(os.listdir(calls)) == len(blocks)
+    assert man["doc_count"] == len(docs)
+    assert Index(str(tmp_path / "idx")).doc_count == len(docs)

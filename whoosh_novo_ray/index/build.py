@@ -855,19 +855,18 @@ def build_index(
     to declare them. Skipped when ``cfg.heavy_terms`` is already set.
     """
     cfg = cfg or IndexConfig()
-    if doc_count is None:
-        # count() on a plain read is metadata-only; on a lazy transformed
-        # Dataset it EXECUTES the pipeline — callers that know the row count
-        # (or prepend 1:1 stages like extraction) should pass it in.
-        doc_count = docs.count()
     # Defend against under-partitioned inputs: a single-block Dataset (e.g.
     # ray.data.from_arrow, or read_parquet of one small file) would run the
     # ENTIRE tokenize stage as one serial task. When the input's block count
     # is visible (materialized) and too small for the cluster, repartition —
     # the extra pass over raw text is far cheaper than serial tokenization.
+    # Without a ``doc_count`` the manifest counts the docmeta rows (one per
+    # input doc): count() on a lazy Dataset would run the pipeline twice.
     from ray.data.dataset import MaterializedDataset
 
     if isinstance(docs, MaterializedDataset):
+        if doc_count is None:
+            doc_count = docs.count()  # metadata-only when materialized
         nb = docs.num_blocks()  # a lazy dataset's block count is the reader's
         ncpu = int(ray.cluster_resources().get("CPU", 8))
         target = min(max(ncpu, 8), max(1, doc_count // 200))

@@ -15,12 +15,16 @@ posting blob off the node that owns it.
 
 Scale notes:
   * The serving build is a single decode -> shuffle -> encode Ray Data job —
-    the same cost shape as a compaction pass (index/merge.py) — and the only
-    one: ``build_index_and_serving`` is ``build_index`` followed by it. The
-    second exchange moves the encoded term buckets (~8x smaller than raw
-    posting rows) and never stages the posting stream in the object store.
-    At 100 TB, ``num_shards`` is sized so one shard's segment fits a
-    serving worker's heap (shards ≈ serving actors × small constant).
+    the same read as a compaction pass (index/merge.py) — and the only one:
+    ``build_index_and_serving`` is ``build_index`` followed by it. It runs
+    one read task per index bucket, which decodes the bucket's segment and
+    docmeta files together. Ray Data's cost here is per block and per
+    operator more than per row: a union of a segment read and a docmeta
+    read (two operators, twice the blocks) cost more CPU than the decode,
+    so the input blocks are sized to the buckets. At 100 TB, raise the
+    index's ``num_buckets`` (and so the read tasks) with the data, and size
+    ``num_shards`` so one shard's segment fits a serving worker's heap
+    (shards ≈ serving actors × small constant).
   * Doc-sharding absorbs term skew by construction: a stopword-grade term's
     postings split evenly across every shard, so no salting is needed in the
     serving layout (heavy_terms is cleared) and per-shard work is balanced.
@@ -45,7 +49,7 @@ from whoosh_novo_ray.index.build import (
     build_index,
     doc_shard_of,
 )
-from whoosh_novo_ray.index.merge import DecodeSegmentRows, docmeta_rows_fn
+from whoosh_novo_ray.index.merge import read_bucket_postings
 from whoosh_novo_ray.index.segment import Index
 
 SERVING_SUBDIR = "serving"
@@ -183,46 +187,7 @@ def build_serving_shards(
         if old.get("serving_lineage") == lineage:
             return old
 
-    wp = cfg.with_positions
-    wc = getattr(cfg, "with_chars", False)
-    ww = getattr(cfg, "with_weights", False)
-    wpb = ww and wp and getattr(cfg.analyzer, "boost_delim", None) is not None
-
-    seg_files = [
-        os.path.join(p, b["path"])
-        for p, i in zip(members, idxs)
-        for b in i.manifest["buckets"]
-        if b["path"]
-    ]
-    import glob as _glob
-
-    import ray.data
-
-    dm_files = sorted(
-        f
-        for p in members
-        for f in _glob.glob(os.path.join(p, "docmeta", "*.parquet"))
-    )
-    streams = []
-    if seg_files:
-        streams.append(
-            ray.data.read_parquet(seg_files).map_batches(
-                DecodeSegmentRows(wp),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-        )
-    if dm_files:
-        streams.append(
-            ray.data.read_parquet(dm_files).map_batches(
-                docmeta_rows_fn(ww=ww, wp=wp, wpb=wpb, wc=wc),
-                batch_format="pyarrow",
-                zero_copy_batch=True,
-            )
-        )
-    if not streams:
-        raise ValueError(f"index at {index_path} has no segments or docmeta")
-    postings = streams[0] if len(streams) == 1 else streams[0].union(*streams[1:])
+    postings = read_bucket_postings(members, cfg)
     sharded = postings.map_batches(
         _add_doc_shard(num_shards), batch_format="pyarrow", zero_copy_batch=True
     )

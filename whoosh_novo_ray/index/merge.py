@@ -3,10 +3,17 @@
 Batch equivalent of the reference's ``add_reader`` re-streaming merge and the
 OPTIMIZE merge policy (de-odex/whoosh-novo ``src/whoosh/writing.py:62-130,
 672-740``): every input index's segment rows are decoded back into posting
-rows (vectorized, inside map_batches over the segment Parquet files), the
-per-doc metadata rows are re-emitted, optional deletes are filtered out, and
-the combined stream goes through the SAME bucket shuffle + block encoder as a
-fresh build — producing one merged generation with its own manifest.
+rows (vectorized), the per-doc metadata rows are re-emitted, optional
+deletes are filtered out, and the combined stream goes through the SAME
+bucket shuffle + block encoder as a fresh build — producing one merged
+generation with its own manifest.
+
+The read is :func:`read_bucket_postings`, shared with the doc-shard serving
+build (index/docshard.py): ONE read task per (input, bucket) decodes that
+bucket's segment file and its docmeta file, one Parquet row group at a time.
+Reading the segments and the docmeta as two ``read_parquet`` streams and
+``union``-ing them doubled the blocks and the Ray Data operators the
+shuffle then pays for, per block and per stage, for no extra parallelism.
 
 Doc-id spaces of the inputs must be disjoint (the caller offsets them, as the
 reference does with per-segment doc offsets, reading.py:1012-1016). For
@@ -21,15 +28,15 @@ from __future__ import annotations
 import os
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
+import pyarrow.parquet as pq
 
 from whoosh_novo_ray.index.build import (
     DOCMETA_TERM,
     IndexConfig,
     build_index_from_postings,
 )
-from whoosh_novo_ray.index.segment import Index, _row_to_termrow
+from whoosh_novo_ray.index.segment import Index
 
 
 def _blob_concat(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
@@ -219,6 +226,74 @@ def docmeta_rows_fn(
     return dm_to_rows
 
 
+def _row_groups(path: str):
+    pf = pq.ParquetFile(path)
+    for i in range(pf.num_row_groups):
+        yield pf.read_row_group(i)
+
+
+def bucket_read_items(index_dirs: list[str]) -> list[dict]:
+    """One read item per (member, bucket) of the inputs' manifests: the
+    bucket's segment file and the docmeta file of the same bucket, each ""
+    where the bucket has none (a docmeta-only bucket has no segment)."""
+    items = []
+    for d in index_dirs:
+        for b in Index(d).manifest["buckets"]:
+            dm = os.path.join(d, "docmeta", f"bucket={b['bucket']:05d}.parquet")
+            items.append({
+                "segment": os.path.join(d, b["path"]) if b["path"] else "",
+                "docmeta": dm if os.path.exists(dm) else "",
+            })
+    return items
+
+
+class ReadBucketPostings:
+    """map_batches callable: ``bucket_read_items`` rows -> posting rows
+    (``DecodeSegmentRows`` output followed by ``docmeta_rows_fn`` rows).
+    Each Parquet row group is decoded and yielded on its own, so the decode
+    never holds a whole bucket; Ray Data cuts the yielded tables into blocks
+    of its target size."""
+
+    def __init__(self, wp: bool, ww: bool, wpb: bool, wc: bool, delete_ids=None):
+        del_set = None if delete_ids is None else np.sort(delete_ids.astype(np.uint64))
+        self.decode = DecodeSegmentRows(wp, del_set)
+        self.dm_rows = docmeta_rows_fn(ww=ww, wp=wp, wpb=wpb, wc=wc, del_set=del_set)
+
+    def __call__(self, batch: pa.Table):
+        for seg, dm in zip(batch["segment"].to_pylist(), batch["docmeta"].to_pylist()):
+            if seg:
+                for rg in _row_groups(seg):
+                    yield self.decode(rg)
+            if dm:
+                for rg in _row_groups(dm):
+                    yield self.dm_rows(rg)
+
+
+def read_bucket_postings(
+    index_dirs: list[str], cfg: IndexConfig, delete_doc_ids: np.ndarray | None = None
+) -> "ray.data.Dataset":
+    """Posting rows (DOCMETA_TERM rows included) of every bucket of the
+    ``index_dirs`` members, minus ``delete_doc_ids``: the one read behind
+    ``merge_indexes`` and the doc-shard serving build. Each (member, bucket)
+    is one input block and so one read task; payload columns are the ones
+    ``cfg`` and every input carry."""
+    import ray.data
+
+    in_cfgs = [Index(d).cfg for d in index_dirs]
+    wp = cfg.with_positions and all(c.with_positions for c in in_cfgs)
+    wc = cfg.with_chars and all(c.with_chars for c in in_cfgs)
+    ww = cfg.with_weights and all(c.with_weights for c in in_cfgs)
+    wpb = ww and wp and getattr(cfg.analyzer, "boost_delim", None) is not None
+    items = bucket_read_items(index_dirs)
+    if not items:
+        raise ValueError(f"indexes at {index_dirs} have no segments and no docmeta")
+    return ray.data.from_items(items, override_num_blocks=len(items)).map_batches(
+        ReadBucketPostings(wp, ww, wpb, wc, delete_doc_ids),
+        batch_size=None,
+        batch_format="pyarrow",
+    )
+
+
 def merge_indexes(
     index_dirs: list[str],
     out_dir: str,
@@ -231,62 +306,6 @@ def merge_indexes(
     ``delete_doc_ids`` are dropped during the merge (the reference's
     merged-out deletions). Inputs must share the analyzer config.
     """
-    import ray.data
-
-    idxs = [Index(d) for d in index_dirs]
-    cfg = cfg or idxs[0].cfg
-    wp = cfg.with_positions and all(i.cfg.with_positions for i in idxs)
-    wc = getattr(cfg, "with_chars", False) and all(
-        getattr(i.cfg, "with_chars", False) for i in idxs
-    )
-    ww = getattr(cfg, "with_weights", False) and all(
-        getattr(i.cfg, "with_weights", False) for i in idxs
-    )
-    wpb = (
-        ww
-        and wp
-        and getattr(cfg.analyzer, "boost_delim", None) is not None
-    )
-
-    seg_files = [
-        os.path.join(d, b["path"])
-        for d, i in zip(index_dirs, idxs)
-        for b in i.manifest["buckets"]
-        if b["path"]  # skip docmeta-only (segment-less) bucket rows
-    ]
-    # an input can be postings-EMPTY (every bucket docmeta-only, e.g. a
-    # delta whose docs all analyzed to zero tokens in this field): merge
-    # only the docmeta side then
-    postings = (
-        ray.data.read_parquet(seg_files).map_batches(
-            DecodeSegmentRows(wp, delete_doc_ids),
-            batch_format="pyarrow",
-            zero_copy_batch=True,
-        )
-        if seg_files
-        else None
-    )
-
-    # per-doc metadata rows from the inputs' docmeta tables
-    import glob as _glob
-
-    dm_files = [
-        f for d in index_dirs for f in sorted(_glob.glob(os.path.join(d, "docmeta", "*.parquet")))
-    ]
-    del_set = (
-        np.sort(delete_doc_ids.astype(np.uint64))
-        if delete_doc_ids is not None
-        else None
-    )
-
-    dm_to_rows = docmeta_rows_fn(ww=ww, wp=wp, wpb=wpb, wc=wc, del_set=del_set)
-
-    if dm_files:
-        dm_rows = ray.data.read_parquet(dm_files).map_batches(
-            dm_to_rows, batch_format="pyarrow", zero_copy_batch=True
-        )
-        postings = dm_rows if postings is None else postings.union(dm_rows)
-    if postings is None:
-        raise ValueError("merge_indexes: inputs have no postings and no docmeta")
-
+    cfg = cfg or Index(index_dirs[0]).cfg
+    postings = read_bucket_postings(index_dirs, cfg, delete_doc_ids)
     return build_index_from_postings(postings, out_dir, cfg, lineage=lineage)

@@ -267,6 +267,18 @@ def _docs_ds(sf_dir: str, columns=("doc_id", "text")):
     )
 
 
+def _cache_lineage(tag: str, sf_dir: str) -> str:
+    """Lineage of a gate index cached under /tmp/wnr_indexes: a resumed
+    build compares the analyzer's config JSON but not its code, so a digest
+    of ``analysis.py``'s source makes a changed analyzer rebuild."""
+    import hashlib
+
+    import whoosh_novo_ray.analysis as analysis
+
+    with open(analysis.__file__, "rb") as f:
+        return f"{tag}:{sf_dir}:{hashlib.sha1(f.read()).hexdigest()[:12]}"
+
+
 def _index_for(sf_dir: str):
     from whoosh_novo_ray.index import Index, IndexConfig, build_index
 
@@ -278,7 +290,7 @@ def _index_for(sf_dir: str):
             _docs_ds(sf_dir),
             out,
             IndexConfig(num_buckets=16),
-            lineage=f"documents:{sf_dir}",
+            lineage=_cache_lineage("documents", sf_dir),
             resume=True,
         )
         _INDEX_CACHE[sf_dir] = Index(out)
@@ -372,7 +384,7 @@ def _nested_index(sf_dir: str):
             children.union(ray.data.from_arrow(parents)),
             out,
             IndexConfig(num_buckets=8),
-            lineage=f"nested:{sf_dir}",
+            lineage=_cache_lineage("nested", sf_dir),
             resume=True,
         )
         _INDEX_CACHE[key] = Index(out)
@@ -1295,7 +1307,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 _docs_ds(sf_dir),
                 out,
                 IndexConfig(num_buckets=8, analyzer=NgramAnalyzer(3, 3)),
-                lineage=f"ng3:{sf_dir}",
+                lineage=_cache_lineage("ng3", sf_dir),
                 resume=True,
             )
             _INDEX_CACHE[key] = Index(out)
@@ -1338,7 +1350,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 _docs_ds(sf_dir),
                 out,
                 IndexConfig(num_buckets=8, analyzer=analyzer),
-                lineage=f"{tag}:{sf_dir}",
+                lineage=_cache_lineage(tag, sf_dir),
                 resume=True,
             )
             _INDEX_CACHE[key] = Index(out)
@@ -1497,7 +1509,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 _docs_ds(sf_dir).map_batches(add_boost, batch_format="pyarrow"),
                 out,
                 IndexConfig(num_buckets=8, with_weights=True, boost_col="b"),
-                lineage=f"boost:{sf_dir}",
+                lineage=_cache_lineage("boost", sf_dir),
                 resume=True,
             )
             _INDEX_CACHE[key] = Index(out)
@@ -1612,7 +1624,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                 _docs_ds(sf_dir),
                 out,
                 IndexConfig(num_buckets=8, analyzer=ana),
-                lineage=f"nw3:{sf_dir}",
+                lineage=_cache_lineage("nw3", sf_dir),
                 resume=True,
             )
             _INDEX_CACHE[key] = Index(out)
