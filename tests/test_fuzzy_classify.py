@@ -47,7 +47,7 @@ def test_fuzzy_search_matches_term(built_index):
     assert fz_scores.tolist() == exact_scores.tolist()
     # >2 expansions on a small (<=5000-doc) corpus -> the reference's Or
     # heuristic picks the array matcher, which honors constantscore
-    # (searcher.multiterm_constant_score); 2 expansions or a big corpus
+    # (plan.multiterm_constant_score); 2 expansions or a big corpus
     # would score BM25 — covered by tests/test_query_fuzz.py
     expansion = [t for t, _ in terms_within(built_index, "page", maxdist=2)]
     assert len(expansion) > 2  # e.g. page/pages/long-tail neighbors

@@ -16,8 +16,14 @@ FuzzyTerm, Regex (anchored / substring / top-level alternation), Phrase
 Require compounds. Excluded on purpose: AndNot
 (reference matcher fails to exclude some docs — its own bug) and DisMax
 (reference matcher broken), both oracled set-wise elsewhere.
+
+Two checks here need no reference: the pool fuzz (ScorePool vs the local
+Searcher) and a pinned snapshot of the local answers. Both also draw leaf
+kinds the reference oracle does not cover here: Variations, expansions
+boosted by 0.0 or 2.5, and Filtered wrappers.
 """
 
+import json
 import os
 
 import numpy as np
@@ -35,10 +41,14 @@ from whoosh_novo_ray.search import (
     Searcher,
     Term,
     TermRange,
+    Variations,
     Wildcard,
 )
+from whoosh_novo_ray.search import query as Q
 
-pytestmark = pytest.mark.skipif(not HAVE_REFERENCE, reason="reference not available")
+needs_reference = pytest.mark.skipif(
+    not HAVE_REFERENCE, reason="reference not available"
+)
 
 N_TREES = int(os.environ.get("GRAFT_FUZZ_TREES", "200"))
 MAX_DEPTH = 3
@@ -80,19 +90,53 @@ def bigrams(pages_table):
     return [list(k) for k, _ in counts.most_common(40)]
 
 
-def _gen_leaf(rng, vocab, bigrams=()):
+def _twin(make):
+    """The reference twin of a generated node (``make(whoosh.query)``), or
+    None when the reference is absent. The caller draws every random value
+    before this, so a seed builds the same tree with or without it."""
+    if not HAVE_REFERENCE:
+        return None
     from whoosh import query as wq
 
+    return make(wq)
+
+
+def _gen_extra_leaf(rng, w):
+    """Leaf kinds with no reference oracle here: Variations, and expansions
+    boosted by 0.0 or 2.5. None falls through to the oracled kinds."""
+    from whoosh_novo_ray.search.fuzzy import FuzzyTerm
+
+    x = int(rng.integers(0, 6))
+    if x == 0:
+        return Variations(w)
+    if x > 1:
+        return None
+    boost = float(rng.choice([0.0, 2.5]))
+    kind = int(rng.integers(0, 3))
+    if kind == 0:
+        return Prefix(w[: max(1, int(rng.integers(1, 4)))], boost=boost)
+    if kind == 1:
+        return Wildcard(w[:2] + "*", boost=boost)
+    return FuzzyTerm(w, maxdist=int(rng.integers(1, 3)), prefixlength=0, boost=boost)
+
+
+def _gen_leaf(rng, vocab, bigrams=(), extra=False):
+    """One random leaf and its reference twin. ``extra`` adds the
+    reference-free kinds of :func:`_gen_extra_leaf` (their twin is None)."""
     from whoosh_novo_ray.search.fuzzy import FuzzyTerm
 
     w = vocab[int(rng.integers(len(vocab)))]
+    if extra:
+        leaf = _gen_extra_leaf(rng, w)
+        if leaf is not None:
+            return leaf, None
     k = int(rng.integers(0, 13 if bigrams else 11))
     if k == 11:
         words = list(bigrams[int(rng.integers(len(bigrams)))])
         slop = int(rng.integers(1, 3))
         return (
             Phrase(words, slop=slop),
-            wq.Phrase("text", words, slop=slop),
+            _twin(lambda wq: wq.Phrase("text", words, slop=slop)),
         )
     if k == 12:
         a = vocab[int(rng.integers(len(vocab)))]
@@ -105,17 +149,17 @@ def _gen_leaf(rng, vocab, bigrams=()):
             pat = f"^{w[:2]}|{a[:2]}"  # top-level alternation: NO prefix prune
         else:
             pat = f"^{w[:1]}.{w[2:3]}" if len(w) > 2 else f"^{w}.*"
-        return Regex(pat), wq.Regex("text", pat)
+        return Regex(pat), _twin(lambda wq: wq.Regex("text", pat))
     if k < 6:
         boost = float(rng.choice([1.0, 1.0, 0.5, 2.0, 3.5]))
-        return Term(w, boost=boost), wq.Term("text", w, boost=boost)
+        return Term(w, boost=boost), _twin(lambda wq: wq.Term("text", w, boost=boost))
     if k == 6:
         p = w[: max(1, int(rng.integers(1, 4)))]
-        return Prefix(p), wq.Prefix("text", p)
+        return Prefix(p), _twin(lambda wq: wq.Prefix("text", p))
     if k == 7:
         a = vocab[int(rng.integers(len(vocab)))]
         lo, hi = sorted([w, a])
-        return TermRange(lo, hi), wq.TermRange("text", lo, hi)
+        return TermRange(lo, hi), _twin(lambda wq: wq.TermRange("text", lo, hi))
     if k == 8:
         d = int(rng.integers(1, 3))
         # clamp: the REFERENCE crashes (IndexError in
@@ -126,33 +170,39 @@ def _gen_leaf(rng, vocab, bigrams=()):
         pl = min(int(rng.integers(0, 3)), len(w))
         return (
             FuzzyTerm(w, maxdist=d, prefixlength=pl),
-            wq.FuzzyTerm("text", w, maxdist=d, prefixlength=pl),
+            _twin(lambda wq: wq.FuzzyTerm("text", w, maxdist=d, prefixlength=pl)),
         )
     pat = w[:2] + "*" + w[-1:] if len(w) > 3 else w + "*"
-    return Wildcard(pat), wq.Wildcard("text", pat)
+    return Wildcard(pat), _twin(lambda wq: wq.Wildcard("text", pat))
 
 
-def _gen_tree(rng, vocab, depth, bigrams=()):
-    from whoosh import query as wq
-
+def _gen_tree(rng, vocab, depth, bigrams=(), extra=False):
+    """A random tree and its reference twin. ``extra`` adds the
+    reference-free leaf kinds and a ``Filtered`` wrapper (twin None)."""
     if depth <= 0 or rng.random() < 0.35:
-        return _gen_leaf(rng, vocab, bigrams)
+        return _gen_leaf(rng, vocab, bigrams, extra)
+    if extra and rng.random() < 0.15:
+        child, _ = _gen_tree(rng, vocab, depth - 1, bigrams, extra)
+        side, _ = _gen_tree(rng, vocab, depth - 1, bigrams, extra)
+        if rng.random() < 0.5:
+            return Q.Filtered(child, side), None
+        return Q.Filtered(child, None, side), None
     op = int(rng.integers(0, 4))
     if op in (0, 1):  # Or / And with 2-4 children
         k = int(rng.integers(2, 5))
-        pairs = [_gen_tree(rng, vocab, depth - 1, bigrams) for _ in range(k)]
+        pairs = [_gen_tree(rng, vocab, depth - 1, bigrams, extra) for _ in range(k)]
         mine, ref = [p[0] for p in pairs], [p[1] for p in pairs]
         if op == 0:
             if rng.random() < 0.15:  # coordination-bonus variant
                 sc = float(rng.choice([0.5, 0.9]))
-                return Or(*mine, scale=sc), wq.Or(ref, scale=sc)
-            return Or(*mine), wq.Or(ref)
-        return And(*mine), wq.And(ref)
-    a_m, a_r = _gen_tree(rng, vocab, depth - 1, bigrams)
-    b_m, b_r = _gen_tree(rng, vocab, depth - 1, bigrams)
+                return Or(*mine, scale=sc), _twin(lambda wq: wq.Or(ref, scale=sc))
+            return Or(*mine), _twin(lambda wq: wq.Or(ref))
+        return And(*mine), _twin(lambda wq: wq.And(ref))
+    a_m, a_r = _gen_tree(rng, vocab, depth - 1, bigrams, extra)
+    b_m, b_r = _gen_tree(rng, vocab, depth - 1, bigrams, extra)
     if op == 2:
-        return AndMaybe(a_m, b_m), wq.AndMaybe(a_r, b_r)
-    return Require(a_m, b_m), wq.Require(a_r, b_r)
+        return AndMaybe(a_m, b_m), _twin(lambda wq: wq.AndMaybe(a_r, b_r))
+    return Require(a_m, b_m), _twin(lambda wq: wq.Require(a_r, b_r))
 
 
 def _ref_search(reference_searcher, ref_q, limit):
@@ -196,6 +246,7 @@ def _andmaybe_under_compound(q, inside=False) -> bool:
     return any(_andmaybe_under_compound(c, nested) for c in kids)
 
 
+@needs_reference
 @pytest.mark.parametrize("seed", SEEDS)
 def test_randomized_query_trees(searcher, reference_searcher, vocab, bigrams, seed):
     rng = np.random.default_rng(seed)
@@ -233,6 +284,7 @@ def test_randomized_query_trees(searcher, reference_searcher, vocab, bigrams, se
     assert checked - setwise > N_TREES // 2
 
 
+@needs_reference
 def test_multiterm_bm25_on_big_corpus(ray_session, tmp_path):
     """The dc>5000 arm of multiterm_constant_score: 3..1023 expansions on a
     >5000-doc corpus take the reference's binary-tree Or matcher, whose Term
@@ -291,6 +343,37 @@ def test_multiterm_bm25_on_big_corpus(ray_session, tmp_path):
     assert len({round(s, 4) for _, s in ref}) > 1
 
 
+# top-10 ids and scores of the local Searcher over SNAPSHOT_TREES trees drawn
+# from SNAPSHOT_SEED (depth MAX_DEPTH, extra leaf kinds on), recorded before
+# multi-term expansion moved into search/plan.py
+SNAPSHOT = os.path.join(os.path.dirname(__file__), "data", "local_fuzz_top10.json")
+SNAPSHOT_SEED = 20261018
+SNAPSHOT_TREES = 200
+
+
+def snapshot_trees(vocab, bigrams) -> list:
+    rng = np.random.default_rng(SNAPSHOT_SEED)
+    return [
+        _gen_tree(rng, vocab, MAX_DEPTH, bigrams, extra=True)[0]
+        for _ in range(SNAPSHOT_TREES)
+    ]
+
+
+def test_local_matches_snapshot(searcher, vocab, bigrams):
+    """A reference-free rank-identity check: the local Searcher still gives
+    the pinned answers, ids equal and scores to 1e-12."""
+    with open(SNAPSHOT) as f:
+        want = json.load(f)
+    trees = snapshot_trees(vocab, bigrams)
+    assert len(want) == len(trees)
+    for i, (q, w) in enumerate(zip(trees, want)):
+        got = searcher.search(q, limit=10).to_pydict()
+        assert got["doc_id"] == w["doc_id"], f"tree #{i}: {q!r}"
+        assert got["score"] == pytest.approx(w["score"], rel=1e-12), (
+            f"tree #{i}: {q!r}"
+        )
+
+
 def test_pool_fuzz_matches_local(ray_session, built_index, pages_table, vocab, bigrams):
     """The same random trees through the distributed ScorePool must equal the
     local Searcher bit-for-bit — exercises the pool's query-rewrite path
@@ -303,7 +386,7 @@ def test_pool_fuzz_matches_local(ray_session, built_index, pages_table, vocab, b
     try:
         rng = np.random.default_rng(SEEDS[0] + 1)
         for i in range(60):
-            q, _ = _gen_tree(rng, vocab, 2, bigrams)
+            q, _ = _gen_tree(rng, vocab, 2, bigrams, extra=True)
             limit = int(rng.choice([1, 10, 50]))
             a = local.search(q, limit=limit).to_pydict()
             b = pool.search(q, limit=limit).to_pydict()

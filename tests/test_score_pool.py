@@ -25,6 +25,7 @@ from whoosh_novo_ray.search import (
     WeightingQuery,
     Wildcard,
 )
+from whoosh_novo_ray.search import query as Q
 from whoosh_novo_ray.search.fuzzy import FuzzyTerm
 from whoosh_novo_ray.search.scoring import TFIDF
 from whoosh_novo_ray.state.score_pool import ScorePool
@@ -60,6 +61,14 @@ def spool(ray_session, built_index):
         Phrase(["search", "data"], slop=2),
         ConstantScore(Or(Term("search"), Term("data")), score=2.5),
         WeightingQuery(Term("search"), TFIDF()),
+        Prefix("s", boost=0.0),
+        Wildcard("s*", boost=0.0),
+        FuzzyTerm("data", maxdist=2, prefixlength=0, boost=0.0),
+        Or(Prefix("s", boost=0.0), Term("data")),
+        Prefix("s", boost=2.5),
+        Q.Filtered(Term("data"), Prefix("s")),
+        Q.Filtered(Or(Term("search"), Term("data")), None, Wildcard("se*")),
+        Sequence(Term("search"), Variations("data")),
     ],
     ids=[
         "term",
@@ -82,6 +91,14 @@ def spool(ray_session, built_index):
         "phrase_slop2",
         "constscore",
         "weighting",
+        "prefix_boost0",
+        "wildcard_boost0",
+        "fuzzy_boost0",
+        "or_prefix_boost0",
+        "prefix_boost2.5",
+        "filtered_allow_prefix",
+        "filtered_restrict_wildcard",
+        "sequence_variations",
     ],
 )
 def test_scorepool_matches_local(spool, built_index, q):

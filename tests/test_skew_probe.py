@@ -17,6 +17,7 @@ import pytest
 import ray
 
 from whoosh_novo_ray.search import Or, Searcher, Term
+from whoosh_novo_ray.search.plan import rewrite
 from whoosh_novo_ray.state.score_pool import ScorePool
 
 N_DOCS = 6000
@@ -64,7 +65,7 @@ def test_hot_term_parity_and_bounded_transfer(skew_env):
         assert mine.to_pydict() == local.search(q, limit=10).to_pydict()
     # direct fan-out: each actor returns AT MOST limit rows even though the
     # hot term matches ~N_DOCS/2 — posting blobs never cross to the driver
-    q2 = pool._rewrite(Term("hotterm"))
+    q2 = rewrite(Term("hotterm"), pool._driver_searcher, pool._gstats)
     gstats = pool._gstats(pool._stat_terms(q2))
     parts = ray.get(
         [a.score.remote(q2, 10, gstats, None) for a in pool._actors]

@@ -444,18 +444,6 @@ def idlist_analyzer(expression: str = r"[^\r\n\t ,;]+") -> _NoLowerAnalyzer:
     return _NoLowerAnalyzer(pattern=expression, stoplist=None, minsize=1)
 
 
-def accent_fold(text: str) -> str:
-    """Fold accented characters to ASCII equivalents (reference
-    CharsetFilter + accent_map, filters.py:450-501)."""
-    import unicodedata
-
-    return "".join(
-        c
-        for c in unicodedata.normalize("NFKD", text)
-        if not unicodedata.combining(c)
-    )
-
-
 @dataclass(frozen=True)
 class NgramAnalyzer:
     """Char-n-gram analyzer (reference NGRAM field / NgramAnalyzer,
@@ -577,18 +565,6 @@ class NgramWordsAnalyzer:
         codes, uniques = pd.factorize(tokens, sort=False)
         pos = np.concatenate(pos_parts) if pos_parts else np.empty(0, np.int32)
         return doc_idx, codes, np.asarray(uniques, object), pos, counts
-
-
-def ngram_tokens(text: str, minsize: int, maxsize: int | None = None) -> list[str]:
-    """Character n-grams of the raw (lowercased) text, reference NgramTokenizer
-    semantics (``src/whoosh/analysis/ngrams.py:42``): all grams of sizes
-    minsize..maxsize over the whole string."""
-    maxsize = maxsize or minsize
-    t = text.lower()
-    out = []
-    for size in range(minsize, maxsize + 1):
-        out.extend(t[i : i + size] for i in range(0, len(t) - size + 1))
-    return out
 
 
 def ngram_filter_tokens(

@@ -107,11 +107,6 @@ def delta_encode_with_resets(ids: np.ndarray, reset_mask: np.ndarray) -> np.ndar
     return d
 
 
-def delta_decode(deltas: np.ndarray) -> np.ndarray:
-    """Inverse of per-block delta encoding (first value absolute)."""
-    return np.cumsum(deltas, dtype=np.uint64)
-
-
 def encode_positions(pos_flat: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Encode ragged per-posting position lists.
 

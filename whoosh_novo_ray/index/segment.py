@@ -26,7 +26,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from whoosh_novo_ray.codec import decode_positions, varint_decode
+from whoosh_novo_ray.codec import varint_decode
 from whoosh_novo_ray.index.build import (
     MANIFEST_NAME,
     IndexConfig,
@@ -147,18 +147,6 @@ class TermRow:
         lens = np.frombuffer(self.lens_blob, np.uint8, count=n)
         self._decoded = (ids, tfs, lens)
         return self._decoded
-
-    def decode_block_positions(self, i: int) -> list[np.ndarray]:
-        if self.pos_blob is None:
-            raise ValueError("index built without positions")
-        cnt = int(self.block_counts[i])
-        a = int(self.block_pos_off[i])
-        b = (
-            int(self.block_pos_off[i + 1])
-            if i + 1 < self.n_blocks
-            else len(self.pos_blob)
-        )
-        return decode_positions(self.pos_blob[a:b], cnt)
 
     def decode_all_positions(self) -> list[np.ndarray]:
         if self.pos_blob is None:

@@ -2601,7 +2601,7 @@ scored AS (
 )
 SELECT term, round(score, 6) AS score
 FROM scored ORDER BY score DESC, term LIMIT 5""",
-        # multi-expansion constant-score rule (searcher.multiterm_constant_score,
+        # multi-expansion constant-score rule (plan.multiterm_constant_score,
         # mirroring the reference Or.AUTO_MATCHER heuristic): constant 1.0 when
         # n>=1024, or 3<=n<1024 on a <=5000-doc corpus; BM25 Or otherwise
         "prefix_docs": f"""WITH {_BASE_CTES},

@@ -15,13 +15,12 @@ differentiate candidates (spelling.py:126-133).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
 from whoosh_novo_ray.search import query as Q
+from whoosh_novo_ray.search.query import FuzzyTerm  # noqa: F401  (public import path)
 
 
 def edit_distance(a: str, b: str, maxdist: int) -> int | None:
@@ -153,39 +152,6 @@ def _automaton_scan(
     except AttributeError:
         pass
     return sorted(found.items())
-
-
-@dataclass(frozen=True)
-class FuzzyTerm(Q.Query):
-    """Terms within ``maxdist`` edits (reference query/terms.py:436-519);
-    multi-term expansions are constant-score by default like the reference."""
-
-    text: str
-    maxdist: int = 1
-    prefixlength: int = 1
-    boost: float = 1.0
-    constantscore: bool = True
-
-
-def evaluate_fuzzy(searcher, q: FuzzyTerm):
-    """Expansion hook used by Searcher.postings."""
-    expanded = [
-        t for t, _d in terms_within(searcher.index, q.text, q.maxdist, q.prefixlength)
-    ]
-    if not expanded:
-        return None
-    if len(expanded) == 1:
-        return Q.Term(expanded[0], boost=q.boost)
-    # FuzzyTerm inherits MultiTerm.matcher; its constant-score request is
-    # only honored when the reference's Or heuristic picks the array
-    # matcher — see searcher.multiterm_constant_score
-    from whoosh_novo_ray.search.searcher import multiterm_constant_score
-
-    if q.constantscore and multiterm_constant_score(
-        len(expanded), searcher.index.doc_count
-    ):
-        return ("constant", expanded, q.boost)
-    return Q.Or(*[Q.Term(t, boost=q.boost) for t in expanded])
 
 
 def suggest(

@@ -4,9 +4,10 @@ Mirrors the semantics of the reference query classes (de-odex/whoosh-novo
 ``src/whoosh/query/``): Term, And (intersection, summed scores), Or (union,
 summed scores), AndNot (anti), Require (semi: docs must match b, scores from
 a), AndMaybe (a's docs, b's score added where present), DisjunctionMax,
-Phrase (positional adjacency with slop), Prefix/Wildcard/TermRange
-(term-dictionary expansion -> Or), Every. Evaluation is vectorized
-term-at-a-time in searcher.py.
+Phrase (positional adjacency with slop), the multi-term nodes Prefix/
+Wildcard/Regex/TermRange/FuzzyTerm/Variations (expanded over the lexicon
+by plan.py), Every. Evaluation is vectorized term-at-a-time in
+searcher.py.
 """
 
 from __future__ import annotations
@@ -281,6 +282,19 @@ class Variations(Query):
 
     text: str
     boost: float = 1.0
+
+
+@dataclass(frozen=True)
+class FuzzyTerm(Query):
+    """Terms within ``maxdist`` edits that share the first ``prefixlength``
+    characters (reference query/terms.py:436-519); multi-term expansions
+    are constant-score by default like the reference."""
+
+    text: str
+    maxdist: int = 1
+    prefixlength: int = 1
+    boost: float = 1.0
+    constantscore: bool = True
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,12 @@ import pyarrow.compute as pc
 
 from whoosh_novo_ray.index.segment import Index, TermRow
 from whoosh_novo_ray.search import query as Q
+from whoosh_novo_ray.search.plan import (
+    MULTITERM,
+    _ConstantUnion,
+    multiterm_constant_score,
+    rewrite,
+)
 from whoosh_novo_ray.search.scoring import BM25F, WeightingModel
 
 Posting = tuple[np.ndarray, np.ndarray]  # (ids sorted asc, scores)
@@ -41,30 +47,6 @@ def _in_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
     out = np.zeros(len(values), bool)
     out[ok] = sorted_arr[idx[ok]] == values[ok]
     return out
-
-def multiterm_constant_score(n_expanded: int, doc_count: int) -> bool:
-    """Whether a multi-expansion MultiTerm query (Prefix/Wildcard/Regex/
-    TermRange/Fuzzy with constantscore=True) actually scores CONSTANT in the
-    reference — which is NOT "always": MultiTerm.matcher (query/terms.py:
-    215-241) requests constant score by building Or(terms) with context
-    weighting=None, but only the ArrayUnionMatcher honors the request
-    (matching/combo.py:161-175 ``scored=False``); the binary-tree
-    UnionMatcher path re-resolves Term matchers through Searcher.postings
-    (searching.py:299-307), whose ``weighting or self.weighting`` silently
-    restores BM25. Or's AUTO_MATCHER heuristic (query/compound.py:330-345)
-    picks the array matcher — hence constant score — only when:
-
-      * >= TOO_MANY_CLAUSES (1024) expansions, regardless of corpus, or
-      * 3..1023 expansions on a SMALL index (doc_count_all <= 5000) in a
-        plain scored search (needs_current False — true even under And,
-        verified empirically; Or(scale=) never occurs here).
-
-    Two expansions, or 3..1023 expansions on a big corpus, score as a plain
-    BM25 Or. Behavior (not the docstring'd intent) is what rank-identity
-    requires — differentially verified by tests/test_query_fuzz.py and
-    tests/test_search_differential.py."""
-    return n_expanded >= 1024 or (n_expanded > 2 and doc_count <= 5000)
-
 
 # lexicographic max codepoint; analyzer tokens (\w matches) can never contain
 # it, so `prefix + _MAX_CHAR` is a safe inclusive upper bound for the prefix
@@ -231,6 +213,11 @@ class Searcher:
             max(r.max_weight for r in rows),
         )
 
+    def term_stats_many(self, terms: list[str]) -> dict[str, tuple[int, float, float]]:
+        """:meth:`term_stats` of each term, fetched in one batch."""
+        self.prefetch_terms(terms)
+        return {t: self.term_stats(t) for t in terms}
+
     def scorer_for(self, term: str):
         df, w, _mx = self.term_stats(term)
         return self.weighting.scorer(
@@ -345,6 +332,10 @@ class Searcher:
             keep = ~np.isin(a_ids, b_ids)
             return a_ids[keep], a_sc[keep]
 
+        if isinstance(q, _ConstantUnion):
+            ids, _, _ = _merge_sum([self.postings(c) for c in q.child.children])
+            return ids, np.full(len(ids), float(q.score))
+
         if isinstance(q, Q.ConstantScore):
             ids, _ = self.postings(q.child)
             # reference quirk (matching/mcore.py ListMatcher.weight): a
@@ -393,49 +384,8 @@ class Searcher:
         if isinstance(q, _SpanQuery):
             return evaluate_spans(self, q)
 
-        from whoosh_novo_ray.search.fuzzy import FuzzyTerm, evaluate_fuzzy
-
-        if isinstance(q, FuzzyTerm):
-            expanded = evaluate_fuzzy(self, q)
-            if expanded is None:
-                return _EMPTY
-            if isinstance(expanded, tuple):  # array-matcher constant score
-                _tag, terms, boost = expanded
-                ids, _, _ = _merge_sum([self.postings(Q.Term(t)) for t in terms])
-                return ids, np.full(len(ids), float(boost))
-            return self.postings(expanded)
-
-        if isinstance(q, Q.Variations):
-            # reference Variations (query/terms.py:522-569): expand via
-            # LiteMorph, keep only indexed variants, score as a plain union
-            # (MultiTerm.constantscore defaults False, terms.py:154)
-            from whoosh_novo_ray.lang_morph import variations as _morph
-
-            cands = sorted(set(_morph(q.text)))
-            self.prefetch_terms(cands)
-            live = [t for t in cands if self.term_stats(t)[0] > 0]
-            if not live:
-                return _EMPTY
-            if len(live) == 1:
-                return self.postings(Q.Term(live[0], boost=q.boost))
-            return self.postings(Q.Or(*[Q.Term(t, boost=q.boost) for t in live]))
-
-        if isinstance(q, (Q.Prefix, Q.Wildcard, Q.Regex, Q.TermRange)):
-            expanded = self.expand(q)
-            if not expanded:
-                return _EMPTY
-            if len(expanded) == 1:
-                return self.postings(Q.Term(expanded[0], boost=q.boost))
-            if q.constantscore and multiterm_constant_score(
-                len(expanded), self.index.doc_count
-            ):
-                ids, _, _ = _merge_sum(
-                    [self.postings(Q.Term(t)) for t in expanded]
-                )
-                return ids, np.full(len(ids), float(q.boost))
-            return self.postings(
-                Q.Or(*[Q.Term(t, boost=q.boost) for t in expanded])
-            )
+        if isinstance(q, MULTITERM):
+            return self.postings(rewrite(q, self, self.term_stats_many))
 
         if isinstance(q, Q.NestedParent):
             p_ids, _ = self.postings(q.parents)
@@ -655,26 +605,6 @@ class Searcher:
 
     # -- CoordMatcher (Or scale=) model ----------------------------------------
 
-    def _multiterm_expansion(self, q: Q.Query) -> list[str] | None:
-        """Live expansion terms for a multi-term node, or None if ``q`` is not
-        an expanding node."""
-        if isinstance(q, (Q.Prefix, Q.Wildcard, Q.Regex, Q.TermRange)):
-            return self.expand(q)
-        from whoosh_novo_ray.search.fuzzy import FuzzyTerm, terms_within
-
-        if isinstance(q, FuzzyTerm):
-            return [
-                t
-                for t, _d in terms_within(self.index, q.text, q.maxdist, q.prefixlength)
-            ]
-        if isinstance(q, Q.Variations):
-            from whoosh_novo_ray.lang_morph import variations as _morph
-
-            cands = sorted(set(_morph(q.text)))
-            self.prefetch_terms(cands)
-            return [t for t in cands if self.term_stats(t)[0] > 0]
-        return None
-
     def _termcount(self, q: Q.Query) -> int:
         """Number of term matchers the reference would BUILD for ``q`` —
         ``len(child.term_matchers())`` in CoordMatcher.__init__ (reference
@@ -684,9 +614,8 @@ class Searcher:
         subtrees still count here (unlike in the per-doc matching count)."""
         if isinstance(q, Q.Term):
             return 1 if self.term_stats(q.text)[0] > 0 else 0
-        exp = self._multiterm_expansion(q)
-        if exp is not None:
-            return len(exp)
+        if isinstance(q, MULTITERM):
+            return self._termcount(rewrite(q, self, self.term_stats_many))
         if isinstance(q, (Q.Or, Q.And, Q.DisMax)):
             return sum(self._termcount(c) for c in q.children)
         if isinstance(q, (Q.AndNot, Q.Require, Q.AndMaybe)):
@@ -724,11 +653,6 @@ class Searcher:
         AUTO_MATCHER heuristic (query/compound.py:330-345) =
         multiterm_constant_score(k, doc_count) — a nested SCALED Or always
         takes the default (marched) matcher."""
-        dc = self.index.doc_count
-
-        def hidden(k: int) -> bool:
-            return multiterm_constant_score(k, dc)
-
         def align(ids: np.ndarray, src_ids: np.ndarray, src_counts: np.ndarray):
             """counts from (src_ids, src_counts) aligned onto ids (0 where
             absent); all id arrays are sorted ascending."""
@@ -752,24 +676,12 @@ class Searcher:
             tc = 1 if self.term_stats(q.text)[0] > 0 else 0
             return ids, sc, np.ones(len(ids), np.float64), tc
 
-        exp = self._multiterm_expansion(q)
-        if exp is not None:
-            k = len(exp)
-            ids, sc = self.postings(q)
-            if k <= 1:
-                counts = np.ones(len(ids), np.float64)
-            elif hidden(k):
-                counts = np.zeros(len(ids), np.float64)
-            else:
-                u_ids, _u_sc, u_cnt = _merge_sum(
-                    [self.postings(Q.Term(t)) for t in exp]
-                )
-                counts = align(ids, u_ids, u_cnt.astype(np.float64))
-            return ids, sc, counts, k
+        if isinstance(q, MULTITERM):
+            return self._coord_parts(rewrite(q, self, self.term_stats_many))
 
         if isinstance(q, Q.Or):
-            n = len(q.children)
-            if getattr(q, "scale", None) or not hidden(n):
+            hidden = multiterm_constant_score(len(q.children), self.index.doc_count)
+            if getattr(q, "scale", None) or not hidden:
                 parts = [self._coord_parts(c) for c in q.children]
                 ids, sc = self.postings(q)  # applies any nested coord formula
                 u_ids, u_cnt, _ = _merge_sum([(p[0], p[2]) for p in parts])
@@ -836,8 +748,6 @@ class Searcher:
         """Concrete terms a Sequence/Ordered child resolves to."""
         if isinstance(c, Q.Term):
             return [c.text]
-        if isinstance(c, (Q.Prefix, Q.Wildcard, Q.Regex, Q.TermRange)):
-            return self.expand(c)
         if isinstance(c, Q.Or) and all(isinstance(x, Q.Term) for x in c.children):
             return [x.text for x in c.children]
         raise TypeError(
@@ -850,6 +760,7 @@ class Searcher:
         expand to several terms (their occurrences union). Scored as the
         summed union of every matched term, like Phrase."""
         ordered_any_dist = isinstance(q, Q.Ordered)
+        q = rewrite(q, self, self.term_stats_many)
         kids = [self._child_terms(c) for c in q.children]
         if not kids:
             return _EMPTY

@@ -134,12 +134,6 @@ class LeafCursor:
             self._ensure_block()
             self.pos = 0
 
-    def skip_past_block(self) -> None:
-        """Jump past the current block without decoding it (block-max skip)."""
-        self.block_i += 1
-        self.skipped_blocks += 1
-        self.ids = None
-
 
 def wand_topk(
     rows_and_scorers: list[tuple[TermRow, TermScorer]],

@@ -13,10 +13,10 @@ bit-identical to a single-process search. Only the per-shard top-k
 query time, which is what survives a stopword-grade term over 10^10 docs.
 
 Driver responsibilities (cheap, metadata-only):
-  * rewrite multi-term queries (Prefix/Wildcard/Regex/TermRange/Fuzzy/
-    Variations) into concrete Term trees against the MAIN index's term
-    dictionary — expansion rules (single-term = scored, multi-term
-    constantscore) depend on the GLOBAL lexicon, not a shard's slice;
+  * expand multi-term nodes with ``search.plan.rewrite`` against the MAIN
+    index's term dictionary — the expansion (single-term = scored,
+    multi-term constantscore) depends on the GLOBAL lexicon, not a
+    shard's slice;
   * fetch global per-term stats once per term (a block-index lookup in the
     main index's open-once bucket files, cached across queries);
   * k-way-merge the per-shard top-k tables with the reference tie-break.
@@ -103,6 +103,7 @@ from whoosh_novo_ray.index.segment import (
     _TermBlocks,
 )
 from whoosh_novo_ray.search import query as Q
+from whoosh_novo_ray.search.plan import rewrite
 from whoosh_novo_ray.search.searcher import Searcher, _in_sorted
 from whoosh_novo_ray.search.scoring import WeightingModel
 from whoosh_novo_ray.search.sorting import collapse_keep_mask, falsy_key_mask
@@ -938,6 +939,8 @@ class ScorePool:
         self._replica_load = [0.0] * len(self._replicas)
         ray.get([a.ping.remote() for grp in self._replicas for a in grp])
         self._stats_cache: _LRUCache = _LRUCache(200_000)
+        # the lexicon that plan.rewrite expands against; term stats come from
+        # the bounded _stats_cache, never from this searcher's term cache
         self._driver_searcher = Searcher(self.index)
 
     def _spawn_replica(self) -> list:
@@ -1007,85 +1010,6 @@ class ScorePool:
         if missing:
             self._stats_cache.update(self.index.term_stats_many(missing))
         return {t: self._stats_cache[t] for t in set(terms)}
-
-    def _rewrite(self, q: Q.Query) -> Q.Query:
-        """Expand multi-term nodes against the GLOBAL term dictionary so
-        per-shard evaluation can't diverge from single-process semantics
-        (single-vs-multi expansion scoring, live-variant filtering)."""
-        ds = self._driver_searcher
-        if isinstance(q, (Q.Prefix, Q.Wildcard, Q.Regex, Q.TermRange)):
-            expanded = ds.expand(q)
-            if not expanded:
-                return Q.NULL
-            if len(expanded) == 1:
-                return Q.Term(expanded[0], boost=q.boost)
-            # constant only when the reference's Or heuristic picks the
-            # array matcher (k and GLOBAL doc count decide — must match the
-            # single-process Searcher, so use the main index's count);
-            # see searcher.multiterm_constant_score
-            from whoosh_novo_ray.search.searcher import multiterm_constant_score
-
-            if q.constantscore and multiterm_constant_score(
-                len(expanded), ds.index.doc_count
-            ):
-                return Q.ConstantScore(
-                    Q.Or(*[Q.Term(t) for t in expanded]), score=q.boost
-                )
-            return Q.Or(*[Q.Term(t, boost=q.boost) for t in expanded])
-        from whoosh_novo_ray.search.fuzzy import FuzzyTerm, evaluate_fuzzy
-
-        if isinstance(q, FuzzyTerm):
-            expanded = evaluate_fuzzy(ds, q)
-            if expanded is None:
-                return Q.NULL
-            if isinstance(expanded, tuple):
-                _tag, terms, boost = expanded
-                return Q.ConstantScore(
-                    Q.Or(*[Q.Term(t) for t in terms]), score=boost
-                )
-            return self._rewrite(expanded)
-        if isinstance(q, Q.Variations):
-            from whoosh_novo_ray.lang_morph import variations as _morph
-
-            cands = sorted(set(_morph(q.text)))
-            stats = self._gstats(cands)
-            live = [t for t in cands if stats[t][0] > 0]
-            if not live:
-                return Q.NULL
-            if len(live) == 1:
-                return Q.Term(live[0], boost=q.boost)
-            return Q.Or(*[Q.Term(t, boost=q.boost) for t in live])
-        if isinstance(q, Q.Or):
-            return Q.Or(
-                *[self._rewrite(c) for c in q.children],
-                scale=getattr(q, "scale", None),
-            )
-        if isinstance(q, (Q.And, Q.DisMax)):
-            return type(q)(*[self._rewrite(c) for c in q.children])
-        if isinstance(q, (Q.AndNot, Q.Require, Q.AndMaybe)):
-            return type(q)(self._rewrite(q.a), self._rewrite(q.b))
-        if isinstance(q, Q.ConstantScore):
-            return Q.ConstantScore(self._rewrite(q.child), score=q.score)
-        if isinstance(q, Q.WeightingQuery):
-            return Q.WeightingQuery(self._rewrite(q.child), q.weighting)
-        if isinstance(q, (Q.Sequence, Q.Ordered)):
-            kids = []
-            for c in q.children:
-                if isinstance(c, (Q.Prefix, Q.Wildcard, Q.Regex, Q.TermRange)):
-                    terms = ds.expand(c)
-                    if not terms:
-                        return Q.NULL
-                    kids.append(
-                        Q.Term(terms[0])
-                        if len(terms) == 1
-                        else Q.Or(*[Q.Term(t) for t in terms])
-                    )
-                else:
-                    kids.append(c)
-            if isinstance(q, Q.Sequence):
-                return Q.Sequence(*kids, slop=q.slop, boost=q.boost)
-            return Q.Ordered(*kids, boost=q.boost)
-        return q
 
     def _stat_terms(self, q: Q.Query) -> list[str]:
         """Every concrete term the query can score — Term leaves AND the
@@ -1162,7 +1086,7 @@ class ScorePool:
         if isinstance(obj, Q.Query):
             if isinstance(obj, Q.NullQuery):
                 return None, []  # falsy in the reference — filtering off
-            q2 = self._rewrite(obj)
+            q2 = rewrite(obj, self._driver_searcher, self._gstats)
             return q2, self._stat_terms(q2)
         if isinstance(obj, pa.Table):
             obj = obj["doc_id"].to_numpy(zero_copy_only=False)
@@ -1219,7 +1143,7 @@ class ScorePool:
         ):
             s = Searcher(self.index, weighting=weighting)
             return s.search(q, limit=limit, filter=filter, mask=mask)
-        q2 = self._rewrite(q)
+        q2 = rewrite(q, self._driver_searcher, self._gstats)
         fq, fterms = self._norm_filter(filter)
         mq, mterms = self._norm_filter(mask)
         stat_terms = self._stat_terms(q2)
@@ -1256,7 +1180,7 @@ class ScorePool:
         ):
             s = Searcher(self.index, weighting=weighting)
             return ray.put(s.search(q, limit=limit, filter=filter, mask=mask))
-        q2 = self._rewrite(q)
+        q2 = rewrite(q, self._driver_searcher, self._gstats)
         fq, fterms = self._norm_filter(filter)
         mq, mterms = self._norm_filter(mask)
         stat_terms = self._stat_terms(q2)
@@ -1295,7 +1219,7 @@ class ScorePool:
                 fallback_idx.append(i)
                 rewritten.append(None)
                 continue
-            q2 = self._rewrite(q)
+            q2 = rewrite(q, self._driver_searcher, self._gstats)
             rewritten.append(q2)
             stat_terms.update(self._stat_terms(q2))
         positions = [i for i, q2 in enumerate(rewritten) if q2 is not None]
@@ -1419,7 +1343,9 @@ class ScorePool:
         :class:`whoosh_novo_ray.search.wand.TimeLimit` carrying the partial
         counts (exact over the covered tables) in ``.partial``."""
         attrs_dir = self._attrs_dir_for(attrs_path, column)
-        q2 = self._wrap_filter(self._rewrite(q), filter, mask)
+        q2 = self._wrap_filter(
+            rewrite(q, self._driver_searcher, self._gstats), filter, mask
+        )
         gstats = self._gstats(self._stat_terms(q2))
         results = ray.get(
             _fan_out(
@@ -1460,7 +1386,9 @@ class ScorePool:
             if order_column is not None
             else None
         )
-        q2 = self._wrap_filter(self._rewrite(q), filter, mask)
+        q2 = self._wrap_filter(
+            rewrite(q, self._driver_searcher, self._gstats), filter, mask
+        )
         gstats = self._gstats(self._stat_terms(q2))
         results = ray.get(
             _fan_out(
@@ -1529,7 +1457,9 @@ class ScorePool:
         if isinstance(reverses, bool):
             reverses = [reverses] * len(columns)
         attrs_dirs = [self._attrs_dir_for(attrs_path, c) for c in columns]
-        q2 = self._wrap_filter(self._rewrite(q), filter, mask)
+        q2 = self._wrap_filter(
+            rewrite(q, self._driver_searcher, self._gstats), filter, mask
+        )
         gstats = self._gstats(self._stat_terms(q2))
         futs = _fan_out(
             self._route(self._est_cost(gstats, self._stat_terms(q2))),

@@ -95,14 +95,3 @@ def synth_pages(
             "lang": pa.array(langs, pa.string()),
         }
     )
-
-
-def extract_text_from_html(html: bytes) -> str:
-    """The (deliberately trivial) html->text extraction; byte-identical to the
-    text column for synthesized pages."""
-    body = html
-    if body.startswith(b"<html><body>"):
-        body = body[len(b"<html><body>") :]
-    if body.endswith(b"</body></html>"):
-        body = body[: -len(b"</body></html>")]
-    return body.decode("utf-8")
