@@ -145,9 +145,61 @@ def test_auto_heavy_detection_and_balance(ray_session, pages_table, tmp_path):
         assert ra == rb, t
 
 
+def test_heavy_probe_matches_brute_force(ray_session, tmp_path):
+    """The heavy-term probe equals a pandas df count over the docs, ties at
+    the ``max_terms`` cut broken by term, and runs its input pipeline once
+    (a sampled run included: the sample size comes from the partials)."""
+    import pandas as pd
+    import pyarrow as pa
+    import ray.data
+
+    from whoosh_novo_ray.index.build import detect_heavy_terms
+
+    n = 300
+    # pairs tie on df: 150, 100, 75, 60, 50; the pair order is not the term order
+    fruit = ["kiwi", "apple", "mango", "banana", "peach", "cherry", "plum",
+             "grape", "olive", "lemon"]
+    texts = [
+        " ".join([f"u{d}x"] + [w for k, w in enumerate(fruit) if d % (k // 2 + 2) == 0])
+        for d in range(n)
+    ]
+    tbl = pa.table({"doc_id": pa.array(range(n), pa.int64()), "text": texts})
+    cfg = IndexConfig(num_buckets=4, analyzer=StandardAnalyzer(stoplist=None))
+
+    words = pd.Series([w for t in texts for w in set(t.split())])
+    df = words.value_counts().rename_axis("term").reset_index(name="df")
+    df = df[df["df"] >= max(2.0, 0.05 * n)].sort_values(
+        ["df", "term"], ascending=[False, True]
+    )
+    for max_terms in (3, 5, 64):
+        docs = ray.data.from_arrow(tbl).repartition(3)
+        got = detect_heavy_terms(docs, cfg, doc_count=n, max_terms=max_terms)
+        assert list(got) == df["term"].tolist()[:max_terms]
+    assert list(got[:5]) == ["apple", "kiwi", "banana", "mango", "cherry"]
+
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    out = str(runs)
+
+    def count_rows(batch):
+        # one file per batch, holding its row count
+        import uuid
+
+        with open(os.path.join(out, uuid.uuid4().hex), "w") as f:
+            f.write(str(len(batch)))
+        return batch
+
+    docs = ray.data.from_arrow(tbl).repartition(3).map_batches(
+        count_rows, batch_format="pyarrow"
+    )
+    got = detect_heavy_terms(docs, cfg, doc_count=n, sample_frac=0.5)
+    assert sum(int(f.read_text()) for f in runs.iterdir()) == n
+    assert {"apple", "kiwi"} <= set(got)
+
+
 def test_routing_rules_agree(ray_session, pages_table, tmp_path):
     """One term-routing rule: the tokenizer and the merge path both place a
-    posting in ``bucket_for_terms``, which ``buckets_for_query_term``
+    posting in ``bucket_for_terms``, which ``buckets_for_query_terms``
     inverts (salted heavy terms included); docmeta rows follow
     ``doc_shard_of``. Checked on the posting rows and on the built files."""
     import glob
@@ -160,7 +212,7 @@ def test_routing_rules_agree(ray_session, pages_table, tmp_path):
         TokenizePostings,
         _bucketize_postings,
         bucket_for_terms,
-        buckets_for_query_term,
+        buckets_for_query_terms,
         doc_shard_of,
     )
 
@@ -181,8 +233,9 @@ def test_routing_rules_agree(ray_session, pages_table, tmp_path):
     post = ~meta
     assert (bucket[post] == bucket_for_terms(cfg, terms[post], ids[post])).all()
     assert len(set(bucket[terms == "search"].tolist())) > 1  # the salt split it
-    for t, b in set(zip(terms[post].tolist(), bucket[post].tolist())):
-        assert b in buckets_for_query_term(cfg, t), t
+    pairs = sorted(set(zip(terms[post].tolist(), bucket[post].tolist())))
+    for (t, b), bks in zip(pairs, buckets_for_query_terms(cfg, [t for t, _ in pairs])):
+        assert b in bks, t
 
     out = str(tmp_path / "idx")
     build_index(ray.data.from_arrow(docs), out, cfg, lineage="routing")
@@ -195,8 +248,9 @@ def test_routing_rules_agree(ray_session, pages_table, tmp_path):
     assert n_meta == len(docs)
     for f in glob.glob(os.path.join(out, "segments", "*.parquet")):
         b = int(os.path.basename(f).split("=")[1].split(".")[0])
-        for t in pq.read_table(f, columns=["term"])["term"].to_pylist():
-            assert b in buckets_for_query_term(cfg, t), t
+        seg_terms = pq.read_table(f, columns=["term"])["term"].to_pylist()
+        for t, bks in zip(seg_terms, buckets_for_query_terms(cfg, seg_terms)):
+            assert b in bks, t
 
 
 def test_build_runs_the_input_pipeline_once(ray_session, pages_table, tmp_path):

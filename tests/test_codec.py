@@ -11,7 +11,7 @@ from whoosh_novo_ray.codec import (
     varint_encode,
 )
 from whoosh_novo_ray.index.build import encode_bucket_table
-from whoosh_novo_ray.index.segment import _row_to_termrow
+from whoosh_novo_ray.index.segment import TermColumns
 
 
 def test_varint_roundtrip():
@@ -89,8 +89,9 @@ def test_bucket_encode_decode_roundtrip():
         expect[r["term"]].append((r["doc_id"], r["tf"], r["len_byte"], r["positions"]))
 
     assert len(seg) == len(expect)
-    for i in range(len(seg)):
-        tr = _row_to_termrow(seg, i, with_positions=True)
+    rows = TermColumns(seg)
+    for i, term in enumerate(seg["term"].to_pylist()):
+        tr = rows.row(i, term)
         exp = sorted(expect[tr.term])
         ids, tfs, lens = tr.decode_all()
         assert tr.df == len(exp)

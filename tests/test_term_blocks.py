@@ -6,7 +6,9 @@ several 4k row groups per bucket and salts a heavy term across buckets, so
 lookups cross row-group and bucket boundaries. A no-scan contract then
 patches ``pq.read_table`` to raise: cold term, prefix and phrase lookups
 must still answer, through ``Index`` and through an in-process
-``ScoreServer``."""
+``ScoreServer``. Last, every field of every ``TermRow`` that ``TermColumns``
+builds is checked against ``to_pylist()`` of the same file row, along with
+which rows are views of a pinned table and which are copies."""
 
 import os
 
@@ -298,3 +300,170 @@ def test_phrase_soak_keeps_block_cache_capped(blocks_env, monkeypatch):
     sizes = srv.cache_sizes()
     assert sizes["block_cache"] <= cap
     assert set(sizes) >= {"term_cache", "attr_cache", "block_cache"}
+
+
+# -- TermColumns: every TermRow field against a brute-force row -------------
+
+
+@pytest.fixture(scope="module")
+def full_env(ray_session, tmp_path_factory):
+    """Positions, weights, chars and per-occurrence boosts, with a salted
+    heavy term, plus its serving shards."""
+    import ray.data
+
+    from whoosh_novo_ray.analysis import StandardAnalyzer
+    from whoosh_novo_ray.index import IndexConfig, build_index
+    from whoosh_novo_ray.index.docshard import build_serving_shards, serving_dir_for
+
+    n = 600
+    texts = [
+        f"{_word(d)}^{1 + d % 3}.5 {_word(d + 1)} {HEAVY}^2 alpha {_word(d % 50)}"
+        for d in range(n)
+    ]
+    tbl = pa.table({"doc_id": pa.array(np.arange(n), pa.int64()), "text": texts})
+    out = str(tmp_path_factory.mktemp("full") / "idx")
+    cfg = IndexConfig(
+        num_buckets=2,
+        heavy_terms=(HEAVY,),
+        salt_k=4,
+        salt_shift=4,
+        with_weights=True,
+        with_chars=True,
+        analyzer=StandardAnalyzer(
+            pattern=r"[^\s^]+(\^[0-9.]+)?", stoplist=None, minsize=1, boost_delim="^"
+        ),
+    )
+    build_index(ray.data.from_arrow(tbl).repartition(2), out, cfg, lineage="full")
+    build_serving_shards(out, num_shards=2)
+    return out, serving_dir_for(out)
+
+
+def _row_fields() -> list[str]:
+    import dataclasses
+
+    from whoosh_novo_ray.index.segment import TermRow
+
+    return [f.name for f in dataclasses.fields(TermRow) if not f.name.startswith("_")]
+
+
+def _assert_row(tr, want: dict, names) -> None:
+    """Every TermRow field equals the brute-force row; a field whose column
+    is not in ``names`` is None."""
+    from whoosh_novo_ray.index.segment import _LIST_DTYPES
+
+    assert tr.term == want["term"]
+    for name in _row_fields():
+        got = getattr(tr, name)
+        if name == "term":
+            continue
+        if name not in names:
+            assert got is None, name
+        elif name in _LIST_DTYPES:
+            assert got.dtype == _LIST_DTYPES[name], name
+            assert got.tolist() == want[name], name
+        elif name.endswith("_blob"):
+            assert got.dtype == np.uint8, name
+            assert got.tobytes() == want[name], name
+        else:
+            assert got == want[name] and type(got) is type(want[name]), name
+
+
+def _file_rows(path: str) -> list[dict]:
+    return pq.read_table(path).to_pylist()
+
+
+def _views(tr) -> list[np.ndarray]:
+    return [
+        v for v in (getattr(tr, n) for n in _row_fields())
+        if isinstance(v, np.ndarray) and v.size
+    ]
+
+
+def _buffers(tbl: pa.Table, name: str) -> list[np.ndarray]:
+    return [
+        np.frombuffer(b, np.uint8)
+        for chunk in tbl[name].chunks
+        for arr in ([chunk.values] if pa.types.is_list(chunk.type) else [chunk])
+        for b in arr.buffers()
+        if b is not None and b.size
+    ]
+
+
+def _cached_views(cache) -> list[np.ndarray]:
+    from whoosh_novo_ray.index.segment import TermColumns
+
+    out = []
+    for c in cache._d.values():
+        if isinstance(c, TermColumns):
+            for scalars, lists, blobs in c._views:
+                out += [v for _n, v in scalars] + [v for _n, v, *_ in lists]
+                out += [d for _n, d, _o in blobs]
+    return out
+
+
+@pytest.mark.parametrize("env", ["blocks_env", "full_env"])
+def test_index_rows_and_stats_match_every_file_row(request, env):
+    from whoosh_novo_ray.index import Index
+
+    path, _ = request.getfixturevalue(env)
+    by_term: dict[str, list[dict]] = {}
+    for f in sorted(_segment_files(path)):
+        for want in _file_rows(f):
+            by_term.setdefault(want["term"], []).append(want)
+    assert len(by_term[HEAVY]) >= 2
+    if env == "full_env":
+        assert {"wts_blob", "pos_blob", "chars_blob", "pboosts_blob"} <= set(
+            by_term[HEAVY][0]
+        )
+    terms = list(by_term)
+    idx = Index(path)
+    rows = idx.term_rows(terms, with_positions=True, with_chars=True)
+    stats = idx.term_stats_many(terms)
+    cached = _cached_views(idx._block_cache)
+    assert cached
+    for t, wants in by_term.items():
+        got = sorted(rows[t], key=lambda r: r.ids_blob.tobytes())
+        wants = sorted(wants, key=lambda r: r["ids_blob"])
+        assert len(got) == len(wants), t
+        for tr, want in zip(got, wants):
+            _assert_row(tr, want, want.keys())
+            # copied out of the row-group cache
+            assert not any(
+                np.may_share_memory(v, c) for v in _views(tr) for c in cached
+            ), t
+        assert stats[t] == (
+            sum(w["df"] for w in by_term[t]),
+            sum(w["weight"] for w in by_term[t]),
+            max(w["max_weight"] for w in by_term[t]),
+        ), t
+
+
+@pytest.mark.parametrize("env", ["blocks_env", "full_env"])
+def test_pinned_rows_are_views_of_every_file_row(request, env):
+    from whoosh_novo_ray.state.score_pool import ScoreServer
+
+    _, serving = request.getfixturevalue(env)
+    srv = ScoreServer.__ray_actor_class__(serving, [0, 1])
+    s = srv._searcher({}, None)
+    assert srv._lazy_cols and len(srv._cols) == 2
+    for k, (cols, tbl, tb) in enumerate(zip(srv._cols, srv._tables, srv._blocks)):
+        wants = _file_rows(tb.path)
+        assert len(wants) == len(tbl)
+        pinned = set(tbl.column_names)
+        for r, want in enumerate(wants):
+            tr = cols.row(r, want["term"])
+            _assert_row(tr, want, pinned)
+            for name in pinned - {"term", "block_counts"}:
+                v = getattr(tr, name)
+                if isinstance(v, np.ndarray) and v.size:
+                    assert any(
+                        np.shares_memory(v, b) for b in _buffers(tbl, name)
+                    ), name
+            # the lazy positional path: pinned views plus copied lazy columns
+            lazy = s._term_row(k, r, srv._lazy_cols)
+            _assert_row(lazy, want, want.keys())
+            cached = _cached_views(srv._block_cache)
+            for name in srv._lazy_cols:
+                v = getattr(lazy, name)
+                if v.size:
+                    assert not any(np.may_share_memory(v, c) for c in cached), name

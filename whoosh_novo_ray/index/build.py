@@ -50,7 +50,7 @@ from whoosh_novo_ray.codec import (
     varint_encode,
 )
 from whoosh_novo_ray.lengths import lengths_to_bytes
-from whoosh_novo_ray.shuffle import key_hash, run_starts, shard_of, shard_reduce
+from whoosh_novo_ray.shuffle import key_hash, shard_of, shard_reduce
 
 MANIFEST_NAME = "manifest.json"
 _SALT_PRIME = np.uint64(2654435761)
@@ -171,7 +171,7 @@ def bucket_for_terms(
     cfg: IndexConfig, terms, doc_ids: np.ndarray, codes: np.ndarray | None = None
 ) -> np.ndarray:
     """Term bucket per posting row, the one term-routing rule of the index
-    (``buckets_for_query_term`` inverts it). Heavy terms mix in a doc-id
+    (``buckets_for_query_terms`` inverts it). Heavy terms mix in a doc-id
     range salt. With ``codes``, row i holds ``terms[codes[i]]`` and each
     term is hashed once; without it row i holds ``terms[i]``."""
     terms = np.asarray(terms, dtype=object)
@@ -193,14 +193,20 @@ def doc_shard_of(doc_ids, num_shards: int) -> np.ndarray:
     return shard_of(doc_ids, num_shards)
 
 
-def buckets_for_query_term(cfg: IndexConfig, term: str) -> list[int]:
-    """All buckets a term's postings may live in (1 normally, salt_k if heavy)."""
-    h = int(key_hash([term])[0])
-    if term in cfg.heavy_terms:
-        return sorted(
-            {int((h + s * int(_SALT_PRIME)) % (1 << 64)) % cfg.num_buckets for s in range(cfg.salt_k)}
-        )
-    return [h % cfg.num_buckets]
+def buckets_for_query_terms(cfg: IndexConfig, terms: list[str]) -> list[list[int]]:
+    """Per term, every bucket its postings may live in (1 normally, salt_k
+    if heavy); the terms hash in one batch."""
+    heavy = set(cfg.heavy_terms)
+    out = []
+    for t, h in zip(terms, key_hash(np.asarray(terms, dtype=object)).tolist()):
+        if t in heavy:
+            out.append(sorted(
+                {(h + s * int(_SALT_PRIME)) % (1 << 64) % cfg.num_buckets
+                 for s in range(cfg.salt_k)}
+            ))
+        else:
+            out.append([h % cfg.num_buckets])
+    return out
 
 
 class TokenizePostings:
@@ -751,7 +757,8 @@ class _BatchDf:
     number of DISTINCT docs containing each term, pre-filtered to terms seen
     in >= ``min_batch_df`` docs (a globally heavy term cannot miss that bar
     in a reasonably-sized batch, and it keeps hapax terms out of the
-    shuffle)."""
+    merge). One extra row with a null term holds the batch's doc count, so
+    the merge knows the sample size without a second pass."""
 
     def __init__(self, cfg: IndexConfig, min_batch_df: int):
         self.cfg = cfg
@@ -762,23 +769,35 @@ class _BatchDf:
         doc_idx, codes, uniques, _pos, _fl = self.cfg.analyzer.analyze_batch_coded(
             texts
         )
-        empty = pa.table(
-            {"term": pa.array([], pa.string()), "df": pa.array([], pa.int64())}
-        )
-        if len(doc_idx) == 0:
-            return empty
-        key = doc_idx.astype(np.int64) * len(uniques) + codes
-        uk = np.unique(key)
-        cnt = np.bincount((uk % len(uniques)).astype(np.int64), minlength=len(uniques))
-        keep = cnt >= self.min_batch_df
-        if not keep.any():
-            return empty
+        terms, dfs = np.empty(0, object), np.empty(0, np.int64)
+        if len(doc_idx):
+            key = doc_idx.astype(np.int64) * len(uniques) + codes
+            uk = np.unique(key)
+            cnt = np.bincount((uk % len(uniques)).astype(np.int64), minlength=len(uniques))
+            keep = cnt >= self.min_batch_df
+            terms, dfs = uniques[keep], cnt[keep].astype(np.int64)
         return pa.table(
             {
-                "term": pa.array(uniques[keep], pa.string()),
-                "df": pa.array(cnt[keep].astype(np.int64), pa.int64()),
+                "term": pa.array([None, *terms], pa.string()),
+                "df": pa.array([len(texts), *dfs], pa.int64()),
             }
         )
+
+
+@ray.remote
+def _heavy_merge(
+    heavy_df_frac: float, min_batch_df: int, max_terms: int, *parts: pa.Table
+) -> list[str]:
+    """Sum the sketch's per-batch partials: the terms with df >= the
+    threshold, by (df desc, term asc), at most ``max_terms``."""
+    tbl = pa.concat_tables(parts)
+    is_n = tbl["term"].is_null()
+    n_sample = max(1, pc.sum(tbl.filter(is_n)["df"]).as_py() or 0)
+    threshold = max(float(min_batch_df), heavy_df_frac * n_sample)
+    g = tbl.filter(pc.invert(is_n)).group_by("term").aggregate([("df", "sum")])
+    g = g.filter(pc.greater_equal(g["df_sum"], threshold))
+    g = g.sort_by([("df_sum", "descending"), ("term", "ascending")])
+    return g["term"].to_pylist()[:max_terms]
 
 
 def detect_heavy_terms(
@@ -793,12 +812,13 @@ def detect_heavy_terms(
 ) -> tuple[str, ...]:
     """Cheap df-sketch pre-pass: terms whose (sampled) document frequency is
     >= ``heavy_df_frac`` of sampled docs — the candidates for bucket-shuffle
-    salting (SURVEY §7.2 milestone 6). Per-batch (term, df) partials go
-    through one ``shard_reduce`` on term, whose reducer sums each term's
-    run and applies the threshold; the result list is tiny by construction.
+    salting (SURVEY §7.2 milestone 6), most frequent first, ties by term.
 
-    ``sample_frac=None`` auto-sizes the sample to ~50k docs (full scan below
-    that); the detection threshold applies within the sample."""
+    The sampled pipeline runs once: per-batch (term, df) partials, each
+    with its batch's doc count, feed one plain task that sums them and
+    applies the threshold. No exchange is needed: the sample is capped at
+    ~50k docs (``sample_frac=None`` auto-sizes it; full scan below that),
+    so the partials are small, and only the terms come back."""
     if doc_count is None:
         doc_count = docs.count()
     if doc_count == 0:
@@ -806,31 +826,15 @@ def detect_heavy_terms(
     if sample_frac is None:
         sample_frac = min(1.0, 50_000 / doc_count)
     sampled = docs if sample_frac >= 1.0 else docs.random_sample(sample_frac, seed=seed)
-    n_sample = doc_count if sample_frac >= 1.0 else max(1, sampled.count())
-    threshold = max(float(min_batch_df), heavy_df_frac * n_sample)
-
-    def reduce_shard(group: pa.Table) -> pa.Table:
-        g = group.sort_by("term")
-        terms = g["term"].combine_chunks()
-        starts = run_starts(terms)
-        sums = np.add.reduceat(g["df"].to_numpy(zero_copy_only=False), starts)
-        keep = sums >= threshold
-        return pa.table(
-            {
-                "term": terms.take(pa.array(starts[keep])),
-                "df": pa.array(sums[keep].astype(np.int64), pa.int64()),
-            }
-        )
-
     partials = sampled.map_batches(
         _BatchDf(cfg, min_batch_df), batch_format="pyarrow", zero_copy_batch=True
     )
-    out = shard_reduce(partials, "term", reduce_shard)
-    tables = [t for t in ray.get(out.materialize().to_arrow_refs()) if len(t)]
-    if not tables:
+    refs = partials.materialize().to_arrow_refs()
+    if not refs:
         return ()
-    heavy = pa.concat_tables(tables).sort_by([("df", "descending")])
-    return tuple(heavy["term"].to_pylist()[:max_terms])
+    return tuple(
+        ray.get(_heavy_merge.remote(heavy_df_frac, min_batch_df, max_terms, *refs))
+    )
 
 
 def build_index(

@@ -107,6 +107,82 @@ def _merge_sum(parts: list[Posting]) -> tuple[np.ndarray, np.ndarray, np.ndarray
     return out_ids, out_scores, counts
 
 
+
+# Combinators over evaluated children. ``postings`` and ``_coord_parts`` both
+# call them on children they evaluated once, so no subtree is evaluated twice.
+
+
+def _and(parts: list[Posting]) -> Posting:
+    if any(len(p[0]) == 0 for p in parts):
+        return _EMPTY
+    ids, scores, counts = _merge_sum(parts)
+    keep = counts == len(parts)
+    return ids[keep], scores[keep]
+
+
+def _dismax(parts: list[Posting]) -> Posting:
+    parts = [p for p in parts if len(p[0])]
+    if not parts:
+        return _EMPTY
+    ids = np.concatenate([p[0] for p in parts])
+    scores = np.concatenate([p[1] for p in parts])
+    order = np.argsort(ids, kind="stable")
+    ids, scores = ids[order], scores[order]
+    change = np.empty(len(ids), bool)
+    change[0] = True
+    change[1:] = ids[1:] != ids[:-1]
+    starts = np.flatnonzero(change)
+    return ids[starts], np.maximum.reduceat(scores, starts)
+
+
+def _and_not(a: Posting, b: Posting) -> Posting:
+    if not len(a[0]) or not len(b[0]):
+        return a
+    keep = ~np.isin(a[0], b[0])
+    return a[0][keep], a[1][keep]
+
+
+def _require(a: Posting, b: Posting) -> Posting:
+    keep = np.isin(a[0], b[0])
+    return a[0][keep], a[1][keep]
+
+
+def _and_maybe(a: Posting, b: Posting) -> Posting:
+    (a_ids, a_sc), (b_ids, b_sc) = a, b
+    if not len(a_ids) or not len(b_ids):
+        return a
+    pos = np.searchsorted(b_ids, a_ids)
+    pos_c = np.minimum(pos, len(b_ids) - 1)
+    hit = b_ids[pos_c] == a_ids
+    out = a_sc.copy()
+    out[hit] += b_sc[pos_c[hit]]
+    return a_ids, out
+
+
+def _scaled_or(q: Q.Or, parts: list) -> Posting:
+    """A scaled Or over its children's ``_coord_parts``: the reference
+    SQR coordination bonus (CoordMatcher._sqr, matching/wrappers.py:
+    537-556). termcount = term matchers in the BUILT tree (absent terms
+    build NullMatchers and don't count; expansion nodes count one per
+    expanded term); matching = term matchers AT the current doc, which
+    excludes everything inside an ArrayUnionMatcher (its pre-read
+    children never sit on the current doc) — see _coord_parts."""
+    ids, scores, _ = _merge_sum([(p[0], p[1]) for p in parts])
+    _, counts, _ = _merge_sum([(p[0], p[2].astype(np.float64)) for p in parts])
+    tc = float(sum(p[3] for p in parts))
+    if tc == 0 or tc == q.scale:
+        return ids, np.zeros_like(scores)
+    return ids, (scores + (counts - 1) / (tc - q.scale) ** 2) * ((tc - 1) / tc)
+
+
+def _constant(q: Q.ConstantScore, ids: np.ndarray) -> Posting:
+    # reference quirk (matching/mcore.py ListMatcher.weight): a FALSY
+    # all_weights (score=0 / 0.0) falls through to the 1.0 default, so
+    # ConstantScoreQuery(child, score=0) scores every matching doc 1.0
+    score = float(q.score) if q.score else 1.0
+    return ids, np.full(len(ids), score)
+
+
 class Searcher:
     # array-path Or keeps its initial-position doc even at score <= 0
     # (reference ArrayUnionMatcher quirk); doc shards can't see the global
@@ -259,91 +335,25 @@ class Searcher:
             return ids, scorer.score_arrays(tfs, lens) * q.boost
 
         if isinstance(q, Q.Or):
-            scale = getattr(q, "scale", None)
-            if scale:
-                # reference SQR coordination bonus (CoordMatcher._sqr,
-                # matching/wrappers.py:537-556): termcount = term matchers in
-                # the BUILT tree (absent terms build NullMatchers and don't
-                # count; expansion nodes count one per expanded term);
-                # matching = term matchers AT the current doc, which excludes
-                # everything inside an ArrayUnionMatcher (its pre-read
-                # children never sit on the current doc) — see _coord_parts.
-                parts = [self._coord_parts(c) for c in q.children]
-                ids, scores, _ = _merge_sum([(p[0], p[1]) for p in parts])
-                _, counts, _ = _merge_sum(
-                    [(p[0], p[2].astype(np.float64)) for p in parts]
-                )
-                tc = float(sum(p[3] for p in parts))
-                if tc == 0 or tc == scale:
-                    scores = np.zeros_like(scores)
-                else:
-                    scores = (scores + (counts - 1) / (tc - scale) ** 2) * (
-                        (tc - 1) / tc
-                    )
-                return ids, scores
-            ids, scores, _ = _merge_sum([self.postings(c) for c in q.children])
-            if multiterm_constant_score(len(q.children), self.index.doc_count):
-                # the reference's array-path Or (AUTO heuristic -> Preloaded
-                # ArrayUnionMatcher) skips docs whose summed score is <= 0
-                # (_find_next requires a[i] > 0, combo.py:232-235) — docs
-                # matched only by a zero-scoring child, e.g. a nested scaled
-                # Or whose termcount degenerates to 1, vanish from the doc
-                # set — EXCEPT the matcher's initial position (the minimum
-                # doc id, set in __init__ without the a[i] check), which is
-                # yielded regardless. The binary-tree path (2 children / big
-                # corpus / scaled) keeps every doc. Found by the fuzzer.
-                # The positional exception is GLOBAL-min-relative, which a
-                # doc shard can't know — ShardSearcher disables it (at most
-                # one score-0 tail doc of difference, documented there).
-                keep = scores > 0
-                if len(keep) and self._or_zero_keep_first:
-                    keep[0] = True
-                if not keep.all():
-                    ids, scores = ids[keep], scores[keep]
-            return ids, scores
+            if getattr(q, "scale", None):
+                return _scaled_or(q, [self._coord_parts(c) for c in q.children])
+            return self._or(q, [self.postings(c) for c in q.children])
 
         if isinstance(q, Q.And):
-            parts = [self.postings(c) for c in q.children]
-            if any(len(p[0]) == 0 for p in parts):
-                return _EMPTY
-            ids, scores, counts = _merge_sum(parts)
-            keep = counts == len(parts)
-            return ids[keep], scores[keep]
+            return _and([self.postings(c) for c in q.children])
 
         if isinstance(q, Q.DisMax):
-            parts = [p for p in (self.postings(c) for c in q.children) if len(p[0])]
-            if not parts:
-                return _EMPTY
-            ids = np.concatenate([p[0] for p in parts])
-            scores = np.concatenate([p[1] for p in parts])
-            order = np.argsort(ids, kind="stable")
-            ids, scores = ids[order], scores[order]
-            change = np.empty(len(ids), bool)
-            change[0] = True
-            change[1:] = ids[1:] != ids[:-1]
-            starts = np.flatnonzero(change)
-            return ids[starts], np.maximum.reduceat(scores, starts)
+            return _dismax([self.postings(c) for c in q.children])
 
         if isinstance(q, Q.AndNot):
-            a_ids, a_sc = self.postings(q.a)
-            b_ids, _ = self.postings(q.b)
-            if not len(a_ids) or not len(b_ids):
-                return a_ids, a_sc
-            keep = ~np.isin(a_ids, b_ids)
-            return a_ids[keep], a_sc[keep]
+            return _and_not(self.postings(q.a), self.postings(q.b))
 
         if isinstance(q, _ConstantUnion):
             ids, _, _ = _merge_sum([self.postings(c) for c in q.child.children])
             return ids, np.full(len(ids), float(q.score))
 
         if isinstance(q, Q.ConstantScore):
-            ids, _ = self.postings(q.child)
-            # reference quirk (matching/mcore.py ListMatcher.weight): a
-            # FALSY all_weights (score=0 / 0.0) falls through to the 1.0
-            # default, so ConstantScoreQuery(child, score=0) scores every
-            # matching doc 1.0, not 0.0
-            score = float(q.score) if q.score else 1.0
-            return ids, np.full(len(ids), score)
+            return _constant(q, self.postings(q.child)[0])
 
         if isinstance(q, Q.WeightingQuery):
             return self._with_weighting(q.weighting).postings(q.child)
@@ -359,22 +369,10 @@ class Searcher:
             return self.postings(q.b)
 
         if isinstance(q, Q.Require):
-            a_ids, a_sc = self.postings(q.a)
-            b_ids, _ = self.postings(q.b)
-            keep = np.isin(a_ids, b_ids)
-            return a_ids[keep], a_sc[keep]
+            return _require(self.postings(q.a), self.postings(q.b))
 
         if isinstance(q, Q.AndMaybe):
-            a_ids, a_sc = self.postings(q.a)
-            b_ids, b_sc = self.postings(q.b)
-            if not len(a_ids) or not len(b_ids):
-                return a_ids, a_sc
-            pos = np.searchsorted(b_ids, a_ids)
-            pos_c = np.minimum(pos, len(b_ids) - 1)
-            hit = b_ids[pos_c] == a_ids
-            out = a_sc.copy()
-            out[hit] += b_sc[pos_c[hit]]
-            return a_ids, out
+            return _and_maybe(self.postings(q.a), self.postings(q.b))
 
         if isinstance(q, Q.Phrase):
             return self._phrase(q)
@@ -603,6 +601,29 @@ class Searcher:
         boost = float(getattr(q, "boost", 1.0))
         return ids[keep], scores[keep] * boost if boost != 1.0 else scores[keep]
 
+    def _or(self, q: Q.Or, parts: list[Posting]) -> Posting:
+        """An unscaled Or over its evaluated children."""
+        ids, scores, _ = _merge_sum(parts)
+        if multiterm_constant_score(len(q.children), self.index.doc_count):
+            # the reference's array-path Or (AUTO heuristic -> Preloaded
+            # ArrayUnionMatcher) skips docs whose summed score is <= 0
+            # (_find_next requires a[i] > 0, combo.py:232-235) — docs
+            # matched only by a zero-scoring child, e.g. a nested scaled
+            # Or whose termcount degenerates to 1, vanish from the doc
+            # set — EXCEPT the matcher's initial position (the minimum
+            # doc id, set in __init__ without the a[i] check), which is
+            # yielded regardless. The binary-tree path (2 children / big
+            # corpus / scaled) keeps every doc. Found by the fuzzer.
+            # The positional exception is GLOBAL-min-relative, which a
+            # doc shard can't know — ShardSearcher disables it (at most
+            # one score-0 tail doc of difference, documented there).
+            keep = scores > 0
+            if len(keep) and self._or_zero_keep_first:
+                keep[0] = True
+            if not keep.all():
+                ids, scores = ids[keep], scores[keep]
+        return ids, scores
+
     # -- CoordMatcher (Or scale=) model ----------------------------------------
 
     def _termcount(self, q: Q.Query) -> int:
@@ -680,31 +701,30 @@ class Searcher:
             return self._coord_parts(rewrite(q, self, self.term_stats_many))
 
         if isinstance(q, Q.Or):
+            scale = getattr(q, "scale", None)
             hidden = multiterm_constant_score(len(q.children), self.index.doc_count)
-            if getattr(q, "scale", None) or not hidden:
+            if scale or not hidden:
                 parts = [self._coord_parts(c) for c in q.children]
-                ids, sc = self.postings(q)  # applies any nested coord formula
+                if scale:
+                    ids, sc = _scaled_or(q, parts)
+                else:
+                    ids, sc = self._or(q, [(p[0], p[1]) for p in parts])
                 u_ids, u_cnt, _ = _merge_sum([(p[0], p[2]) for p in parts])
                 return ids, sc, align(ids, u_ids, u_cnt), sum(p[3] for p in parts)
             ids, sc = self.postings(q)
             tc = sum(self._termcount(c) for c in q.children)
             return ids, sc, np.zeros(len(ids), np.float64), tc
 
-        if isinstance(q, Q.And):
+        if isinstance(q, (Q.And, Q.DisMax)):
             parts = [self._coord_parts(c) for c in q.children]
-            ids, sc = self.postings(q)
-            u_ids, u_cnt, _ = _merge_sum([(p[0], p[2]) for p in parts])
-            return ids, sc, align(ids, u_ids, u_cnt), sum(p[3] for p in parts)
-
-        if isinstance(q, Q.DisMax):
-            parts = [self._coord_parts(c) for c in q.children]
-            ids, sc = self.postings(q)
+            combine = _and if isinstance(q, Q.And) else _dismax
+            ids, sc = combine([(p[0], p[1]) for p in parts])
             u_ids, u_cnt, _ = _merge_sum([(p[0], p[2]) for p in parts])
             return ids, sc, align(ids, u_ids, u_cnt), sum(p[3] for p in parts)
 
         if isinstance(q, Q.AndNot):
             pa = self._coord_parts(q.a)
-            ids, sc = self.postings(q)
+            ids, sc = _and_not((pa[0], pa[1]), self.postings(q.b))
             # negative-side terms are in the built tree (BiMatcher children)
             # but never sit on a surviving doc
             return (
@@ -717,13 +737,18 @@ class Searcher:
         if isinstance(q, (Q.Require, Q.AndMaybe)):
             pa = self._coord_parts(q.a)
             pb = self._coord_parts(q.b)
-            ids, sc = self.postings(q)
+            combine = _require if isinstance(q, Q.Require) else _and_maybe
+            ids, sc = combine((pa[0], pa[1]), (pb[0], pb[1]))
             counts = align(ids, pa[0], pa[2]) + align(ids, pb[0], pb[2])
             return ids, sc, counts, pa[3] + pb[3]
 
         if isinstance(q, Q.ConstantScore):
             inner = self._coord_parts(q.child)
-            ids, sc = self.postings(q)
+            if isinstance(q, _ConstantUnion):
+                # its children are Terms: one more flat pass over them
+                ids, sc = self.postings(q)
+            else:
+                ids, sc = _constant(q, inner[0])
             return ids, sc, align(ids, inner[0], inner[2]), inner[3]
 
         if isinstance(q, Q.WeightingQuery):
@@ -946,8 +971,10 @@ class Searcher:
         the top-``limit`` cut, and scores are unchanged."""
         if filter is not None or mask is not None:
             q = Q.Filtered(q, filter, mask)
-        # batch-fetch every term the query needs up front: one segment read
-        # per BUCKET instead of one per term
+        # expand multi-term nodes first, then batch-fetch every term the
+        # query needs up front: one lookup for all of them, expansions
+        # included, instead of one per term
+        q = rewrite(q, self, self.term_stats_many)
         terms = q.terms()
         if terms:
             self.prefetch_terms(terms, with_positions=q.needs_positions())

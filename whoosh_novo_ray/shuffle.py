@@ -1,7 +1,7 @@
 """The package's one shuffle rule: hash a key into shards, reduce per shard.
 
 Every all-to-all exchange (the term-bucket build, the serving build, the
-heavy-term probe, the LLM-data ops) goes through :func:`shard_reduce`.
+LLM-data ops) goes through :func:`shard_reduce`.
 Grouping by a high-cardinality key itself would pay one Python call per
 distinct key; here rows are grouped by
 ``shard_of(key) = key_hash(key) % N_SHARDS`` instead, and ``fn`` gets a

@@ -98,8 +98,9 @@ from whoosh_novo_ray.index.docshard import (
 from whoosh_novo_ray.index.segment import (
     _SCORING_COLUMNS,
     Index,
+    TermColumns,
+    TermRow,
     _LRUCache,
-    _row_to_termrow,
     _TermBlocks,
 )
 from whoosh_novo_ray.search import query as Q
@@ -136,7 +137,8 @@ class ShardSearcher(Searcher):
     """Searcher over pinned doc-shard tables with global stats.
 
     Term lookups binary-search the pinned tables' sorted term columns (no
-    I/O); term stats come from the driver-shipped global map, so idf / SQR
+    I/O) and build each row from the table's :class:`TermColumns` views;
+    term stats come from the driver-shipped global map, so idf / SQR
     coordination / WAND block-max thresholds all see the whole collection.
 
     Known degenerate-case divergence: the array-path Or's keep-the-initial-
@@ -151,7 +153,7 @@ class ShardSearcher(Searcher):
     def __init__(
         self,
         view: _GlobalStatsView,
-        tables: list[pa.Table],
+        cols: list[TermColumns],
         terms: list[np.ndarray],
         blocks: list[_TermBlocks],
         gstats: dict[str, tuple[int, float, float]],
@@ -159,10 +161,10 @@ class ShardSearcher(Searcher):
         lazy_cols: tuple[str, ...] = (),
     ):
         super().__init__(view, weighting=weighting)  # type: ignore[arg-type]
-        self._tables = tables
+        self._cols = cols
         self._gstats = gstats
         self._universe = view._universe
-        # aligned with tables: each one's sorted term column, and its
+        # aligned with cols: each table's sorted term column, and its
         # file's block index — positional/chars blob columns are NOT pinned
         # in RAM, they are read per row group on first positional use
         self._terms = terms
@@ -171,7 +173,7 @@ class ShardSearcher(Searcher):
 
     def _with_weighting(self, weighting: WeightingModel) -> "ShardSearcher":
         sub = ShardSearcher(
-            self.index, self._tables, self._terms, self._blocks, self._gstats,
+            self.index, self._cols, self._terms, self._blocks, self._gstats,
             weighting, lazy_cols=self._lazy_cols,
         )
         sub._term_cache = self._term_cache
@@ -187,19 +189,18 @@ class ShardSearcher(Searcher):
                 j = int(np.searchsorted(tarr, t, "right"))
                 rows.extend(self._term_row(k, r, lazy) for r in range(i, j))
 
-    def _term_row(self, k: int, r: int, lazy: tuple[str, ...]):
-        """Row ``r`` of pinned table ``k``. Pinned rows line up with file
-        rows, so the lazy positional columns are the same row of the
-        file's row group (cached in the actor's block LRU; ``take`` copies
-        the row out so cached TermRows never pin a whole group's blobs)."""
-        sub = self._tables[k].slice(r, 1)
-        if lazy:
-            tb = self._blocks[k]
-            g, off = tb.locate_row(r)
-            extra = tb.read(g, lazy).take([off])
-            for name in lazy:
-                sub = sub.append_column(name, extra[name])
-        return _row_to_termrow(sub, 0, bool(lazy), bool(lazy))
+    def _term_row(self, k: int, r: int, lazy: tuple[str, ...]) -> TermRow:
+        """Row ``r`` of pinned table ``k``: views of the pinned columns.
+        Pinned rows line up with file rows, so the lazy positional columns
+        are the same row of the file's row group (cached in the actor's
+        block LRU, and copied out so cached TermRows never pin a whole
+        group's blobs)."""
+        term = self._terms[k][r]
+        if not lazy:
+            return self._cols[k].row(r, term)
+        g, off = self._blocks[k].locate_row(r)
+        extra = self._blocks[k].read(g, lazy).values(off, copy=True)
+        return TermRow(term=term, **self._cols[k].values(r), **extra)
 
     def term_stats(self, term: str) -> tuple[int, float, float]:
         return self._gstats.get(term, (0, 0.0, 0.0))
@@ -239,7 +240,13 @@ class ScoreServer:
     Fault-tolerant: every method is a pure read over the on-disk serving
     layout, so a crashed actor restarts (re-pins its shards from the same
     parquet) and the in-flight task retries transparently — on a long-lived
-    multi-node fleet individual workers WILL die. Caches rebuild lazily."""
+    multi-node fleet individual workers WILL die. Caches rebuild lazily.
+
+    Each pinned table gets one :class:`TermColumns` at pin time, and a
+    term's rows are views of it: the cached TermRows of cold terms cost
+    no copy of their postings and the views add nothing to the actor's
+    RSS. The lazy positional columns come from the block LRU's row groups
+    and are copied out of them, so an evicted group is freed."""
 
     def __init__(self, serving_dir: str | list[str], shards: list[int]):
         """``serving_dir`` may be a LIST of member serving dirs (one per
@@ -282,8 +289,11 @@ class ScoreServer:
         # table's universe and a part of the actor's
         dm = {(d, k): _dm_universe(d, k) for d in dirs for k in self._shards}
         self._tables: list[pa.Table] = []
-        # per pinned table: its sorted term column (term lookups are a
-        # binary search) and its file's block index (lazy columns)
+        # per pinned table: numpy views of its columns (TermRows are slices
+        # of these, so a cached row costs no copy of its postings), its
+        # sorted term column (term lookups are a binary search) and its
+        # file's block index (lazy columns)
+        self._cols: list[TermColumns] = []
         self._terms: list[np.ndarray] = []
         self._blocks: list[_TermBlocks] = []
         self._block_cache = _LRUCache(BLOCK_CACHE_ROW_GROUPS)
@@ -300,12 +310,13 @@ class ScoreServer:
                     p = os.path.join(d, b["path"])
                     pf = pq.ParquetFile(p)
                     names = pf.schema_arrow.names
-                    pin = [c for c in _SCORING_COLUMNS if c in names]
+                    pin = ["term"] + [c for c in _SCORING_COLUMNS if c in names]
                     if "wts_blob" in names:
                         pin.append("wts_blob")
                     self._lazy_cols = tuple(c for c in _LAZY if c in names)
                     tbl = pf.read(columns=pin)
                     self._tables.append(tbl)
+                    self._cols.append(TermColumns(tbl))
                     self._terms.append(tbl["term"].to_numpy(zero_copy_only=False))
                     self._blocks.append(_TermBlocks(p, self._block_cache))
                     self._table_shards.append(int(b["bucket"]))
@@ -322,7 +333,7 @@ class ScoreServer:
     def _searcher(self, gstats, weighting) -> ShardSearcher:
         view = _GlobalStatsView(self._doc_count, self._tfl, self._universe)
         s = ShardSearcher(
-            view, self._tables, self._terms, self._blocks, gstats, weighting,
+            view, self._cols, self._terms, self._blocks, gstats, weighting,
             lazy_cols=self._lazy_cols,
         )
         if len(self._tcache) > 50_000:
@@ -393,7 +404,7 @@ class ScoreServer:
             self._table_universe[i],
         )
         s = ShardSearcher(
-            view, [self._tables[i]], [self._terms[i]], [self._blocks[i]],
+            view, [self._cols[i]], [self._terms[i]], [self._blocks[i]],
             gstats, weighting, lazy_cols=self._lazy_cols,
         )
         s._term_cache = self._table_caches.setdefault(i, {})
