@@ -6,15 +6,17 @@ extraction, the heavy-term probe, the generational term-bucket build and
 the benchmark's query mix against two in-process
 ``ScoreServer.__ray_actor_class__`` instances pinning shards [0, 2] and
 [1, 3], the assignment ``ScorePool`` gives its two actors. Each query runs
-the pool's driver steps (``search.plan.rewrite``, the global term stats,
-one packed request) and each server's ``call``, then merges the replies.
-The servers start cold, as every benchmark cycle's actors do.
+the pool's driver steps (``search.plan.rewrite``, the global term stats and
+``doc_slots`` masks, one packed request), calls only the servers the pool's
+pruning rule picks (``query_slots`` against each server's ``shard_slots``),
+then merges the replies. The servers start cold, as every benchmark
+cycle's actors do.
 
 CPU is ``time.thread_time``: "driver" is everything but the ``call``s,
-"actors" is the two ``call``s. Prints, per query class, the count and the
-median and mean ms of each, then the totals. With ``--profile N`` it also
-prints the N functions with the most cumulative time inside the actors'
-calls.
+"actors" is the ``call``s. Prints, per query class, the count, the median
+and mean ms of each and the mean number of servers called, then the
+totals. With ``--profile N`` it also prints the N functions with the most
+cumulative time inside the actors' calls.
 
 Usage: python scripts/probe_query.py [--pages 2000] [--seed 1]
        [--workload tail] [--warm 48] [--queries 384] [--profile 0]
@@ -25,6 +27,7 @@ from __future__ import annotations
 import argparse
 import cProfile
 import dataclasses
+import functools
 import os
 import pstats
 import shutil
@@ -76,6 +79,8 @@ def main() -> None:
         ScoreServer,
         _merge_replies,
         _pack_request,
+        query_slots,
+        shard_slots,
     )
 
     work = tempfile.mkdtemp(prefix="probe_query_")
@@ -95,32 +100,41 @@ def main() -> None:
         serving = serving_dir_for(member)
         build_serving_shards(member, num_shards=NUM_SHARDS, out_dir=serving)
 
-        servers = [ScoreServer.__ray_actor_class__(serving, [0, 2]),
-                   ScoreServer.__ray_actor_class__(serving, [1, 3])]
+        assignments = [[0, 2], [1, 3]]
+        servers = [ScoreServer.__ray_actor_class__(serving, ks) for ks in assignments]
+        server_slots = [shard_slots(ks, NUM_SHARDS) for ks in assignments]
         # the pool's driver state: its stats cache and planning lexicon
         index = Index(member)
         drv = types.SimpleNamespace(index=index, _stats_cache=_LRUCache(200_000))
+        drv._term_info = functools.partial(ScorePool._term_info, drv)
         lexicon = Searcher(index)
         qp = QueryParser()
         prof = cProfile.Profile() if args.profile else None
 
-        def run(q: dict) -> tuple[float, float]:
-            """(driver s, actors s) of one query."""
+        def run(q: dict) -> tuple[float, float, int]:
+            """(driver s, actors s, servers called) of one query."""
             d0 = time.thread_time()
             if q["cls"] == "wand":
-                gstats = ScorePool._gstats(drv, q["terms"])
+                info = drv._term_info(q["terms"])
+                slots = 0
+                for v in info.values():
+                    slots |= v[3]
+                gstats = {t: v[:3] for t, v in info.items()}
                 request, _ = _pack_request("wand", q["terms"], TOP_K, gstats, None, "auto",
                                            timelimit=None)
             else:
                 q2 = rewrite(qp.parse(q["text"]), lexicon,
                              lambda t: ScorePool._gstats(drv, t))
-                gstats = ScorePool._gstats(drv, ScorePool._stat_terms(None, q2))
+                info = drv._term_info(ScorePool._stat_terms(None, q2))
+                slots = query_slots(q2, {t: v[3] for t, v in info.items()})
+                gstats = {t: v[:3] for t, v in info.items()}
                 request, _ = _pack_request("score", q2, TOP_K, gstats, None, None, None,
                                            timelimit=None, _delay_per_table=0.0)
+            called = [srv for srv, m in zip(servers, server_slots) if m & slots]
             a0 = time.thread_time()
             if prof is not None:
                 prof.enable()
-            replies = [srv.call(request) for srv in servers]
+            replies = [srv.call(request) for srv in called]
             if prof is not None:
                 prof.disable()
             a1 = time.thread_time()
@@ -128,28 +142,29 @@ def main() -> None:
                 replies = [blob for blob, _stats in replies]
             _merge_replies(replies, TOP_K)
             d1 = time.thread_time()
-            return (a0 - d0) + (d1 - a1), a1 - a0
+            return (a0 - d0) + (d1 - a1), a1 - a0, len(called)
 
         warm = QueryStream(corpus["words"], args.seed + 1_000_003, args.workload)
         for q in warm.take(args.warm):
             run(q)
         if prof is not None:
             prof = cProfile.Profile()  # profile the timed queries only
-        by_cls: dict[str, list[tuple[float, float]]] = defaultdict(list)
+        by_cls: dict[str, list[tuple[float, float, int]]] = defaultdict(list)
         for q in QueryStream(corpus["words"], args.seed, args.workload).take(args.queries):
             by_cls[q["cls"]].append(run(q))
 
         print(f"{args.workload}, seed {args.seed}, {args.pages} pages, "
               f"{args.queries} queries after {args.warm} warm-up")
         print(f"{'class':<9} {'n':>4} {'driver p50':>10} {'driver mean':>11} "
-              f"{'actors p50':>10} {'actors mean':>11}  (ms)")
+              f"{'actors p50':>10} {'actors mean':>11} {'servers':>7}  (ms)")
         rows = sorted(by_cls.items()) + [("all", [x for v in by_cls.values() for x in v])]
         for cls, xs in rows:
             d = [x[0] * 1e3 for x in xs]
             a = [x[1] * 1e3 for x in xs]
+            n = statistics.fmean(x[2] for x in xs)
             print(f"{cls:<9} {len(xs):>4} {statistics.median(d):>10.3f} "
                   f"{statistics.fmean(d):>11.3f} {statistics.median(a):>10.3f} "
-                  f"{statistics.fmean(a):>11.3f}")
+                  f"{statistics.fmean(a):>11.3f} {n:>7.2f}")
         if prof is not None:
             pstats.Stats(prof).sort_stats("cumulative").print_stats(args.profile)
     finally:

@@ -55,6 +55,33 @@ def test_resume_skips_completed_buckets(ray_session, pages_table, tmp_path):
     assert m3["n_postings"] == m1["n_postings"]
 
 
+def test_other_format_versions_are_refused_and_rebuilt(ray_session, pages_table, tmp_path):
+    """``Index`` opens only the current format; a resumed build over an
+    index of another format rewrites every bucket instead of reusing it."""
+    import ray.data
+
+    from whoosh_novo_ray.index.build import FORMAT_VERSION, MANIFEST_NAME
+
+    out = str(tmp_path / "idx")
+    docs = ray.data.from_arrow(pages_table.select(["doc_id", "text"]))
+    cfg = IndexConfig(num_buckets=4)
+    m1 = build_index(docs, out, cfg, lineage="L1")
+    assert m1["format_version"] == FORMAT_VERSION == 2
+    man_path = os.path.join(out, MANIFEST_NAME)
+    for old in (1, None):
+        m = dict(m1, format_version=old)
+        with open(man_path, "w") as f:
+            json.dump(m, f)
+        with pytest.raises(ValueError, match="Rebuild the index"):
+            Index(out)
+    seg = os.path.join(out, m1["buckets"][0]["path"])
+    before = os.stat(seg).st_mtime_ns
+    m2 = build_index(docs, out, cfg, lineage="L1", resume=True)
+    assert os.stat(seg).st_mtime_ns != before
+    assert m2["format_version"] == FORMAT_VERSION
+    assert Index(out).doc_count == m1["doc_count"]
+
+
 def test_salted_heavy_terms_equivalent(ray_session, pages_table, tmp_path):
     """An index built with heavy-term salting returns identical postings."""
     import ray.data
@@ -279,3 +306,45 @@ def test_build_runs_the_input_pipeline_once(ray_session, pages_table, tmp_path):
     assert len(os.listdir(calls)) == len(blocks)
     assert man["doc_count"] == len(docs)
     assert Index(str(tmp_path / "idx")).doc_count == len(docs)
+
+
+def test_doc_slots_or_across_members_and_merge(ray_session, pages_table, tmp_path):
+    """A 2-member MultiIndex ORs its members' ``doc_slots``, and a merge
+    with deletes recomputes each term's mask from the postings it keeps."""
+    import ray.data
+
+    from whoosh_novo_ray.index.merge import merge_indexes
+    from whoosh_novo_ray.index.multi import MultiIndex
+    from whoosh_novo_ray.shuffle import key_hash
+
+    def slot_mask(ids) -> int:
+        m = 0
+        for h in key_hash(np.asarray(ids, np.uint64)).tolist():
+            m |= 1 << (h % 64)
+        return m
+
+    docs = pages_table.select(["doc_id", "text"])
+    half = len(docs) // 2
+    a, b = str(tmp_path / "a"), str(tmp_path / "b")
+    cfg = IndexConfig(num_buckets=4, heavy_terms=("search",), salt_k=4, salt_shift=3)
+    build_index(ray.data.from_arrow(docs.slice(0, half)), a, cfg, lineage="a")
+    build_index(ray.data.from_arrow(docs.slice(half)), b, cfg, lineage="b")
+    terms = ["search", "data", "index", "zzzznope"]
+    multi = MultiIndex([a, b]).term_stats_and_slots(terms)
+    ia, ib = Index(a).term_stats_and_slots(terms), Index(b).term_stats_and_slots(terms)
+    for t in terms:
+        assert multi[t][3] == ia[t][3] | ib[t][3], t
+        assert multi[t][:3] == MultiIndex([a, b]).term_stats_many([t])[t]
+
+    ids = docs["doc_id"].to_numpy()
+    dels = ids[::3]
+    merged = str(tmp_path / "merged")
+    merge_indexes([a, b], merged, delete_doc_ids=dels, lineage="m")
+    s = Searcher(Index(merged))
+    got = Index(merged).term_stats_and_slots(terms)
+    for t in terms:
+        kept = s.term_postings(t)[0]
+        assert not np.isin(kept, dels).any()
+        assert got[t][3] == slot_mask(kept), t
+    # the deletes dropped some slot of some term
+    assert any(got[t][3] != multi[t][3] for t in terms)

@@ -401,3 +401,41 @@ def test_pool_fuzz_matches_local(ray_session, built_index, pages_table, vocab, b
             ), f"pool tree #{i}: {q!r}"
     finally:
         pool.shutdown()
+
+
+def test_pruned_pool_fuzz_matches_local(
+    ray_session, built_index, vocab, bigrams, monkeypatch
+):
+    """The pool's random trees again, on 4 shards: 4 divides 64, so each
+    query goes only to the actors whose shards its terms' ``doc_slots``
+    reach. The answers must not change, and some queries must skip an
+    actor (the pruning is exercised, not just allowed)."""
+    import whoosh_novo_ray.state.score_pool as sp
+
+    calls = []
+    real = sp._fan_out
+
+    def spy(actors, op, *args, **kwargs):
+        calls.append(len(actors))
+        return real(actors, op, *args, **kwargs)
+
+    monkeypatch.setattr(sp, "_fan_out", spy)
+    local = Searcher(built_index)
+    pool = sp.ScorePool(built_index.path, num_actors=2, num_shards=4)
+    try:
+        rng = np.random.default_rng(SEEDS[0] + 2)
+        for i in range(60):
+            q, _ = _gen_tree(rng, vocab, 2, bigrams, extra=True)
+            limit = int(rng.choice([1, 10, 50]))
+            a = local.search(q, limit=limit).to_pydict()
+            b = pool.search(q, limit=limit).to_pydict()
+            # the score-0 tail differs by design (see test_pool_fuzz_matches_local)
+            am = [(d, s) for d, s in zip(a["doc_id"], a["score"]) if s > 0]
+            bm = [(d, s) for d, s in zip(b["doc_id"], b["score"]) if s > 0]
+            assert [d for d, _ in am] == [d for d, _ in bm], f"pool tree #{i}: {q!r}"
+            assert [s for _, s in am] == pytest.approx(
+                [s for _, s in bm], rel=1e-12
+            ), f"pool tree #{i}: {q!r}"
+    finally:
+        pool.shutdown()
+    assert min(calls) < 2

@@ -38,73 +38,221 @@ def spool(ray_session, built_index):
     p.shutdown()
 
 
-@pytest.mark.parametrize(
-    "q",
-    [
-        Term("search"),
-        Or(Term("search"), Term("data"), Term("index")),
-        And(Term("search"), Term("data")),
-        Phrase(["search", "data"]),
-        Term("zzzznope"),
-        AndNot(Term("search"), Term("data")),
-        Require(Term("search"), Term("data")),
-        AndMaybe(Term("search"), Term("data")),
-        DisMax(Term("search"), Term("data")),
-        Or(Term("search"), Term("data"), scale=0.5),
-        Every(),
-        Prefix("sea"),
-        Wildcard("se*ch"),
-        TermRange("sea", "sed"),
-        FuzzyTerm("serch", maxdist=1, prefixlength=1),
-        Variations("searching"),
-        Sequence(Term("search"), Term("data")),
-        Phrase(["search", "data"], slop=2),
-        ConstantScore(Or(Term("search"), Term("data")), score=2.5),
-        WeightingQuery(Term("search"), TFIDF()),
-        Prefix("s", boost=0.0),
-        Wildcard("s*", boost=0.0),
-        FuzzyTerm("data", maxdist=2, prefixlength=0, boost=0.0),
-        Or(Prefix("s", boost=0.0), Term("data")),
-        Prefix("s", boost=2.5),
-        Q.Filtered(Term("data"), Prefix("s")),
-        Q.Filtered(Or(Term("search"), Term("data")), None, Wildcard("se*")),
-        Sequence(Term("search"), Variations("data")),
-    ],
-    ids=[
-        "term",
-        "or3",
-        "and2",
-        "phrase",
-        "absent",
-        "andnot",
-        "require",
-        "andmaybe",
-        "dismax",
-        "or_sqr",
-        "every",
-        "prefix",
-        "wildcard",
-        "termrange",
-        "fuzzy",
-        "variations",
-        "sequence",
-        "phrase_slop2",
-        "constscore",
-        "weighting",
-        "prefix_boost0",
-        "wildcard_boost0",
-        "fuzzy_boost0",
-        "or_prefix_boost0",
-        "prefix_boost2.5",
-        "filtered_allow_prefix",
-        "filtered_restrict_wildcard",
-        "sequence_variations",
-    ],
-)
+# queries the pool must answer exactly as the local Searcher does
+PARITY = [
+    Term("search"),
+    Or(Term("search"), Term("data"), Term("index")),
+    And(Term("search"), Term("data")),
+    Phrase(["search", "data"]),
+    Term("zzzznope"),
+    AndNot(Term("search"), Term("data")),
+    Require(Term("search"), Term("data")),
+    AndMaybe(Term("search"), Term("data")),
+    DisMax(Term("search"), Term("data")),
+    Or(Term("search"), Term("data"), scale=0.5),
+    Every(),
+    Prefix("sea"),
+    Wildcard("se*ch"),
+    TermRange("sea", "sed"),
+    FuzzyTerm("serch", maxdist=1, prefixlength=1),
+    Variations("searching"),
+    Sequence(Term("search"), Term("data")),
+    Phrase(["search", "data"], slop=2),
+    ConstantScore(Or(Term("search"), Term("data")), score=2.5),
+    WeightingQuery(Term("search"), TFIDF()),
+    Prefix("s", boost=0.0),
+    Wildcard("s*", boost=0.0),
+    FuzzyTerm("data", maxdist=2, prefixlength=0, boost=0.0),
+    Or(Prefix("s", boost=0.0), Term("data")),
+    Prefix("s", boost=2.5),
+    Q.Filtered(Term("data"), Prefix("s")),
+    Q.Filtered(Or(Term("search"), Term("data")), None, Wildcard("se*")),
+    Sequence(Term("search"), Variations("data")),
+]
+PARITY_IDS = [
+    "term",
+    "or3",
+    "and2",
+    "phrase",
+    "absent",
+    "andnot",
+    "require",
+    "andmaybe",
+    "dismax",
+    "or_sqr",
+    "every",
+    "prefix",
+    "wildcard",
+    "termrange",
+    "fuzzy",
+    "variations",
+    "sequence",
+    "phrase_slop2",
+    "constscore",
+    "weighting",
+    "prefix_boost0",
+    "wildcard_boost0",
+    "fuzzy_boost0",
+    "or_prefix_boost0",
+    "prefix_boost2.5",
+    "filtered_allow_prefix",
+    "filtered_restrict_wildcard",
+    "sequence_variations",
+]
+
+
+@pytest.mark.parametrize("q", PARITY, ids=PARITY_IDS)
 def test_scorepool_matches_local(spool, built_index, q):
     local = Searcher(built_index).search(q, limit=10).to_pydict()
     remote = spool.search(q, limit=10).to_pydict()
     assert remote == local
+
+
+# -- pruning before dispatch: only the actors that can match get a query ----
+
+
+@pytest.fixture(scope="module")
+def ppool(ray_session, built_index):
+    """4 shards on 2 actors ([0, 2] and [1, 3]): 4 divides 64, so the pool
+    sends a query only to the actors whose shards can match it."""
+    p = ScorePool(built_index.path, num_actors=2, num_shards=4)
+    yield p
+    p.shutdown()
+
+
+@pytest.fixture
+def called(monkeypatch):
+    """The number of actors each ``_fan_out`` sends to, in call order."""
+    import whoosh_novo_ray.state.score_pool as sp
+
+    calls = []
+    real = sp._fan_out
+
+    def spy(actors, op, *args, **kwargs):
+        calls.append(len(actors))
+        return real(actors, op, *args, **kwargs)
+
+    monkeypatch.setattr(sp, "_fan_out", spy)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def shards_of(built_index):
+    """Each term's serving shard (of 4) per posting, from its decoded
+    postings."""
+    import numpy as np
+
+    from whoosh_novo_ray.index.build import doc_shard_of
+
+    terms = built_index.iter_term_stats(("term", "df"))["term"].to_pylist()
+    return {
+        t: doc_shard_of(np.concatenate([r.decode_all()[0] for r in rows]), 4).tolist()
+        for t, rows in built_index.term_rows(terms).items()
+    }
+
+
+def _rare(shards_of, shard: int) -> str:
+    """A df = 1 term whose doc is in ``shard``."""
+    return min(t for t, ks in shards_of.items() if ks == [shard])
+
+
+def _same(pool, built_index, q, limit=None, **kw) -> dict:
+    """The pool's answer, asserted equal to the local Searcher's."""
+    local = Searcher(built_index)
+    want = local.search(
+        q, limit=limit, filter=kw.get("filter"), mask=kw.get("mask")
+    ).to_pydict()
+    assert pool.search(q, limit=limit, **kw).to_pydict() == want
+    return want
+
+
+@pytest.mark.parametrize("q", PARITY, ids=PARITY_IDS)
+def test_pruned_pool_matches_local(ppool, built_index, q):
+    local = Searcher(built_index).search(q, limit=10).to_pydict()
+    assert ppool.search(q, limit=10).to_pydict() == local
+
+
+def test_rare_term_calls_one_actor(ppool, built_index, shards_of, called):
+    t = _rare(shards_of, 0)
+    assert len(_same(ppool, built_index, Term(t))["doc_id"]) == 1
+    hits, _stats = ppool.wand_topk([t], 10)
+    assert hits["doc_id"].to_pylist() == _same(ppool, built_index, Term(t))["doc_id"]
+    assert called == [1, 1, 1]
+
+
+def test_disjoint_terms_call_no_actor(ppool, built_index, shards_of, called):
+    """And, Phrase and Require of terms that share no shard cannot match:
+    no actor is called, and every entry point returns the empty merge."""
+    import ray
+
+    a, b = _rare(shards_of, 0), _rare(shards_of, 1)
+    for q in (And(Term(a), Term(b)), Phrase([a, b]), Require(Term(a), Term(b))):
+        assert _same(ppool, built_index, q) == {"doc_id": [], "score": []}
+        assert _same(ppool, built_index, q, limit=10, timelimit=60.0)["doc_id"] == []
+        assert ray.get(ppool.search_async(q, limit=10)).to_pydict() == {
+            "doc_id": [], "score": [],
+        }
+    hits, stats = ppool.wand_topk(["zzzznope"], 10)
+    assert len(hits) == 0 and not stats.get("timed_out")
+    assert called == [0] * 10
+
+
+def test_pruned_queries_stay_exact(ppool, built_index, shards_of, called):
+    """Queries whose matches reach beyond their rare terms' shards: the
+    rule must keep every actor that can hold a match."""
+    from whoosh_novo_ray.search.qparser import QueryParser
+
+    rare = _rare(shards_of, 0)
+    tbl = built_index.iter_term_stats(("term", "df")).sort_by([("df", "descending")])
+    common = tbl["term"][0].as_py()
+    assert set(shards_of[common]) == {0, 1, 2, 3}
+    cases = [
+        (QueryParser().parse(f"NOT {rare}"), {}),
+        (Every(), {}),
+        (AndNot(Term(common), Term(rare)), {}),
+        (AndMaybe(Term(common), Term(rare)), {}),
+        (Or(Term(rare), Term(common)), {}),
+        (And(Term(common), Or(Term(rare), Every())), {}),
+        (Or(Term(common), Term(rare)), {"filter": Term(rare)}),
+        (Term(common), {"mask": Term(rare)}),
+        (Q.Filtered(Term(common), None, Term(rare)), {}),
+        (Or(Term(common), Term(rare)), {"timelimit": 60.0}),
+    ]
+    for q, kw in cases:
+        assert _same(ppool, built_index, q, **kw)["doc_id"], q
+    assert called == [2] * len(cases)
+
+
+def test_shard_count_not_dividing_64_calls_every_actor(
+    spool, ppool, built_index, shards_of, called
+):
+    from whoosh_novo_ray.state.score_pool import query_slots
+
+    t = _rare(shards_of, 0)
+    _same(spool, built_index, Term(t))  # 5 shards
+    _same(ppool, built_index, Term(t))  # 4 shards
+    assert called == [2, 1]
+    # nodes outside the rule, empty compounds and fielded terms: every slot
+    slots = {t: 1}
+    every = (1 << 64) - 1
+    assert query_slots(Term(t), slots) == 1
+    assert query_slots(Term(t, field="title"), slots) == every
+    assert query_slots(Or(), slots) == every
+    assert query_slots(And(), slots) == every
+    assert query_slots(Sequence(Term(t), Term(t)), slots) == every
+    assert query_slots(Q.NullQuery(), slots) == 0
+
+
+def test_default_shard_count_is_a_power_of_two(monkeypatch):
+    """``default_num_shards`` rounds ``max(8, actors, 2 * cpus)`` up to a
+    power of two (checked without a Ray session)."""
+    import ray
+
+    from whoosh_novo_ray.index.docshard import default_num_shards
+
+    for cpus, actors, want in ((6, 4, 16), (64, 4, 128), (2, 4, 8), (6, 20, 32)):
+        monkeypatch.setattr(ray, "cluster_resources", lambda c=cpus: {"CPU": c})
+        assert default_num_shards(actors) == want
 
 
 def test_scorepool_limit_none(spool, built_index):

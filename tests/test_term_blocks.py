@@ -467,3 +467,50 @@ def test_pinned_rows_are_views_of_every_file_row(request, env):
                 v = getattr(lazy, name)
                 if v.size:
                     assert not any(np.may_share_memory(v, c) for c in cached), name
+
+
+# -- doc_slots: the per-term doc-slot mask the score pool prunes with --------
+
+
+def _slot_mask(ids) -> int:
+    """Brute force: bit ``key_hash(doc_id) % 64`` of every posting."""
+    from whoosh_novo_ray.shuffle import key_hash
+
+    m = 0
+    for h in key_hash(np.asarray(ids, np.uint64)).tolist():
+        m |= 1 << (h % 64)
+    return m
+
+
+@pytest.mark.parametrize("env", ["blocks_env", "full_env"])
+def test_doc_slots_match_decoded_postings(request, env):
+    """Every row of the term-bucket and the serving files: ``doc_slots`` is
+    the OR of its postings' slot bits, and gives each shard count dividing
+    64 the term's exact shard set. ``term_stats_and_slots`` ORs a salted
+    term's rows."""
+    from whoosh_novo_ray.index import Index
+    from whoosh_novo_ray.index.build import doc_shard_of
+    from whoosh_novo_ray.index.segment import TermColumns
+
+    path, serving = request.getfixturevalue(env)
+    by_term: dict[str, int] = {}
+    for d in (path, serving):
+        for f in _segment_files(d):
+            tbl = pq.read_table(f)
+            assert "min_id" not in tbl.column_names
+            cols = TermColumns(tbl)
+            for r, (t, slots) in enumerate(
+                zip(tbl["term"].to_pylist(), tbl["doc_slots"].to_pylist())
+            ):
+                ids = cols.row(r, t).decode_all()[0]
+                assert slots == _slot_mask(ids), t
+                for n in (2, 4, 16, 64):
+                    want = set(doc_shard_of(ids, n).tolist())
+                    assert {s % n for s in range(64) if slots >> s & 1} == want
+                if d == path:
+                    by_term[t] = by_term.get(t, 0) | slots
+    got = Index(path).term_stats_and_slots(list(by_term) + ["t99999"])
+    assert got["t99999"] == (0, 0.0, 0.0, 0)
+    assert {t: v[3] for t, v in got.items() if t != "t99999"} == by_term
+    ids = np.arange(N_DOCS if env == "blocks_env" else 600)
+    assert by_term[HEAVY] == _slot_mask(ids)

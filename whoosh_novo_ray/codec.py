@@ -12,7 +12,11 @@ Layout per term (columns of the segment Parquet, see index/build.py):
     ``tfs_blob`` (varint), ``lens_blob`` (raw uint8 length bytes) — kept
     separate so a block decode is three slices, no interleave parsing;
   * per-block metadata lists (count, max_id, max_weight, min_len_byte) +
-    byte offsets into the blobs = the skip table.
+    byte offsets into the blobs = the skip table;
+  * per-term scalars: df, weight, max_weight, min/max len byte and
+    ``doc_slots`` (bit ``key_hash(doc_id) % 64`` per posting, the serving
+    shards a term can match in). ``doc_slots`` replaced the term's
+    ``min_id``/``max_id``, which nothing read.
 """
 
 from __future__ import annotations

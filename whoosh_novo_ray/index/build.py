@@ -53,6 +53,9 @@ from whoosh_novo_ray.lengths import lengths_to_bytes
 from whoosh_novo_ray.shuffle import key_hash, shard_of, shard_reduce
 
 MANIFEST_NAME = "manifest.json"
+# on-disk layout version, written to every manifest; ``Index`` refuses any
+# other (2: per-term ``doc_slots`` in place of ``min_id``/``max_id``)
+FORMAT_VERSION = 2
 _SALT_PRIME = np.uint64(2654435761)
 # no analyzer token can contain NUL, so this term marks per-doc metadata rows
 # that ride the same shuffle as postings (doc length + length byte)
@@ -391,6 +394,12 @@ def encode_bucket_table(tbl: pa.Table, block_size: int, with_positions: bool) ->
     varints tfs, keeps length bytes raw, and computes the per-block skip
     table (count / max id / max weight / min & max len byte) with
     ``np.*.reduceat`` — no per-term Python loop.
+
+    ``doc_slots`` is a per-term uint64 with bit ``key_hash(doc_id) % 64``
+    set for each posting. A serving shard is ``key_hash(doc_id) % n``
+    (``doc_shard_of``), so for any ``n`` dividing 64 a term's shard set
+    follows from its mask: the score pool sends a query only to the actors
+    that pin one of those shards.
     """
     n = len(tbl)
     # dictionary-encode terms (C pass), then sort postings by
@@ -461,8 +470,8 @@ def encode_bucket_table(tbl: pa.Table, block_size: int, with_positions: bool) ->
     term_max_w = np.maximum.reduceat(w, term_starts)
     term_min_lb = np.minimum.reduceat(len_bytes, term_starts)
     term_max_lb = np.maximum.reduceat(len_bytes, term_starts)
-    term_min_id = doc_ids[term_starts]
-    term_max_id = doc_ids[np.append(term_starts[1:], n) - 1]
+    slot_bits = np.left_shift(np.uint64(1), key_hash(doc_ids) % np.uint64(64))
+    term_slots = np.bitwise_or.reduceat(slot_bits, term_starts)
 
     # per-term byte ranges in the big buffers
     t_ids_off = ids_byte_start[term_starts]
@@ -487,8 +496,7 @@ def encode_bucket_table(tbl: pa.Table, block_size: int, with_positions: bool) ->
         "max_weight": pa.array(term_max_w, pa.float64()),
         "min_len_byte": pa.array(term_min_lb, pa.uint8()),
         "max_len_byte": pa.array(term_max_lb, pa.uint8()),
-        "min_id": pa.array(term_min_id, pa.uint64()),
-        "max_id": pa.array(term_max_id, pa.uint64()),
+        "doc_slots": pa.array(term_slots, pa.uint64()),
         "block_counts": _list_array(pa.array(block_counts, pa.uint32()), nblocks_per_term),
         "block_max_ids": _list_array(pa.array(block_max_id, pa.uint64()), nblocks_per_term),
         "block_max_weights": _list_array(pa.array(block_max_w, pa.float64()), nblocks_per_term),
@@ -680,7 +688,10 @@ def _run_bucket_shuffle(
     if resume and os.path.exists(man_path):
         with open(man_path) as f:
             old = json.load(f)
-        if old.get("config") == cfg.to_json():
+        if (
+            old.get("config") == cfg.to_json()
+            and old.get("format_version") == FORMAT_VERSION
+        ):
             for b in old.get("buckets", []):
                 # docmeta-only buckets have path="" (no segment file); their
                 # durable artifact is the docmeta parquet
@@ -733,7 +744,7 @@ def _run_bucket_shuffle(
     buckets.sort(key=lambda b: b["bucket"])
     n_meta = int(sum(b.get("n_docs_meta", 0) for b in buckets))
     manifest = {
-        "format_version": 1,
+        "format_version": FORMAT_VERSION,
         "generation": int(time.time()),
         "doc_count": int(doc_count) if doc_count is not None else n_meta,
         # sum_tf is computed AFTER the encoder splits out docmeta rows, so it

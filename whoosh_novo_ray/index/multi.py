@@ -56,15 +56,22 @@ class MultiIndex:
                 out[t].extend(rs)
         return out
 
+    def term_stats_and_slots(
+        self, terms: list[str]
+    ) -> dict[str, tuple[int, float, float, int]]:
+        """``Index.term_stats_and_slots`` over the union: stats summed and
+        ``doc_slots`` masks OR-ed across members."""
+        out = dict.fromkeys(terms, (0, 0.0, 0.0, 0))
+        for m in self.members:
+            for t, (df, w, mx, slots) in m.term_stats_and_slots(terms).items():
+                odf, ow, omx, oslots = out[t]
+                out[t] = (odf + df, ow + w, max(omx, mx), oslots | slots)
+        return out
+
     def term_stats_many(
         self, terms: list[str]
     ) -> dict[str, tuple[int, float, float]]:
-        out = {t: (0, 0.0, 0.0) for t in terms}
-        for m in self.members:
-            for t, (df, w, mx) in m.term_stats_many(terms).items():
-                odf, ow, omx = out[t]
-                out[t] = (odf + df, ow + w, max(omx, mx))
-        return out
+        return {t: s[:3] for t, s in self.term_stats_and_slots(terms).items()}
 
     def expand_terms(self, predicate, **kwargs) -> list[str]:
         found: set[str] = set()

@@ -20,6 +20,14 @@ slices. Reading a row's ~16 fields as Arrow scalars instead costs about
 A scoring actor's rows are views of its pinned table (no copy; the table
 lives as long as the actor). Rows taken from a cached row group are copies,
 so the cache can evict the group.
+
+Besides df, weight and max_weight, each term row carries ``doc_slots``: a
+uint64 with bit ``key_hash(doc_id) % 64`` set for each of its postings (it
+replaces the ``min_id``/``max_id`` columns of format 1, which nothing
+read). ``Index.term_stats_and_slots`` reads it in the same cached stats
+group; the score pool maps it to the serving shards that can hold a match.
+``Index`` opens only ``FORMAT_VERSION`` manifests: an index of another
+format must be rebuilt.
 """
 
 from __future__ import annotations
@@ -36,6 +44,7 @@ import ray
 
 from whoosh_novo_ray.codec import varint_decode
 from whoosh_novo_ray.index.build import (
+    FORMAT_VERSION,
     MANIFEST_NAME,
     IndexConfig,
     buckets_for_query_terms,
@@ -221,7 +230,11 @@ _LIST_DTYPES = {
     "block_pos_off": np.dtype(np.int64),
     "block_chars_off": np.dtype(np.int64),
 }
-_SCALAR_FIELDS = ("df", "weight", "max_weight", "min_len_byte", "max_len_byte")
+# ``doc_slots`` is read with the term stats (``TermColumns.values``), never
+# into a TermRow
+_SCALAR_FIELDS = (
+    "df", "weight", "max_weight", "min_len_byte", "max_len_byte", "doc_slots",
+)
 _BLOB_FIELDS = (
     "ids_blob", "tfs_blob", "lens_blob", "wts_blob", "pos_blob", "chars_blob",
     "pboosts_blob",
@@ -232,7 +245,7 @@ def _batch_views(batch: pa.RecordBatch) -> tuple[list, list, list]:
     """Zero-copy numpy views of one batch's TermRow columns: ``(name,
     values)`` per scalar column, ``(name, values, offsets, cast)`` per list
     column and ``(name, data, offsets)`` per blob column. Other columns
-    (``term``, ``min_id``, ...) are left out."""
+    (``term``) are left out."""
     scalars, lists, blobs = [], [], []
     for name, arr in zip(batch.schema.names, batch.columns):
         if name in _SCALAR_FIELDS:
@@ -294,7 +307,9 @@ class TermColumns:
 
     def row(self, i: int, term: str, copy: bool = False) -> TermRow:
         """Row ``i`` as a TermRow; its fields are slices of the views."""
-        return TermRow(term=term, **self.values(i, copy))
+        v = self.values(i, copy)
+        v.pop("doc_slots", None)
+        return TermRow(term=term, **v)
 
 
 @ray.remote(num_cpus=1)
@@ -446,7 +461,7 @@ class _TermBlocks:
 # decoded row groups an Index keeps across lookups (term arrays and stats
 # columns; all of its bucket files share the one LRU)
 _INDEX_BLOCK_CACHE = 32
-_STATS_COLUMNS = ("df", "weight", "max_weight")
+_STATS_COLUMNS = ("df", "weight", "max_weight", "doc_slots")
 # the pruning counters of a term-dictionary scan (``Index.range_blocks``
 # defines them; the FuzzyTerm automaton reports the same keys)
 EXPAND_STAT_KEYS = (
@@ -465,6 +480,13 @@ class Index:
         self.path = path
         with open(os.path.join(path, MANIFEST_NAME)) as f:
             self.manifest = json.load(f)
+        version = self.manifest.get("format_version")
+        if version != FORMAT_VERSION:
+            raise ValueError(
+                f"index at {path} has format_version {version}; this reader "
+                f"needs {FORMAT_VERSION} (per-term doc_slots). Rebuild the "
+                "index with build_index."
+            )
         self.cfg = IndexConfig.from_json(dict(self.manifest["config"]))
         self.doc_count: int = self.manifest["doc_count"]
         self.total_field_length: float = self.manifest["total_field_length"]
@@ -540,22 +562,30 @@ class Index:
             out[t].extend(c.row(r, t, copy=True) for r in range(i, j))
         return out
 
+    def term_stats_and_slots(
+        self, terms: list[str]
+    ) -> dict[str, tuple[int, float, float, int]]:
+        """Global ``(df, total_weight, max_weight, doc_slots)`` per term:
+        the stats summed across salted rows and their ``doc_slots`` masks
+        OR-ed — stats columns only (no posting blobs leave storage). The
+        score pool ships the first three with a query and keeps the mask to
+        pick the actors that can match it."""
+        out = dict.fromkeys(terms, (0, 0.0, 0.0, 0))
+        for t, tb, g, i, j in self._term_spans(list(out)):
+            c = tb.read(g, _STATS_COLUMNS)
+            df, w, mx, slots = out[t]
+            for r in range(i, j):
+                v = c.values(r)
+                df, w = df + v["df"], w + v["weight"]
+                mx, slots = max(mx, v["max_weight"]), slots | v["doc_slots"]
+            out[t] = (df, w, mx, slots)
+        return out
+
     def term_stats_many(
         self, terms: list[str]
     ) -> dict[str, tuple[int, float, float]]:
-        """Global ``(df, total_weight, max_weight)`` per term, summed across
-        salted rows — stats columns only (no posting blobs leave storage).
-        Used by the distributed score pool to ship collection-level stats
-        with a query."""
-        out = dict.fromkeys(terms, (0, 0.0, 0.0))
-        for t, tb, g, i, j in self._term_spans(list(out)):
-            c = tb.read(g, _STATS_COLUMNS)
-            df, w, mx = out[t]
-            for r in range(i, j):
-                v = c.values(r)
-                df, w, mx = df + v["df"], w + v["weight"], max(mx, v["max_weight"])
-            out[t] = (df, w, mx)
-        return out
+        """Global ``(df, total_weight, max_weight)`` per term."""
+        return {t: s[:3] for t, s in self.term_stats_and_slots(terms).items()}
 
     def iter_term_stats(self, columns=("term", "df", "weight")) -> pa.Table:
         """Full term dictionary (stats columns only) across all buckets,

@@ -8,6 +8,7 @@ and the SQL so the driver's order-insensitive value-hash comparison matches.
 
 from __future__ import annotations
 
+import json
 import os
 from collections.abc import Callable
 from typing import Any
@@ -270,13 +271,16 @@ def _docs_ds(sf_dir: str, columns=("doc_id", "text")):
 def _cache_lineage(tag: str, sf_dir: str) -> str:
     """Lineage of a gate index cached under /tmp/wnr_indexes: a resumed
     build compares the analyzer's config JSON but not its code, so a digest
-    of ``analysis.py``'s source makes a changed analyzer rebuild."""
+    of ``analysis.py``'s source makes a changed analyzer rebuild, and the
+    index format version makes a format change rebuild."""
     import hashlib
 
     import whoosh_novo_ray.analysis as analysis
+    from whoosh_novo_ray.index.build import FORMAT_VERSION
 
     with open(analysis.__file__, "rb") as f:
-        return f"{tag}:{sf_dir}:{hashlib.sha1(f.read()).hexdigest()[:12]}"
+        digest = hashlib.sha1(f.read()).hexdigest()[:12]
+    return f"{tag}:{sf_dir}:{digest}:v{FORMAT_VERSION}"
 
 
 def _index_for(sf_dir: str):
@@ -1137,7 +1141,14 @@ def queries() -> dict[str, Callable[[str], Any]]:
             "/tmp/wnr_indexes",
             sf_dir.strip("/").replace("/", "_") + "_mf",
         )
-        if not os.path.exists(os.path.join(out, "multifield.json")):
+        # rebuilt when the analyzer or the index format changed
+        lineage = _cache_lineage("mf", sf_dir)
+        mf_path = os.path.join(out, "multifield.json")
+        cached = None
+        if os.path.exists(mf_path):
+            with open(mf_path) as f:
+                cached = json.load(f).get("lineage")
+        if cached != lineage:
             build_multifield_index(
                 _docs_ds(sf_dir, ("doc_id", "text", "source")),
                 out,
@@ -1145,7 +1156,7 @@ def queries() -> dict[str, Callable[[str], Any]]:
                     "text": _IC(text_col="text", num_buckets=8),
                     "source": _IC(text_col="source", num_buckets=2),
                 },
-                lineage=f"mf:{sf_dir}",
+                lineage=lineage,
             )
         return MultiFieldSearcher(MultiFieldIndex(out), default_field="text")
 

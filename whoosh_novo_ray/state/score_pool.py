@@ -18,8 +18,28 @@ Driver responsibilities (cheap, metadata-only):
     multi-term constantscore) depends on the GLOBAL lexicon, not a
     shard's slice;
   * fetch global per-term stats once per term (a block-index lookup in the
-    main index's open-once bucket files, cached across queries);
+    main index's open-once bucket files, cached across queries), together
+    with the term's ``doc_slots`` mask (bit ``key_hash(doc_id) % 64`` per
+    posting, read in the same cached stats group; only the stats ship);
+  * send a top-k query (``search``, ``search_async``, ``wand_topk``) only
+    to the actors that can match it (below);
   * k-way-merge the per-shard top-k tables with the reference tie-break.
+
+Pruning before dispatch: a serving shard is ``key_hash(doc_id) % n``, so
+when ``n`` divides 64, slot ``s`` lands in shard ``s % n``. The driver maps
+the rewritten query to the slots that can hold a match (:func:`query_slots`):
+a Term its mask; Or, DisMax and a constant-score union the OR of their
+children; And, Phrase and Require the AND (a doc has one slot, so this is
+exact); AndNot and AndMaybe the slots of ``a``; ConstantScore,
+WeightingQuery and Filtered their child's; NullQuery none. The rule is
+conservative: any other node, an empty compound, a fielded Term, or a
+shard count that does not divide 64 means every slot. Each actor gets the
+query only when one of its shards holds one of those slots; when none
+does, the query returns the empty merge without a round trip. Tail words
+are rare, so most of a tail query's round trips could only return nothing
+(REPOSE, ICDE 2021, prunes distributed top-k partitions the same way).
+Facets, collapse, sorted search and the micro-batch path still fan out to
+every actor.
 
 Queries whose semantics are inherently global-order-dependent (Otherwise's
 "b only if a matches NOTHING anywhere", NestedParent/NestedChildren block
@@ -114,6 +134,57 @@ from whoosh_novo_ray.search.wand import TimeLimit, searcher_wand_topk
 # lazily loaded positional row groups an actor keeps (shared by all of its
 # pinned files; cache_sizes() reports the entry count)
 BLOCK_CACHE_ROW_GROUPS = 16
+
+# every doc slot (bit ``key_hash(doc_id) % 64``): what a query node the
+# pruning rule does not know may match
+_ALL_SLOTS = (1 << 64) - 1
+
+
+def query_slots(q: Q.Query, slots: dict[str, int]) -> int:
+    """The doc slots that can hold a match of the rewritten query ``q``,
+    from each term's ``doc_slots`` mask in ``slots`` (module docstring:
+    "Pruning before dispatch"). A node this rule does not know, an empty
+    compound, a fielded Term or a term missing from ``slots`` may match in
+    every slot."""
+    if isinstance(q, Q.Term):
+        return _ALL_SLOTS if q.field is not None else slots.get(q.text, _ALL_SLOTS)
+    if isinstance(q, Q.NullQuery):
+        return 0
+    if isinstance(q, (Q.Or, Q.DisMax)) and q.children:
+        m = 0
+        for c in q.children:
+            m |= query_slots(c, slots)
+        return m
+    if isinstance(q, Q.And) and q.children:
+        m = _ALL_SLOTS
+        for c in q.children:
+            m &= query_slots(c, slots)
+        return m
+    if isinstance(q, Q.Phrase) and q.words and q.field is None:
+        m = _ALL_SLOTS
+        for w in q.words:
+            m &= slots.get(w, _ALL_SLOTS)
+        return m
+    if isinstance(q, Q.Require):
+        return query_slots(q.a, slots) & query_slots(q.b, slots)
+    if isinstance(q, (Q.AndNot, Q.AndMaybe)):
+        return query_slots(q.a, slots)
+    if isinstance(q, (Q.ConstantScore, Q.WeightingQuery, Q.Filtered)):
+        return query_slots(q.child, slots)
+    return _ALL_SLOTS
+
+
+def shard_slots(shards: list[int], num_shards: int) -> int:
+    """The doc slots that ``shards`` (of ``num_shards`` serving shards)
+    hold: slot ``s`` lands in shard ``s % num_shards`` when ``num_shards``
+    divides 64; with any other count, every slot."""
+    if 64 % num_shards:
+        return _ALL_SLOTS
+    m = 0
+    for k in shards:
+        for s in range(k, 64, num_shards):
+            m |= 1 << s
+    return m
 
 
 class _GlobalStatsView:
@@ -766,6 +837,8 @@ def _pack_request(op: str, *args, **kwargs) -> tuple[bytes, list]:
 
 def _fan_out(actors: list, op: str, *args, **kwargs) -> list:
     """One ``ScoreServer.call`` per actor, all sending the same request."""
+    if not actors:
+        return []
     request, refs = _pack_request(op, *args, **kwargs)
     return [a.call.remote(request, *refs) for a in actors]
 
@@ -943,6 +1016,8 @@ class ScorePool:
         for i, k in enumerate(all_shards):
             assignments[i % num_actors].append(k)
         self._assignments = [ks for ks in assignments if ks]
+        # per actor (the same in every replica): the doc slots it can match
+        self._actor_slots = [shard_slots(ks, num_shards) for ks in self._assignments]
         self._replicas: list[list] = [
             self._spawn_replica() for _ in range(max(1, num_replicas))
         ]
@@ -1016,11 +1091,17 @@ class ScorePool:
 
     # -- planning ------------------------------------------------------------
 
-    def _gstats(self, terms: list[str]) -> dict[str, tuple[int, float, float]]:
+    def _term_info(self, terms: list[str]) -> dict[str, tuple[int, float, float, int]]:
+        """``(df, weight, max_weight, doc_slots)`` per term, through the
+        bounded cache (one stats lookup per term fetches all four)."""
         missing = [t for t in set(terms) if t not in self._stats_cache]
         if missing:
-            self._stats_cache.update(self.index.term_stats_many(missing))
+            self._stats_cache.update(self.index.term_stats_and_slots(missing))
         return {t: self._stats_cache[t] for t in set(terms)}
+
+    def _gstats(self, terms: list[str]) -> dict[str, tuple[int, float, float]]:
+        """The global stats a query ships: ``(df, weight, max_weight)``."""
+        return {t: v[:3] for t, v in self._term_info(terms).items()}
 
     def _stat_terms(self, q: Q.Query) -> list[str]:
         """Every concrete term the query can score — Term leaves AND the
@@ -1081,6 +1162,27 @@ class ScorePool:
             for i in range(len(loads)):
                 loads[i] -= m
         return self._replicas[r]
+
+    def _actors_for(self, slots: int, cost: float) -> list:
+        """The routed replica's actors holding a shard of one of ``slots``
+        (none when the query cannot match)."""
+        grp = self._route(cost)
+        return [a for a, m in zip(grp, self._actor_slots) if m & slots]
+
+    def _plan(self, q: Q.Query, filter, mask) -> tuple:
+        """The driver's steps for one top-k query: rewrite it, normalize
+        the filters, fetch the stats it ships and pick the actors that can
+        match it (filters only drop matches). Returns ``(q2, fq, mq,
+        gstats, actors)``."""
+        q2 = rewrite(q, self._driver_searcher, self._gstats)
+        fq, fterms = self._norm_filter(filter)
+        mq, mterms = self._norm_filter(mask)
+        stat_terms = self._stat_terms(q2)
+        info = self._term_info(sorted({*stat_terms, *fterms, *mterms}))
+        gstats = {t: v[:3] for t, v in info.items()}
+        slots = query_slots(q2, {t: v[3] for t, v in info.items()})
+        actors = self._actors_for(slots, self._est_cost(gstats, stat_terms))
+        return q2, fq, mq, gstats, actors
 
     # -- search --------------------------------------------------------------
 
@@ -1154,14 +1256,9 @@ class ScorePool:
         ):
             s = Searcher(self.index, weighting=weighting)
             return s.search(q, limit=limit, filter=filter, mask=mask)
-        q2 = rewrite(q, self._driver_searcher, self._gstats)
-        fq, fterms = self._norm_filter(filter)
-        mq, mterms = self._norm_filter(mask)
-        stat_terms = self._stat_terms(q2)
-        gstats = self._gstats(sorted({*stat_terms, *fterms, *mterms}))
+        q2, fq, mq, gstats, actors = self._plan(q, filter, mask)
         futs = _fan_out(
-            self._route(self._est_cost(gstats, stat_terms)),
-            "score", q2, limit, gstats, weighting, fq, mq,
+            actors, "score", q2, limit, gstats, weighting, fq, mq,
             timelimit=timelimit, _delay_per_table=_delay_per_table,
         )
         merged = _merge_replies(ray.get(futs), limit)
@@ -1191,15 +1288,10 @@ class ScorePool:
         ):
             s = Searcher(self.index, weighting=weighting)
             return ray.put(s.search(q, limit=limit, filter=filter, mask=mask))
-        q2 = rewrite(q, self._driver_searcher, self._gstats)
-        fq, fterms = self._norm_filter(filter)
-        mq, mterms = self._norm_filter(mask)
-        stat_terms = self._stat_terms(q2)
-        gstats = self._gstats(sorted({*stat_terms, *fterms, *mterms}))
-        futs = _fan_out(
-            self._route(self._est_cost(gstats, stat_terms)),
-            "score", q2, limit, gstats, weighting, fq, mq,
-        )
+        q2, fq, mq, gstats, actors = self._plan(q, filter, mask)
+        futs = _fan_out(actors, "score", q2, limit, gstats, weighting, fq, mq)
+        if not futs:
+            return ray.put(_merge_replies([], limit))
         return _merge_topk_task.remote(limit, *futs)
 
     def search_many_async(
@@ -1295,13 +1387,18 @@ class ScorePool:
     ) -> tuple[pa.Table, dict]:
         """Distributed block-max WAND: each shard runs the skip-table
         cursor loop over ITS blocks (global idf via shipped stats), merged
-        exactly like search(). With ``timelimit``, each actor's cursor loop
+        exactly like search(); only the actors holding a shard where some
+        term occurs run it. With ``timelimit``, each actor's cursor loop
         checks the deadline per iteration; any expiry raises
         :class:`TimeLimit` carrying the merged partials."""
-        gstats = self._gstats(list(terms))
+        info = self._term_info(list(terms))
+        gstats = {t: v[:3] for t, v in info.items()}
+        slots = 0
+        for v in info.values():
+            slots |= v[3]
         results = ray.get(
             _fan_out(
-                self._route(self._est_cost(gstats, list(terms))),
+                self._actors_for(slots, self._est_cost(gstats, list(terms))),
                 "wand", list(terms), k, gstats, weighting, strategy,
                 timelimit=timelimit,
             )
