@@ -71,6 +71,7 @@ def main() -> None:
     from whoosh_novo_ray.index.incremental import GenerationalIndex
     from whoosh_novo_ray.index.segment import Index, _LRUCache
     from whoosh_novo_ray.ops.extract import extract_pages_text
+    from whoosh_novo_ray.search import query as Q
     from whoosh_novo_ray.search.plan import rewrite
     from whoosh_novo_ray.search.qparser import QueryParser
     from whoosh_novo_ray.search.searcher import Searcher
@@ -79,7 +80,6 @@ def main() -> None:
         ScoreServer,
         _merge_replies,
         _pack_request,
-        query_slots,
         shard_slots,
     )
 
@@ -115,19 +115,17 @@ def main() -> None:
             """(driver s, actors s, servers called) of one query."""
             d0 = time.thread_time()
             if q["cls"] == "wand":
-                info = drv._term_info(q["terms"])
-                slots = 0
-                for v in info.values():
-                    slots |= v[3]
-                gstats = {t: v[:3] for t, v in info.items()}
+                gstats, slots = ScorePool._stats_and_slots(
+                    drv, Q.Or(*[Q.Term(t) for t in q["terms"]]), q["terms"]
+                )
                 request, _ = _pack_request("wand", q["terms"], TOP_K, gstats, None, "auto",
                                            timelimit=None)
             else:
                 q2 = rewrite(qp.parse(q["text"]), lexicon,
                              lambda t: ScorePool._gstats(drv, t))
-                info = drv._term_info(ScorePool._stat_terms(None, q2))
-                slots = query_slots(q2, {t: v[3] for t, v in info.items()})
-                gstats = {t: v[:3] for t, v in info.items()}
+                gstats, slots = ScorePool._stats_and_slots(
+                    drv, q2, ScorePool._stat_terms(None, q2)
+                )
                 request, _ = _pack_request("score", q2, TOP_K, gstats, None, None, None,
                                            timelimit=None, _delay_per_table=0.0)
             called = [srv for srv, m in zip(servers, server_slots) if m & slots]

@@ -113,8 +113,9 @@ def test_scorepool_matches_local(spool, built_index, q):
 
 @pytest.fixture(scope="module")
 def ppool(ray_session, built_index):
-    """4 shards on 2 actors ([0, 2] and [1, 3]): 4 divides 64, so the pool
-    sends a query only to the actors whose shards can match it."""
+    """4 shards on 2 actors ([0, 2] and [1, 3]): 4 divides 64, so each
+    slot lands in one shard and the pool sends a query only to the actors
+    whose shards can match it."""
     p = ScorePool(built_index.path, num_actors=2, num_shards=4)
     yield p
     p.shutdown()
@@ -223,13 +224,13 @@ def test_pruned_queries_stay_exact(ppool, built_index, shards_of, called):
     assert called == [2] * len(cases)
 
 
-def test_shard_count_not_dividing_64_calls_every_actor(
+def test_odd_shard_count_calls_every_actor(
     spool, ppool, built_index, shards_of, called
 ):
     from whoosh_novo_ray.state.score_pool import query_slots
 
     t = _rare(shards_of, 0)
-    _same(spool, built_index, Term(t))  # 5 shards
+    _same(spool, built_index, Term(t))  # 5 shards: gcd(5, 64) = 1
     _same(ppool, built_index, Term(t))  # 4 shards
     assert called == [2, 1]
     # nodes outside the rule, empty compounds and fielded terms: every slot
@@ -241,6 +242,41 @@ def test_shard_count_not_dividing_64_calls_every_actor(
     assert query_slots(And(), slots) == every
     assert query_slots(Sequence(Term(t), Term(t)), slots) == every
     assert query_slots(Q.NullQuery(), slots) == 0
+
+
+def test_shard_slots_follow_gcd_rule():
+    """``shard_slots`` equals a brute force over hashes ``h`` in one period
+    of ``n`` and 64, for counts dividing 64, multiples of 64, other even
+    counts and odd ones (no Ray session)."""
+    import math
+
+    from whoosh_novo_ray.state.score_pool import shard_slots
+
+    for n in (1, 2, 4, 5, 6, 12, 64, 96, 128, 192):
+        period = n * 64 // math.gcd(n, 64)
+        for k in range(n):
+            want = 0
+            for h in range(k, period, n):
+                want |= 1 << (h % 64)
+            assert shard_slots([k], n) == want, (n, k)
+    assert shard_slots([1, 3], 5) == (1 << 64) - 1
+
+
+def test_large_shard_count_prunes():
+    """128 shards on 2 actors (even and odd shards, as ``ScorePool``
+    assigns them): each slot lands in shards ``s`` and ``s + 64``, both
+    with one actor, so a one-slot query calls one actor; 6 shards on 2
+    actors split even and odd slots the same way."""
+    from whoosh_novo_ray.state.score_pool import shard_slots
+
+    for n in (128, 6):
+        actors = [shard_slots(list(range(a, n, 2)), n) for a in (0, 1)]
+        for s in range(64):
+            assert [bool(m >> s & 1) for m in actors] == [s % 2 == 0, s % 2 == 1]
+    # 96 shards (gcd 32) on 4 actors: slot 0 lands in shards 0, 32 and 64,
+    # all with actor 0
+    actors = [shard_slots(list(range(a, 96, 4)), 96) for a in range(4)]
+    assert [bool(m & 1) for m in actors] == [True, False, False, False]
 
 
 def test_default_shard_count_is_a_power_of_two(monkeypatch):

@@ -397,9 +397,9 @@ def encode_bucket_table(tbl: pa.Table, block_size: int, with_positions: bool) ->
 
     ``doc_slots`` is a per-term uint64 with bit ``key_hash(doc_id) % 64``
     set for each posting. A serving shard is ``key_hash(doc_id) % n``
-    (``doc_shard_of``), so for any ``n`` dividing 64 a term's shard set
-    follows from its mask: the score pool sends a query only to the actors
-    that pin one of those shards.
+    (``doc_shard_of``), so a term's mask bounds its shard set (exactly when
+    ``n`` is a power of two): the score pool sends a query only to the
+    actors that pin one of those shards.
     """
     n = len(tbl)
     # dictionary-encode terms (C pass), then sort postings by

@@ -115,8 +115,9 @@ def build_attr_shards(
 def default_num_shards(num_actors: int = 4) -> int:
     """Shard count sized to the CLUSTER (the shuffle/encode parallelism is
     shard-count-bounded), mirrored by ScorePool's default. Rounded up to a
-    power of two: a count dividing 64 lets the pool send a query only to
-    the actors whose shards can match it (a term's ``doc_slots``)."""
+    power of two: with such a count a term's ``doc_slots`` gives its exact
+    shard set, so the pool sends a query only to the actors whose shards
+    can match it (``score_pool.shard_slots``)."""
     ncpu = int(ray.cluster_resources().get("CPU", 8))
     return 1 << (max(8, num_actors, 2 * ncpu) - 1).bit_length()
 

@@ -8,7 +8,6 @@ and the SQL so the driver's order-insensitive value-hash comparison matches.
 
 from __future__ import annotations
 
-import json
 import os
 from collections.abc import Callable
 from typing import Any
@@ -1141,23 +1140,16 @@ def queries() -> dict[str, Callable[[str], Any]]:
             "/tmp/wnr_indexes",
             sf_dir.strip("/").replace("/", "_") + "_mf",
         )
-        # rebuilt when the analyzer or the index format changed
-        lineage = _cache_lineage("mf", sf_dir)
-        mf_path = os.path.join(out, "multifield.json")
-        cached = None
-        if os.path.exists(mf_path):
-            with open(mf_path) as f:
-                cached = json.load(f).get("lineage")
-        if cached != lineage:
-            build_multifield_index(
-                _docs_ds(sf_dir, ("doc_id", "text", "source")),
-                out,
-                fields={
-                    "text": _IC(text_col="text", num_buckets=8),
-                    "source": _IC(text_col="source", num_buckets=2),
-                },
-                lineage=lineage,
-            )
+        build_multifield_index(
+            _docs_ds(sf_dir, ("doc_id", "text", "source")),
+            out,
+            fields={
+                "text": _IC(text_col="text", num_buckets=8),
+                "source": _IC(text_col="source", num_buckets=2),
+            },
+            lineage=_cache_lineage("mf", sf_dir),
+            resume=True,
+        )
         return MultiFieldSearcher(MultiFieldIndex(out), default_field="text")
 
     def fielded_and(sf_dir):

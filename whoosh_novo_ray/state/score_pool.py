@@ -25,18 +25,21 @@ Driver responsibilities (cheap, metadata-only):
     to the actors that can match it (below);
   * k-way-merge the per-shard top-k tables with the reference tie-break.
 
-Pruning before dispatch: a serving shard is ``key_hash(doc_id) % n``, so
-when ``n`` divides 64, slot ``s`` lands in shard ``s % n``. The driver maps
-the rewritten query to the slots that can hold a match (:func:`query_slots`):
-a Term its mask; Or, DisMax and a constant-score union the OR of their
-children; And, Phrase and Require the AND (a doc has one slot, so this is
-exact); AndNot and AndMaybe the slots of ``a``; ConstantScore,
-WeightingQuery and Filtered their child's; NullQuery none. The rule is
-conservative: any other node, an empty compound, a fielded Term, or a
-shard count that does not divide 64 means every slot. Each actor gets the
-query only when one of its shards holds one of those slots; when none
-does, the query returns the empty merge without a round trip. Tail words
-are rare, so most of a tail query's round trips could only return nothing
+Pruning before dispatch: a serving shard is ``key_hash(doc_id) % n`` and a
+slot ``key_hash(doc_id) % 64``, so with ``g = gcd(n, 64)`` slot ``s`` can
+land in shard ``k`` exactly when ``s % g == k % g`` (:func:`shard_slots`):
+one shard per slot when ``n`` divides 64, one slot per shard when ``n`` is
+a multiple of 64, some pruning for any other even ``n`` and none for an odd
+one. The driver maps the rewritten query to the slots that can hold a
+match (:func:`query_slots`): a Term its mask; Or, DisMax and a
+constant-score union the OR of their children; And, Phrase and Require the
+AND (a doc has one slot, so this is exact); AndNot and AndMaybe the slots
+of ``a``; ConstantScore, WeightingQuery and Filtered their child's;
+NullQuery none. The rule is conservative: any other node, an empty
+compound or a fielded Term means every slot. Each actor gets the query
+only when one of its shards can hold one of those slots; when none can,
+the query returns the empty merge without a round trip. Tail words are
+rare, so most of a tail query's round trips could only return nothing
 (REPOSE, ICDE 2021, prunes distributed top-k partitions the same way).
 Facets, collapse, sorted search and the micro-batch path still fan out to
 every actor.
@@ -99,6 +102,7 @@ round). A bare ``@ray.remote`` actor: 975 modules, 121.5-121.9 MB,
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 
@@ -175,14 +179,15 @@ def query_slots(q: Q.Query, slots: dict[str, int]) -> int:
 
 
 def shard_slots(shards: list[int], num_shards: int) -> int:
-    """The doc slots that ``shards`` (of ``num_shards`` serving shards)
-    hold: slot ``s`` lands in shard ``s % num_shards`` when ``num_shards``
-    divides 64; with any other count, every slot."""
-    if 64 % num_shards:
-        return _ALL_SLOTS
+    """The doc slots that ``shards`` (of ``num_shards`` serving shards) can
+    hold. Shard ``k`` holds ``h % n == k`` and slot ``s`` holds
+    ``h % 64 == s``, so with ``g = gcd(n, 64)`` slot ``s`` can land in shard
+    ``k`` exactly when ``s % g == k % g``."""
+    g = math.gcd(num_shards, 64)
+    residues = {k % g for k in shards}
     m = 0
-    for k in shards:
-        for s in range(k, 64, num_shards):
+    for s in range(64):
+        if s % g in residues:
             m |= 1 << s
     return m
 
@@ -1099,6 +1104,13 @@ class ScorePool:
             self._stats_cache.update(self.index.term_stats_and_slots(missing))
         return {t: self._stats_cache[t] for t in set(terms)}
 
+    def _stats_and_slots(self, q2: Q.Query, terms: list[str]) -> tuple[dict, int]:
+        """The stats ``terms`` ship, ``(df, weight, max_weight)`` each, and
+        the doc slots that can hold a match of the rewritten ``q2``."""
+        info = self._term_info(terms)
+        gstats = {t: v[:3] for t, v in info.items()}
+        return gstats, query_slots(q2, {t: v[3] for t, v in info.items()})
+
     def _gstats(self, terms: list[str]) -> dict[str, tuple[int, float, float]]:
         """The global stats a query ships: ``(df, weight, max_weight)``."""
         return {t: v[:3] for t, v in self._term_info(terms).items()}
@@ -1178,9 +1190,7 @@ class ScorePool:
         fq, fterms = self._norm_filter(filter)
         mq, mterms = self._norm_filter(mask)
         stat_terms = self._stat_terms(q2)
-        info = self._term_info(sorted({*stat_terms, *fterms, *mterms}))
-        gstats = {t: v[:3] for t, v in info.items()}
-        slots = query_slots(q2, {t: v[3] for t, v in info.items()})
+        gstats, slots = self._stats_and_slots(q2, sorted({*stat_terms, *fterms, *mterms}))
         actors = self._actors_for(slots, self._est_cost(gstats, stat_terms))
         return q2, fq, mq, gstats, actors
 
@@ -1391,11 +1401,9 @@ class ScorePool:
         term occurs run it. With ``timelimit``, each actor's cursor loop
         checks the deadline per iteration; any expiry raises
         :class:`TimeLimit` carrying the merged partials."""
-        info = self._term_info(list(terms))
-        gstats = {t: v[:3] for t, v in info.items()}
-        slots = 0
-        for v in info.values():
-            slots |= v[3]
+        gstats, slots = self._stats_and_slots(
+            Q.Or(*[Q.Term(t) for t in terms]), list(terms)
+        )
         results = ray.get(
             _fan_out(
                 self._actors_for(slots, self._est_cost(gstats, list(terms))),
