@@ -69,7 +69,10 @@ def _assert_serving_identity(members: list[str], out_dir: str) -> None:
     d_shard = doc_shard_of(dm["doc_id"], NUM_SHARDS)
     for k in range(NUM_SHARDS):
         want = encode_bucket_table(
-            postings.filter(pa.array(p_shard == k)), cfg.block_size, cfg.with_positions
+            postings.filter(pa.array(p_shard == k)),
+            cfg.block_size,
+            cfg.with_positions,
+            doc_slots=False,  # the serving layout leaves the masks out
         )
         got = pq.read_table(os.path.join(out_dir, "segments", f"bucket={k:05d}.parquet"))
         assert got.equals(want), k

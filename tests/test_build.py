@@ -66,9 +66,9 @@ def test_other_format_versions_are_refused_and_rebuilt(ray_session, pages_table,
     docs = ray.data.from_arrow(pages_table.select(["doc_id", "text"]))
     cfg = IndexConfig(num_buckets=4)
     m1 = build_index(docs, out, cfg, lineage="L1")
-    assert m1["format_version"] == FORMAT_VERSION == 2
+    assert m1["format_version"] == FORMAT_VERSION == 3
     man_path = os.path.join(out, MANIFEST_NAME)
-    for old in (1, None):
+    for old in (1, 2, None):
         m = dict(m1, format_version=old)
         with open(man_path, "w") as f:
             json.dump(m, f)

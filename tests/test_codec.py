@@ -4,7 +4,7 @@ import numpy as np
 import pyarrow as pa
 
 from whoosh_novo_ray.codec import (
-    decode_positions,
+    decode_positions_flat,
     delta_encode_with_resets,
     encode_positions,
     varint_decode,
@@ -41,10 +41,12 @@ def test_positions_roundtrip():
         else np.empty(0, np.uint64)
     )
     buf, per = encode_positions(pos, counts)
-    lists = decode_positions(buf.tobytes(), len(counts))
-    assert [len(x) for x in lists] == counts.tolist()
-    if counts.sum():
-        assert (np.concatenate(lists) == pos).all()
+    assert int(per.sum()) == len(buf)
+    # deltas only: one varint per position, no per-posting count
+    assert int(((buf & 0x80) == 0).sum()) == counts.sum()
+    flat, got_counts = decode_positions_flat(buf.tobytes(), counts)
+    assert got_counts.tolist() == counts.tolist()
+    assert (flat == pos).all()
 
 
 def _random_bucket_table(rng, n_terms=40, with_positions=True):
@@ -115,3 +117,34 @@ def test_bucket_encode_decode_roundtrip():
         # term aggregates
         assert float(tr.weight) == float(tfs.sum())
         assert float(tr.max_weight) == float(tfs.max())
+
+
+def test_encoder_refuses_position_count_other_than_tf():
+    """Positions store no count (the reader takes it from tf), so a posting
+    whose positions or char offsets do not follow its tf cannot be
+    written."""
+    import pytest
+
+    rng = np.random.default_rng(5)
+    tbl = _random_bucket_table(rng, n_terms=5)
+    tf = tbl["tf"].to_numpy().copy()
+    tf[3] += 1
+    bad = tbl.set_column(tbl.schema.get_field_index("tf"), "tf", pa.array(tf, pa.uint32()))
+    with pytest.raises(ValueError, match="positions count"):
+        encode_bucket_table(bad, block_size=128, with_positions=True)
+    chars = pa.array(
+        [list(range(2 * len(p))) for p in tbl["positions"].to_pylist()],
+        pa.list_(pa.int32()),
+    )
+    ok = tbl.append_column("chars", chars)
+    assert "chars_blob" in encode_bucket_table(ok, 128, True).column_names
+    short = ok.set_column(
+        ok.schema.get_field_index("chars"),
+        "chars",
+        pa.array(
+            [list(range(2 * len(p) - 1)) for p in tbl["positions"].to_pylist()],
+            pa.list_(pa.int32()),
+        ),
+    )
+    with pytest.raises(ValueError, match="chars count"):
+        encode_bucket_table(short, 128, True)

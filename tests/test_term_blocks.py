@@ -10,6 +10,7 @@ must still answer, through ``Index`` and through an in-process
 builds is checked against ``to_pylist()`` of the same file row, along with
 which rows are views of a pinned table and which are copies."""
 
+import glob
 import os
 
 import numpy as np
@@ -484,33 +485,148 @@ def _slot_mask(ids) -> int:
 
 @pytest.mark.parametrize("env", ["blocks_env", "full_env"])
 def test_doc_slots_match_decoded_postings(request, env):
-    """Every row of the term-bucket and the serving files: ``doc_slots`` is
-    the OR of its postings' slot bits, and gives each shard count dividing
-    64 the term's exact shard set. ``term_stats_and_slots`` ORs a salted
-    term's rows."""
+    """Every row of the term-bucket files: ``doc_slots`` is the OR of its
+    postings' slot bits, and gives each shard count dividing 64 the term's
+    exact shard set. ``term_stats_and_slots`` ORs a salted term's rows.
+    The serving files carry no ``doc_slots``; every row of serving shard
+    ``k`` decodes only to docs that ``doc_shard_of`` sends to shard ``k``."""
     from whoosh_novo_ray.index import Index
     from whoosh_novo_ray.index.build import doc_shard_of
     from whoosh_novo_ray.index.segment import TermColumns
 
     path, serving = request.getfixturevalue(env)
     by_term: dict[str, int] = {}
-    for d in (path, serving):
-        for f in _segment_files(d):
-            tbl = pq.read_table(f)
-            assert "min_id" not in tbl.column_names
-            cols = TermColumns(tbl)
-            for r, (t, slots) in enumerate(
-                zip(tbl["term"].to_pylist(), tbl["doc_slots"].to_pylist())
-            ):
-                ids = cols.row(r, t).decode_all()[0]
-                assert slots == _slot_mask(ids), t
-                for n in (2, 4, 16, 64):
-                    want = set(doc_shard_of(ids, n).tolist())
-                    assert {s % n for s in range(64) if slots >> s & 1} == want
-                if d == path:
-                    by_term[t] = by_term.get(t, 0) | slots
+    for f in _segment_files(path):
+        tbl = pq.read_table(f)
+        assert "min_id" not in tbl.column_names
+        cols = TermColumns(tbl)
+        for r, (t, slots) in enumerate(
+            zip(tbl["term"].to_pylist(), tbl["doc_slots"].to_pylist())
+        ):
+            ids = cols.row(r, t).decode_all()[0]
+            assert slots == _slot_mask(ids), t
+            for n in (2, 4, 16, 64):
+                want = set(doc_shard_of(ids, n).tolist())
+                assert {s % n for s in range(64) if slots >> s & 1} == want
+            by_term[t] = by_term.get(t, 0) | slots
     got = Index(path).term_stats_and_slots(list(by_term) + ["t99999"])
     assert got["t99999"] == (0, 0.0, 0.0, 0)
     assert {t: v[3] for t, v in got.items() if t != "t99999"} == by_term
     ids = np.arange(N_DOCS if env == "blocks_env" else 600)
     assert by_term[HEAVY] == _slot_mask(ids)
+
+    sman = Index(serving).manifest
+    n = sman["num_shards"]
+    seen = set()
+    for b in sman["buckets"]:
+        if not b["path"]:
+            continue
+        tbl = pq.read_table(os.path.join(serving, b["path"]))
+        assert "doc_slots" not in tbl.column_names
+        cols = TermColumns(tbl)
+        for r, t in enumerate(tbl["term"].to_pylist()):
+            ids = cols.row(r, t).decode_all()[0]
+            assert set(doc_shard_of(ids, n).tolist()) == {b["bucket"]}, t
+        seen.add(b["bucket"])
+    assert seen == set(range(n))
+
+
+# -- format 3: what a segment file stores, and how it is written -------------
+
+
+def _layout_files(path: str, serving: str) -> list[tuple[str, str]]:
+    return [("bucket", f) for f in _segment_files(path)] + [
+        ("serving", f) for f in _segment_files(serving)
+    ]
+
+
+@pytest.mark.parametrize("env", ["blocks_env", "full_env"])
+def test_segment_columns(request, env):
+    """Neither layout stores ``max_len_byte``; only the term-bucket files
+    store ``doc_slots``."""
+    path, serving = request.getfixturevalue(env)
+    for layout, f in _layout_files(path, serving):
+        names = set(pq.ParquetFile(f).schema_arrow.names)
+        assert "max_len_byte" not in names, f
+        assert ("doc_slots" in names) == (layout == "bucket"), f
+        assert {"term", "df", "ids_blob", "tfs_blob", "lens_blob"} <= names
+
+
+def _n_varints(blob: bytes) -> int:
+    return int((np.frombuffer(blob, np.uint8) < 0x80).sum())
+
+
+@pytest.mark.parametrize("env", ["blocks_env", "full_env"])
+def test_position_blobs_hold_one_varint_per_occurrence(request, env):
+    """Every row of both layouts: ``pos_blob`` is ``sum(tf)`` varints (the
+    deltas, no per-posting count) and ``chars_blob`` is ``2 * sum(tf)``."""
+    from whoosh_novo_ray.codec import varint_decode
+
+    path, serving = request.getfixturevalue(env)
+    n_rows = 0
+    for _layout, f in _layout_files(path, serving):
+        for row in _file_rows(f):
+            occ = int(varint_decode(row["tfs_blob"], row["df"]).sum())
+            assert _n_varints(row["pos_blob"]) == occ, row["term"]
+            if env == "full_env":
+                assert _n_varints(row["chars_blob"]) == 2 * occ, row["term"]
+            n_rows += 1
+    assert n_rows
+
+
+@pytest.mark.parametrize("env", ["blocks_env", "full_env"])
+def test_segment_statistics_only_on_term(request, env):
+    """Segment files carry Parquet statistics on ``term`` only, write
+    ``term`` as DELTA_BYTE_ARRAY and keep no dictionary over the per-row
+    unique columns (``tfs_blob`` keeps one). Docmeta files keep their
+    ``doc_id`` statistics, which a pushed-down ``doc_id`` filter reads."""
+    path, serving = request.getfixturevalue(env)
+    for _layout, f in _layout_files(path, serving):
+        md = pq.ParquetFile(f).metadata
+        for g in range(md.num_row_groups):
+            rg = md.row_group(g)
+            for j in range(rg.num_columns):
+                c = rg.column(j)
+                name = c.path_in_schema
+                assert c.is_stats_set == (name == "term"), (f, name)
+                if name == "term":
+                    assert "DELTA_BYTE_ARRAY" in c.encodings, f
+                plain = ("term", "ids_blob", "pos_blob", "chars_blob", "lens_blob",
+                         "doc_slots")
+                assert c.has_dictionary_page == (name not in plain), (f, name)
+    for d in (path, serving):
+        files = sorted(glob.glob(os.path.join(d, "docmeta", "*.parquet")))
+        assert files
+        for f in files:
+            rg = pq.ParquetFile(f).metadata.row_group(0)
+            st = rg.column(0).statistics
+            assert rg.column(0).path_in_schema == "doc_id"
+            assert st is not None and st.has_min_max, f
+
+
+BUCKET_ROW_KEYS = {
+    "bucket", "path", "n_terms", "n_postings", "sum_tf", "n_docs_meta",
+    "min_term", "max_term", "lineage", "bytes",
+}
+
+
+@pytest.mark.parametrize("env", ["blocks_env", "sparse_index"])
+def test_manifest_bucket_rows_record_bytes(request, env):
+    """Every bucket row of the term-bucket and the serving manifests has
+    the same keys, and ``bytes`` is its segment plus docmeta file sizes."""
+    from whoosh_novo_ray.index import Index
+
+    if env == "sparse_index":
+        dirs = [request.getfixturevalue(env).path]
+    else:
+        dirs = list(request.getfixturevalue(env))
+    for d in dirs:
+        rows = Index(d).manifest["buckets"]
+        assert rows
+        for b in rows:
+            assert set(b) == BUCKET_ROW_KEYS
+            dm = os.path.join(d, "docmeta", f"bucket={b['bucket']:05d}.parquet")
+            want = os.path.getsize(dm) if os.path.exists(dm) else 0
+            if b["path"]:
+                want += os.path.getsize(os.path.join(d, b["path"]))
+            assert b["bytes"] == want > 0, b

@@ -13,10 +13,18 @@ Layout per term (columns of the segment Parquet, see index/build.py):
     separate so a block decode is three slices, no interleave parsing;
   * per-block metadata lists (count, max_id, max_weight, min_len_byte) +
     byte offsets into the blobs = the skip table;
-  * per-term scalars: df, weight, max_weight, min/max len byte and
-    ``doc_slots`` (bit ``key_hash(doc_id) % 64`` per posting, the serving
-    shards a term can match in). ``doc_slots`` replaced the term's
-    ``min_id``/``max_id``, which nothing read.
+  * per-term scalars: df, weight, max_weight and min_len_byte; the
+    term-bucket files add ``doc_slots`` (bit ``key_hash(doc_id) % 64`` per
+    posting, the serving shards a term can match in). The serving files
+    carry no ``doc_slots``: the score pool reads the masks from the
+    term-bucket files, and its actors never read them.
+  * optional ``pos_blob`` / ``chars_blob``: per posting, varint deltas of
+    its sorted positions (or interleaved char start/end offsets), the first
+    one absolute, and no count. A posting's count is its tf (``2 * tf``
+    for chars), which ``decode_positions_flat`` takes from the tfs; the
+    encoder refuses a posting whose list does not have that length. (The
+    reference keeps the frequency once too and stores the positions as one
+    delta list.)
 """
 
 from __future__ import annotations
@@ -115,33 +123,26 @@ def encode_positions(pos_flat: np.ndarray, counts: np.ndarray) -> tuple[np.ndarr
     """Encode ragged per-posting position lists.
 
     ``pos_flat`` is the concatenation of each posting's sorted positions;
-    ``counts`` is positions-per-posting. Wire format per posting:
-    varint(count) then varint deltas (first absolute). Returns
-    (byte buffer, bytes-per-posting).
+    ``counts`` is positions-per-posting. Wire format per posting: varint
+    deltas only, the first one absolute. The count is not stored: the
+    reader takes it from the posting's tf (``decode_positions_flat``).
+    Returns (byte buffer, bytes-per-posting).
     """
     n = len(counts)
     if n == 0:
         return np.empty(0, np.uint8), np.empty(0, np.int64)
     counts = np.ascontiguousarray(counts, dtype=np.int64)
     total = int(counts.sum())
-    # interleave: for each posting, [count, d0, d1, ...]
-    out_vals = np.empty(n + total, np.uint64)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    cnt_pos = starts + np.arange(n)  # index of the count entry per posting
-    out_vals[cnt_pos] = counts.astype(np.uint64)
-    if total:
-        pos_flat = np.ascontiguousarray(pos_flat, dtype=np.uint64)
-        deltas = np.empty(total, np.uint64)
-        deltas[0] = pos_flat[0]
-        np.subtract(pos_flat[1:], pos_flat[:-1], out=deltas[1:])
-        deltas[starts[counts > 0]] = pos_flat[starts[counts > 0]]
-        val_mask = np.ones(n + total, bool)
-        val_mask[cnt_pos] = False
-        out_vals[val_mask] = deltas
-    buf, nb = varint_encode(out_vals)
-    # bytes per posting = bytes(count varint) + bytes(its deltas)
-    grp = np.repeat(np.arange(n), counts + 1)
+    if total == 0:
+        return np.empty(0, np.uint8), np.zeros(n, np.int64)
+    pos_flat = np.ascontiguousarray(pos_flat, dtype=np.uint64)
+    starts = (np.cumsum(counts) - counts)[counts > 0]
+    deltas = np.empty(total, np.uint64)
+    deltas[0] = pos_flat[0]
+    np.subtract(pos_flat[1:], pos_flat[:-1], out=deltas[1:])
+    deltas[starts] = pos_flat[starts]
+    buf, nb = varint_encode(deltas)
+    grp = np.repeat(np.arange(n), counts)
     per_posting = np.bincount(grp, weights=nb, minlength=n).astype(np.int64)
     return buf, per_posting
 
@@ -152,52 +153,15 @@ def decode_positions_flat(buf, tfs: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     positions are ``flat[counts[:i].sum() : counts[:i+1].sum()]``.
     """
     counts = np.ascontiguousarray(tfs, dtype=np.int64)
-    n = len(counts)
     total = int(counts.sum())
-    if n == 0 or total == 0:
+    if len(counts) == 0 or total == 0:
         return np.empty(0, np.uint64), counts
-    vals = varint_decode(buf, n + total)
-    # entry layout per posting: [count, d0..d_{c-1}]; counts sit at
-    # offset cumsum(c+1) boundaries
-    ends = np.cumsum(counts + 1)
-    cnt_pos = ends - (counts + 1)
-    mask = np.ones(n + total, bool)
-    mask[cnt_pos] = False
-    deltas = vals[mask]
-    # segmented cumsum per posting
+    deltas = varint_decode(buf, total)
+    # segmented cumsum per posting: subtract the running sum before each
+    # posting's absolute first delta
     c = np.cumsum(deltas, dtype=np.uint64)
-    seg_start = np.cumsum(counts) - counts
     nz = counts > 0
-    first = seg_start[nz]
+    first = (np.cumsum(counts) - counts)[nz]
     corr_vals = c[first] - deltas[first]
     flat = c - np.repeat(corr_vals, counts[nz])
     return flat, counts
-
-
-def decode_positions(buf, n_postings: int) -> list[np.ndarray]:
-    """Decode ``n_postings`` position lists from a positions-blob slice."""
-    out: list[np.ndarray] = []
-    data = memoryview(buf)
-    off = 0
-    for _ in range(n_postings):
-        cnt, off = _read_varint(data, off)
-        if cnt == 0:
-            out.append(np.empty(0, np.uint64))
-            continue
-        vals = np.empty(cnt, np.uint64)
-        for i in range(cnt):
-            vals[i], off = _read_varint(data, off)
-        out.append(np.cumsum(vals, dtype=np.uint64))
-    return out
-
-
-def _read_varint(data, off: int) -> tuple[int, int]:
-    result = 0
-    shift = 0
-    while True:
-        b = data[off]
-        off += 1
-        result |= (b & 0x7F) << shift
-        if not b & 0x80:
-            return result, off
-        shift += 7

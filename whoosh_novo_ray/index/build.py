@@ -54,8 +54,9 @@ from whoosh_novo_ray.shuffle import key_hash, shard_of, shard_reduce
 
 MANIFEST_NAME = "manifest.json"
 # on-disk layout version, written to every manifest; ``Index`` refuses any
-# other (2: per-term ``doc_slots`` in place of ``min_id``/``max_id``)
-FORMAT_VERSION = 2
+# other (3: positions without a per-posting count, no ``max_len_byte``, no
+# ``doc_slots`` in the serving files, statistics on ``term`` only)
+FORMAT_VERSION = 3
 _SALT_PRIME = np.uint64(2654435761)
 # no analyzer token can contain NUL, so this term marks per-doc metadata rows
 # that ride the same shuffle as postings (doc length + length byte)
@@ -386,20 +387,40 @@ def _list_array(values: pa.Array, counts: np.ndarray) -> pa.ListArray:
     return pa.ListArray.from_arrays(pa.array(offsets, pa.int32()), values)
 
 
-def encode_bucket_table(tbl: pa.Table, block_size: int, with_positions: bool) -> pa.Table:
+def _check_counts(name: str, counts: np.ndarray, want: np.ndarray) -> None:
+    """The positions wire format stores no count: the reader takes it from
+    the posting's tf, so a posting whose list length differs cannot be
+    written."""
+    bad = np.flatnonzero(counts != want.astype(np.int64))
+    if len(bad):
+        raise ValueError(
+            f"{len(bad)} postings have a {name} count that does not follow "
+            f"their tf (first: {int(counts[bad[0]])} values, "
+            f"{int(want[bad[0]])} expected)"
+        )
+
+
+def encode_bucket_table(
+    tbl: pa.Table, block_size: int, with_positions: bool, doc_slots: bool = True
+) -> pa.Table:
     """Vectorized posting-block encoding of one term-space bucket.
 
     Sorts by (term, doc_id), finds term runs, delta+varint encodes doc ids
     (absolute value at every block start so blocks decode independently),
     varints tfs, keeps length bytes raw, and computes the per-block skip
-    table (count / max id / max weight / min & max len byte) with
-    ``np.*.reduceat`` — no per-term Python loop.
+    table (count / max id / max weight / min len byte) with
+    ``np.*.reduceat`` — no per-term Python loop. Positions (and char
+    offsets) store no per-posting count: a posting's position count must
+    equal its tf (2 * tf chars values), which the reader relies on, so a
+    mismatch raises ``ValueError``.
 
     ``doc_slots`` is a per-term uint64 with bit ``key_hash(doc_id) % 64``
     set for each posting. A serving shard is ``key_hash(doc_id) % n``
     (``doc_shard_of``), so a term's mask bounds its shard set (exactly when
     ``n`` is a power of two): the score pool sends a query only to the
-    actors that pin one of those shards.
+    actors that pin one of those shards. The serving files pass
+    ``doc_slots=False``: the pool reads the masks from the term-bucket
+    files, and its actors never read the column.
     """
     n = len(tbl)
     # dictionary-encode terms (C pass), then sort postings by
@@ -469,9 +490,6 @@ def encode_bucket_table(tbl: pa.Table, block_size: int, with_positions: bool) ->
     term_weight = np.add.reduceat(w, term_starts)
     term_max_w = np.maximum.reduceat(w, term_starts)
     term_min_lb = np.minimum.reduceat(len_bytes, term_starts)
-    term_max_lb = np.maximum.reduceat(len_bytes, term_starts)
-    slot_bits = np.left_shift(np.uint64(1), key_hash(doc_ids) % np.uint64(64))
-    term_slots = np.bitwise_or.reduceat(slot_bits, term_starts)
 
     # per-term byte ranges in the big buffers
     t_ids_off = ids_byte_start[term_starts]
@@ -495,8 +513,6 @@ def encode_bucket_table(tbl: pa.Table, block_size: int, with_positions: bool) ->
         "weight": pa.array(term_weight, pa.float64()),
         "max_weight": pa.array(term_max_w, pa.float64()),
         "min_len_byte": pa.array(term_min_lb, pa.uint8()),
-        "max_len_byte": pa.array(term_max_lb, pa.uint8()),
-        "doc_slots": pa.array(term_slots, pa.uint64()),
         "block_counts": _list_array(pa.array(block_counts, pa.uint32()), nblocks_per_term),
         "block_max_ids": _list_array(pa.array(block_max_id, pa.uint64()), nblocks_per_term),
         "block_max_weights": _list_array(pa.array(block_max_w, pa.float64()), nblocks_per_term),
@@ -512,6 +528,11 @@ def encode_bucket_table(tbl: pa.Table, block_size: int, with_positions: bool) ->
             len_bytes, np.append(term_starts, n).astype(np.int64)
         ),
     }
+    if doc_slots:
+        slot_bits = np.left_shift(np.uint64(1), key_hash(doc_ids) % np.uint64(64))
+        cols["doc_slots"] = pa.array(
+            np.bitwise_or.reduceat(slot_bits, term_starts), pa.uint64()
+        )
     if w32 is not None:
         # fixed 4 bytes/posting: byte offsets derive from posting ordinals
         cols["wts_blob"] = _large_binary_from_slices(
@@ -523,6 +544,7 @@ def encode_bucket_table(tbl: pa.Table, block_size: int, with_positions: bool) ->
         if isinstance(ch_col, pa.ChunkedArray):
             ch_col = ch_col.combine_chunks()
         ch_counts = np.diff(ch_col.offsets.to_numpy()).astype(np.int64)
+        _check_counts("chars", ch_counts, 2 * tfs)
         ch_flat = ch_col.values.to_numpy(zero_copy_only=False).astype(np.uint64)
         ch_buf, per_posting_ch = encode_positions(ch_flat, ch_counts)
         ch_byte_end = np.cumsum(per_posting_ch)
@@ -558,6 +580,7 @@ def encode_bucket_table(tbl: pa.Table, block_size: int, with_positions: bool) ->
         if isinstance(pos_col, pa.ChunkedArray):
             pos_col = pos_col.combine_chunks()
         pos_counts = np.diff(pos_col.offsets.to_numpy()).astype(np.int64)
+        _check_counts("positions", pos_counts, tfs)
         pos_flat = pos_col.values.to_numpy(zero_copy_only=False).astype(np.uint64)
         pos_buf, per_posting_nb = encode_positions(pos_flat, pos_counts)
         pos_byte_end = np.cumsum(per_posting_nb)
@@ -575,14 +598,47 @@ def encode_bucket_table(tbl: pa.Table, block_size: int, with_positions: bool) ->
     return pa.table(cols)
 
 
+# Parquet settings of segment files. Footer and page statistics only on
+# ``term``: its row-group bounds are ``_TermBlocks``' block index, and no
+# reader uses another column's (on a blob column they copy whole min/max
+# blobs into the footer and every page header). No dictionary pages over
+# the columns whose values are (nearly) unique per row, where a dictionary
+# measured larger than plain pages; ``tfs_blob`` and the other columns keep
+# theirs. DELTA_BYTE_ARRAY shares the prefixes of the sorted terms. Docmeta
+# files keep the defaults: a ``doc_id`` filter is pushed into them
+# (``_member_contains``).
+_SEGMENT_NO_DICTIONARY = (
+    "term", "ids_blob", "pos_blob", "chars_blob", "lens_blob", "doc_slots",
+)
+
+
+def write_segment(seg: pa.Table, path: str) -> None:
+    """Write one term-sorted segment table (``encode_bucket_table``)."""
+    pq.write_table(
+        seg,
+        path,
+        compression="zstd",
+        row_group_size=4096,
+        write_statistics=["term"],
+        use_dictionary=[
+            f"{f.name}.list.element" if pa.types.is_list(f.type) else f.name
+            for f in seg.schema
+            if f.name not in _SEGMENT_NO_DICTIONARY
+        ],
+        column_encoding={"term": "DELTA_BYTE_ARRAY"},
+    )
+
+
 class BucketEncoder:
     """``shard_reduce`` reducer on "bucket": encode + atomically write each
-    bucket's segment file; emits one manifest row per bucket."""
+    bucket's segment file; emits one manifest row per bucket, whose
+    ``bytes`` is the size of the segment plus docmeta files it wrote."""
 
-    def __init__(self, out_dir: str, cfg: IndexConfig, lineage: str):
+    def __init__(self, out_dir: str, cfg: IndexConfig, lineage: str, doc_slots: bool = True):
         self.out_dir = out_dir
         self.cfg = cfg
         self.lineage = lineage
+        self.doc_slots = doc_slots
 
     def __call__(self, shard: pa.Table) -> pa.Table:
         is_meta = pc.equal(shard["term"], DOCMETA_TERM)
@@ -595,6 +651,7 @@ class BucketEncoder:
         meta_rows = shard.filter(pc.and_(in_bucket, is_meta))
         group = shard.filter(pc.and_(in_bucket, pc.invert(is_meta)))
         n_meta = len(meta_rows)
+        n_bytes = 0
         if n_meta:
             dm = pa.table(
                 {
@@ -609,6 +666,7 @@ class BucketEncoder:
             dm_tmp = dm_final + f".tmp.{os.getpid()}"
             pq.write_table(dm, dm_tmp, compression="zstd")
             os.replace(dm_tmp, dm_final)
+            n_bytes += os.path.getsize(dm_final)
         if len(group) == 0:
             # docmeta-only bucket: no segment file, but the n_docs_meta count
             # MUST survive into the manifest — the merge path derives
@@ -626,22 +684,22 @@ class BucketEncoder:
                     "min_term": pa.array([""]),
                     "max_term": pa.array([""]),
                     "lineage": pa.array([self.lineage]),
+                    "bytes": pa.array([n_bytes], pa.uint64()),
                 }
             )
         seg = encode_bucket_table(
-            group.drop_columns(["bucket"]), self.cfg.block_size, self.cfg.with_positions
+            group.drop_columns(["bucket"]),
+            self.cfg.block_size,
+            self.cfg.with_positions,
+            doc_slots=self.doc_slots,
         )
         seg_dir = os.path.join(self.out_dir, "segments")
         os.makedirs(seg_dir, exist_ok=True)
         final = os.path.join(seg_dir, f"bucket={bucket:05d}.parquet")
         tmp = final + f".tmp.{os.getpid()}"
-        pq.write_table(
-            seg,
-            tmp,
-            compression="zstd",
-            row_group_size=4096,
-        )
+        write_segment(seg, tmp)
         os.replace(tmp, final)  # atomic; reruns are idempotent
+        n_bytes += os.path.getsize(final)
         return pa.table(
             {
                 "bucket": pa.array([bucket], pa.uint32()),
@@ -653,6 +711,7 @@ class BucketEncoder:
                 "min_term": pa.array([seg["term"][0].as_py()]),
                 "max_term": pa.array([seg["term"][-1].as_py()]),
                 "lineage": pa.array([self.lineage]),
+                "bytes": pa.array([n_bytes], pa.uint64()),
             }
         )
 
@@ -679,8 +738,11 @@ def _run_bucket_shuffle(
     lineage: str,
     resume: bool,
     doc_count: int | None,
+    doc_slots: bool = True,
 ) -> dict:
-    """The shared tail of every build: bucket shuffle -> encode -> manifest."""
+    """The shared tail of every build: bucket shuffle -> encode -> manifest.
+    ``doc_slots=False`` leaves the per-term slot masks out of the segment
+    files (the serving layout)."""
     os.makedirs(out_dir, exist_ok=True)
 
     done_buckets: dict[int, dict] = {}
@@ -718,7 +780,7 @@ def _run_bucket_shuffle(
 
     rows = []
     if postings is not None:
-        encoder = BucketEncoder(out_dir, cfg, lineage)
+        encoder = BucketEncoder(out_dir, cfg, lineage, doc_slots)
 
         def encode_group(shard: pa.Table) -> pa.Table:
             return encoder(shard)
@@ -738,6 +800,7 @@ def _run_bucket_shuffle(
             "min_term": r["min_term"],
             "max_term": r["max_term"],
             "lineage": r["lineage"],
+            "bytes": int(r["bytes"]),
         }
         for r in rows
     ]

@@ -21,13 +21,15 @@ A scoring actor's rows are views of its pinned table (no copy; the table
 lives as long as the actor). Rows taken from a cached row group are copies,
 so the cache can evict the group.
 
-Besides df, weight and max_weight, each term row carries ``doc_slots``: a
-uint64 with bit ``key_hash(doc_id) % 64`` set for each of its postings (it
-replaces the ``min_id``/``max_id`` columns of format 1, which nothing
-read). ``Index.term_stats_and_slots`` reads it in the same cached stats
-group; the score pool maps it to the serving shards that can hold a match.
-``Index`` opens only ``FORMAT_VERSION`` manifests: an index of another
-format must be rebuilt.
+Besides df, weight and max_weight, each term-bucket row carries
+``doc_slots``: a uint64 with bit ``key_hash(doc_id) % 64`` set for each of
+its postings. ``Index.term_stats_and_slots`` reads it in the same cached
+stats group; the score pool maps it to the serving shards that can hold a
+match. The serving files leave it out: the actors never read it. The
+segment files carry Parquet statistics on ``term`` only, so a reader that
+wants another column's footer statistics must have the writer
+(``build.write_segment``) keep them for that column. ``Index`` opens only
+``FORMAT_VERSION`` manifests: an index of another format must be rebuilt.
 """
 
 from __future__ import annotations
@@ -57,7 +59,6 @@ _SCORING_COLUMNS = (
     "weight",
     "max_weight",
     "min_len_byte",
-    "max_len_byte",
     "block_counts",
     "block_max_ids",
     "block_max_weights",
@@ -85,7 +86,6 @@ class TermRow:
     weight: float
     max_weight: float
     min_len_byte: int
-    max_len_byte: int
     block_counts: np.ndarray
     block_max_ids: np.ndarray
     block_max_weights: np.ndarray
@@ -233,7 +233,7 @@ _LIST_DTYPES = {
 # ``doc_slots`` is read with the term stats (``TermColumns.values``), never
 # into a TermRow
 _SCALAR_FIELDS = (
-    "df", "weight", "max_weight", "min_len_byte", "max_len_byte", "doc_slots",
+    "df", "weight", "max_weight", "min_len_byte", "doc_slots",
 )
 _BLOB_FIELDS = (
     "ids_blob", "tfs_blob", "lens_blob", "wts_blob", "pos_blob", "chars_blob",
@@ -484,8 +484,7 @@ class Index:
         if version != FORMAT_VERSION:
             raise ValueError(
                 f"index at {path} has format_version {version}; this reader "
-                f"needs {FORMAT_VERSION} (per-term doc_slots). Rebuild the "
-                "index with build_index."
+                f"needs {FORMAT_VERSION}. Rebuild the index with build_index."
             )
         self.cfg = IndexConfig.from_json(dict(self.manifest["config"]))
         self.doc_count: int = self.manifest["doc_count"]
