@@ -13,9 +13,10 @@ then merges the replies. The servers start cold, as every benchmark
 cycle's actors do.
 
 CPU is ``time.thread_time``: "driver" is everything but the ``call``s,
-"actors" is the ``call``s. Prints, per query class, the count, the median
-and mean ms of each and the mean number of servers called, then the
-totals. With ``--profile N`` it also prints the N functions with the most
+"actors" is the ``call``s. Prints each server's pin CPU (its constructor)
+and ``pinned_bytes()``, then, per query class, the count, the median and
+mean ms of each and the mean number of servers called, then the totals.
+With ``--profile N`` it also prints the N functions with the most
 cumulative time inside the actors' calls.
 
 Usage: python scripts/probe_query.py [--pages 2000] [--seed 1]
@@ -101,7 +102,11 @@ def main() -> None:
         build_serving_shards(member, num_shards=NUM_SHARDS, out_dir=serving)
 
         assignments = [[0, 2], [1, 3]]
-        servers = [ScoreServer.__ray_actor_class__(serving, ks) for ks in assignments]
+        servers, pins = [], []
+        for ks in assignments:
+            c0 = time.thread_time()
+            servers.append(ScoreServer.__ray_actor_class__(serving, ks))
+            pins.append((time.thread_time() - c0) * 1e3)
         server_slots = [shard_slots(ks, NUM_SHARDS) for ks in assignments]
         # the pool's driver state: its stats cache and planning lexicon
         index = Index(member)
@@ -153,6 +158,9 @@ def main() -> None:
 
         print(f"{args.workload}, seed {args.seed}, {args.pages} pages, "
               f"{args.queries} queries after {args.warm} warm-up")
+        for ks, srv, pin in zip(assignments, servers, pins):
+            print(f"server {ks}: pin CPU {pin:.1f} ms, "
+                  f"pinned_bytes {srv.pinned_bytes() / 2**20:.2f} MB")
         print(f"{'class':<9} {'n':>4} {'driver p50':>10} {'driver mean':>11} "
               f"{'actors p50':>10} {'actors mean':>11} {'servers':>7}  (ms)")
         rows = sorted(by_cls.items()) + [("all", [x for v in by_cls.values() for x in v])]

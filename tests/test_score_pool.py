@@ -1079,7 +1079,7 @@ def test_budget_loop_large_budget_equals_unbudgeted(
     table as the one whole-actor search, and neither is flagged."""
     from whoosh_novo_ray.state.score_pool import timed_out
 
-    assert len(server._tables) == 5
+    assert len(server._pinned) == 5
     run = _budgeted_op(spool, server, attrs_parquet, op)
     plain, budgeted = run(), run(timelimit=60.0)
     assert len(plain[0]) > 0

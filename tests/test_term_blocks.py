@@ -282,7 +282,7 @@ def test_phrase_soak_keeps_block_cache_capped(blocks_env, monkeypatch):
     cap = 2
     monkeypatch.setattr(score_pool, "BLOCK_CACHE_ROW_GROUPS", cap)
     srv = score_pool.ScoreServer.__ray_actor_class__(serving, [0, 1])
-    n_groups = sum(tb.n_groups for tb in srv._blocks)
+    n_groups = sum(p.blocks.n_groups for p in srv._pinned)
     assert n_groups > cap
     idx = Index(path)
     local = Searcher(idx)
@@ -441,18 +441,27 @@ def test_index_rows_and_stats_match_every_file_row(request, env):
 
 @pytest.mark.parametrize("env", ["blocks_env", "full_env"])
 def test_pinned_rows_are_views_of_every_file_row(request, env):
-    from whoosh_novo_ray.state.score_pool import ScoreServer
+    """A scoring actor pins each table's scoring columns without the ids,
+    tfs and wts blobs (it decodes them at pin time) and without
+    ``block_ids_off``/``block_tfs_off``. A pinned row's fields are views of
+    the pinned table; the lazy positional row adds copies of its lazy
+    columns, and decodes as the file row does."""
+    from whoosh_novo_ray.index.segment import TermColumns
+    from whoosh_novo_ray.state.score_pool import _PIN_COLUMNS, ScoreServer
 
     _, serving = request.getfixturevalue(env)
     srv = ScoreServer.__ray_actor_class__(serving, [0, 1])
-    s = srv._searcher({}, None)
-    assert srv._lazy_cols and len(srv._cols) == 2
-    for k, (cols, tbl, tb) in enumerate(zip(srv._cols, srv._tables, srv._blocks)):
+    assert len(srv._pinned) == 2
+    for p in srv._pinned:
+        tbl, tb = p.table, p.blocks
+        assert p.lazy_cols
         wants = _file_rows(tb.path)
+        file_cols = TermColumns(pq.read_table(tb.path))
         assert len(wants) == len(tbl)
         pinned = set(tbl.column_names)
+        assert pinned == set(_PIN_COLUMNS)
         for r, want in enumerate(wants):
-            tr = cols.row(r, want["term"])
+            tr = p.cols.row(r, want["term"])
             _assert_row(tr, want, pinned)
             for name in pinned - {"term", "block_counts"}:
                 v = getattr(tr, name)
@@ -461,10 +470,14 @@ def test_pinned_rows_are_views_of_every_file_row(request, env):
                         np.shares_memory(v, b) for b in _buffers(tbl, name)
                     ), name
             # the lazy positional path: pinned views plus copied lazy columns
-            lazy = s._term_row(k, r, srv._lazy_cols)
-            _assert_row(lazy, want, want.keys())
+            lazy = p.row(r, want["term"], lazy=True)
+            _assert_row(lazy, want, pinned | set(p.lazy_cols))
+            ref = file_cols.row(r, want["term"])
+            for got, exp in zip(lazy.decode_all(), ref.decode_all()):
+                assert got.tolist() == exp.tolist(), want["term"]
+            assert lazy.decode_tfs().tolist() == ref.decode_tfs().tolist()
             cached = _cached_views(srv._block_cache)
-            for name in srv._lazy_cols:
+            for name in p.lazy_cols:
                 v = getattr(lazy, name)
                 if v.size:
                     assert not any(np.may_share_memory(v, c) for c in cached), name

@@ -89,23 +89,37 @@ def varint_decode(buf, n: int) -> np.ndarray:
         # every value fits one byte (all < 128) — common for tfs and dense
         # doc-id deltas; skips the continuation machinery entirely
         return data.astype(np.uint64)
-    is_end = (data & 0x80) == 0
-    ends = np.flatnonzero(is_end)[:n]
+    # value i spans bytes starts[i]..ends[i] (the first byte < 0x80 ends
+    # it); one gather takes every value's low 7 bits, then each further
+    # step touches only the values still longer than that
+    ends = np.flatnonzero(data < 0x80)[:n]
     starts = np.empty(n, np.int64)
     starts[0] = 0
     starts[1:] = ends[:-1] + 1
-    vals = np.zeros(n, np.uint64)
-    cur = starts.copy()
-    shift = np.zeros(n, np.uint64)
-    active_idx = np.arange(n)
-    while len(active_idx):
-        b = data[cur[active_idx]].astype(np.uint64)
-        vals[active_idx] |= (b & _U7F) << shift[active_idx]
-        cont = active_idx[(b & np.uint64(0x80)) != 0]
-        cur[cont] += 1
-        shift[cont] += _U7
-        active_idx = cont
+    vals = (data[starts] & 0x7F).astype(np.uint64)
+    extra = ends - starts
+    multi = np.flatnonzero(extra)
+    k = 1
+    while len(multi):
+        vals[multi] |= (data[starts[multi] + k] & 0x7F).astype(np.uint64) << np.uint64(7 * k)
+        multi = multi[extra[multi] > k]
+        k += 1
     return vals
+
+
+def decode_doc_ids(buf, block_counts: np.ndarray, n: int) -> np.ndarray:
+    """Doc ids of ``n`` postings from their varint deltas ``buf``, which
+    restart from an absolute id at every block start; ``block_counts`` holds
+    the postings of each block, in order (empty blocks allowed). One varint
+    pass, then a segmented cumsum that subtracts the running sum before each
+    block's absolute first value (uint64 wraparound cancels out)."""
+    deltas = varint_decode(buf, n)
+    counts = np.asarray(block_counts, np.int64)
+    counts = counts[counts > 0]
+    c = np.cumsum(deltas, dtype=np.uint64)
+    starts = np.cumsum(counts) - counts
+    corr = c[starts] - deltas[starts]
+    return c - np.repeat(corr, counts)
 
 
 def delta_encode_with_resets(ids: np.ndarray, reset_mask: np.ndarray) -> np.ndarray:

@@ -36,20 +36,7 @@ from whoosh_novo_ray.index.build import (
     IndexConfig,
     build_index_from_postings,
 )
-from whoosh_novo_ray.index.segment import Index
-
-
-def _blob_concat(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
-    """Concatenated bytes of a large_binary column as uint8 — rows are
-    stored back-to-back in the values buffer, so the whole batch's blobs
-    come out as ONE zero-copy slice (no per-row Python)."""
-    if isinstance(col, pa.ChunkedArray):
-        col = col.combine_chunks()
-    offs = np.frombuffer(
-        col.buffers()[1], np.int64, count=len(col) + 1, offset=col.offset * 8
-    )
-    data = np.frombuffer(col.buffers()[2], np.uint8)
-    return data[offs[0] : offs[-1]]
+from whoosh_novo_ray.index.segment import Index, blob_concat, decode_postings
 
 
 class DecodeSegmentRows:
@@ -86,8 +73,17 @@ class DecodeSegmentRows:
             cols["chars"] = pa.array([], pa.list_(pa.int32()))
         return pa.table(cols)
 
+    def columns(self, names: list[str]) -> list[str]:
+        """The columns of a segment file (with column ``names``) that the
+        decode reads; the skip lists and the term stats are left out."""
+        want = ["term", "df", "block_counts", "ids_blob", "tfs_blob", "lens_blob",
+                "wts_blob", "chars_blob"]
+        if self.with_positions:
+            want += ["pos_blob", "pboosts_blob"]
+        return [c for c in want if c in names]
+
     def __call__(self, batch: pa.Table) -> pa.Table:
-        from whoosh_novo_ray.codec import decode_positions_flat, varint_decode
+        from whoosh_novo_ray.codec import decode_positions_flat
 
         wp = self.with_positions and "pos_blob" in batch.column_names
         wc = "chars_blob" in batch.column_names
@@ -96,44 +92,33 @@ class DecodeSegmentRows:
         if not len(batch):
             return self._empty(wp, wc, ww, wpb)
         df = batch["df"].to_numpy(zero_copy_only=False).astype(np.int64)
-        total = int(df.sum())
-        if total == 0:
+        if int(df.sum()) == 0:
             return self._empty(wp, wc, ww, wpb)
         terms = np.repeat(
             np.asarray(batch["term"].to_pylist(), dtype=object), df
         )
-        # doc ids: one varint pass + segmented cumsum with resets at every
-        # block start (blocks flatten across rows; every row starts on one)
-        deltas = varint_decode(_blob_concat(batch["ids_blob"]), total)
-        bc = batch["block_counts"].combine_chunks()
-        block_counts = bc.values.to_numpy(zero_copy_only=False).astype(np.int64)
-        block_counts = block_counts[block_counts > 0]
-        c = np.cumsum(deltas, dtype=np.uint64)
-        bstarts = np.cumsum(block_counts) - block_counts
-        corr = c[bstarts] - deltas[bstarts]
-        ids = c - np.repeat(corr, block_counts)
-        tfs = varint_decode(_blob_concat(batch["tfs_blob"]), total)
-        lens = _blob_concat(batch["lens_blob"])
+        ids, tfs = decode_postings(batch)
+        lens = blob_concat(batch["lens_blob"])
         weights = (
-            _blob_concat(batch["wts_blob"]).view(np.float32).astype(np.float64)
+            blob_concat(batch["wts_blob"]).view(np.float32).astype(np.float64)
             if ww
             else None
         )
         pos_flat = pos_counts = tb_flat = None
         if wp:
             pos_flat, pos_counts = decode_positions_flat(
-                _blob_concat(batch["pos_blob"]), tfs
+                blob_concat(batch["pos_blob"]), tfs
             )
             if wpb:
                 tb_flat = (
-                    _blob_concat(batch["pboosts_blob"])
+                    blob_concat(batch["pboosts_blob"])
                     .view(np.float32)
                     .astype(np.float64)
                 )
         ch_flat = ch_counts = None
         if wc:
             ch_flat, ch_counts = decode_positions_flat(
-                _blob_concat(batch["chars_blob"]), tfs * np.uint64(2)
+                blob_concat(batch["chars_blob"]), tfs * np.uint64(2)
             )
         if self.delete_ids is not None and len(self.delete_ids):
             keep = ~np.isin(ids, self.delete_ids)
@@ -226,10 +211,14 @@ def docmeta_rows_fn(
     return dm_to_rows
 
 
-def _row_groups(path: str):
+def _row_groups(path: str, columns=None):
+    """The file's row groups, one table each; ``columns`` is a function of
+    the file's column names that picks the columns to read (all of them
+    when None)."""
     pf = pq.ParquetFile(path)
+    cols = None if columns is None else columns(pf.schema_arrow.names)
     for i in range(pf.num_row_groups):
-        yield pf.read_row_group(i)
+        yield pf.read_row_group(i, columns=cols)
 
 
 def bucket_read_items(index_dirs: list[str]) -> list[dict]:
@@ -262,7 +251,7 @@ class ReadBucketPostings:
     def __call__(self, batch: pa.Table):
         for seg, dm in zip(batch["segment"].to_pylist(), batch["docmeta"].to_pylist()):
             if seg:
-                for rg in _row_groups(seg):
+                for rg in _row_groups(seg, self.decode.columns):
                     yield self.decode(rg)
             if dm:
                 for rg in _row_groups(dm):

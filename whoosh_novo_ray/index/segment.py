@@ -17,9 +17,12 @@ Every ``TermRow`` comes from a :class:`TermColumns`: numpy views of a
 term-sorted table's columns, made once per table, so a row is a set of
 slices. Reading a row's ~16 fields as Arrow scalars instead costs about
 0.24 ms a row, and on a cold term that was 40% of a scoring actor's CPU.
-A scoring actor's rows are views of its pinned table (no copy; the table
-lives as long as the actor). Rows taken from a cached row group are copies,
-so the cache can evict the group.
+Rows taken from a cached row group are copies, so the cache can evict the
+group. A scoring actor decodes its pinned tables once, when it pins them
+(``state/score_pool.py`` ``PinnedTable``, through :func:`decode_postings`,
+the batch decoder the merge read uses too): a plain term is array slices
+of that store, and its WAND and positional rows are views of the pinned
+table with ``_decoded`` already set to the same slices.
 
 Besides df, weight and max_weight, each term-bucket row carries
 ``doc_slots``: a uint64 with bit ``key_hash(doc_id) % 64`` set for each of
@@ -44,7 +47,7 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from whoosh_novo_ray.codec import varint_decode
+from whoosh_novo_ray.codec import decode_doc_ids, decode_positions_flat, varint_decode
 from whoosh_novo_ray.index.build import (
     FORMAT_VERSION,
     MANIFEST_NAME,
@@ -79,7 +82,13 @@ class TermRow:
     Built by :class:`TermColumns`: the list fields are numpy arrays and the
     ``*_blob`` fields uint8 arrays, each a slice of its table's column (a
     view for a scoring actor's pinned table, a copy for a row-group cache
-    entry)."""
+    entry).
+
+    A scoring actor's rows carry no ids/tfs/wts blobs and no
+    ``block_ids_off``/``block_tfs_off``: it decodes its tables once when it
+    pins them, and its rows come with ``_decoded`` and ``_tfs`` already
+    set to slices of that store. Every decode below reads the memoized
+    arrays when they are set, and the blobs only when they are not."""
 
     term: str
     df: int
@@ -90,12 +99,14 @@ class TermRow:
     block_max_ids: np.ndarray
     block_max_weights: np.ndarray
     block_min_lens: np.ndarray
-    block_ids_off: np.ndarray
-    block_tfs_off: np.ndarray
+    # posting ordinal of each block's first posting (lens are one byte per
+    # posting, so it is also the block's offset into lens_blob)
     block_lens_off: np.ndarray
-    ids_blob: np.ndarray
-    tfs_blob: np.ndarray
-    lens_blob: np.ndarray
+    block_ids_off: np.ndarray | None = None
+    block_tfs_off: np.ndarray | None = None
+    ids_blob: np.ndarray | None = None
+    tfs_blob: np.ndarray | None = None
+    lens_blob: np.ndarray | None = None
     block_pos_off: np.ndarray | None = None
     pos_blob: np.ndarray | None = None
     block_chars_off: np.ndarray | None = None
@@ -112,7 +123,10 @@ class TermRow:
     # ScoreServer term caches), and varint_decode's fixed cost (~35 us/call)
     # dominates hot repeated-term queries. Callers never mutate the returned
     # arrays (they concatenate/fancy-index into fresh arrays).
+    # ``_decoded`` is (doc ids, weights-or-tfs, len bytes); ``_tfs`` the
+    # true integer tfs.
     _decoded: tuple | None = None
+    _tfs: np.ndarray | None = None
     _decoded_pos: tuple | None = None
 
     @property
@@ -122,14 +136,17 @@ class TermRow:
     def decode_block(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Decode block i -> (doc_ids, weights-or-tfs, len_bytes)."""
         cnt = int(self.block_counts[i])
+        o = int(self.block_lens_off[i])  # posting ordinal within term
+        if self._decoded is not None:
+            ids, tfs, lens = self._decoded
+            return ids[o : o + cnt], tfs[o : o + cnt], lens[o : o + cnt]
         a = int(self.block_ids_off[i])
         b = int(self.block_ids_off[i + 1]) if i + 1 < self.n_blocks else len(self.ids_blob)
         deltas = varint_decode(self.ids_blob[a:b], cnt)
         ids = np.cumsum(deltas, dtype=np.uint64)
         if self.wts_blob is not None:
-            a = int(self.block_lens_off[i])  # posting ordinal within term
             tfs = np.frombuffer(
-                self.wts_blob, np.float32, count=cnt, offset=4 * a
+                self.wts_blob, np.float32, count=cnt, offset=4 * o
             ).astype(np.float64)
         else:
             a = int(self.block_tfs_off[i])
@@ -139,32 +156,23 @@ class TermRow:
                 else len(self.tfs_blob)
             )
             tfs = varint_decode(self.tfs_blob[a:b], cnt)
-        a = int(self.block_lens_off[i])
-        lens = np.frombuffer(self.lens_blob, np.uint8, count=cnt, offset=a)
+        lens = np.frombuffer(self.lens_blob, np.uint8, count=cnt, offset=o)
         return ids, tfs, lens
 
     def decode_all(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode the whole posting list -> (doc_ids, tfs, len_bytes).
-
-        Vectorized: one varint pass, then a segmented cumsum that honors the
-        per-block absolute resets.
-        """
+        """Decode the whole posting list -> (doc_ids, tfs, len_bytes)
+        (``codec.decode_doc_ids``: one varint pass and a segmented cumsum
+        over the per-block absolute resets)."""
         if self._decoded is not None:
             return self._decoded
         n = self.df
-        deltas = varint_decode(self.ids_blob, n)
-        c = np.cumsum(deltas, dtype=np.uint64)
-        starts = np.zeros(self.n_blocks, np.int64)
-        np.cumsum(self.block_counts[:-1], out=starts[1:])
-        # value before each block's absolute reset must be subtracted
-        corr = c[starts] - deltas[starts]
-        ids = c - np.repeat(corr, self.block_counts.astype(np.int64))
+        ids = decode_doc_ids(self.ids_blob, self.block_counts, n)
         if self.wts_blob is not None:
             tfs = np.frombuffer(self.wts_blob, np.float32, count=n).astype(
                 np.float64
             )
         else:
-            tfs = varint_decode(self.tfs_blob, n)
+            tfs = self.decode_tfs()
         lens = np.frombuffer(self.lens_blob, np.uint8, count=n)
         self._decoded = (ids, tfs, lens)
         return self._decoded
@@ -179,27 +187,23 @@ class TermRow:
         """(flat positions, per-posting counts) — counts equal the tfs."""
         if self.pos_blob is None:
             raise ValueError("index built without positions")
-        if self._decoded_pos is not None:
-            return self._decoded_pos
-        from whoosh_novo_ray.codec import decode_positions_flat, varint_decode
-
-        tfs = varint_decode(self.tfs_blob, self.df)
-        self._decoded_pos = decode_positions_flat(self.pos_blob, tfs)
+        if self._decoded_pos is None:
+            self._decoded_pos = decode_positions_flat(self.pos_blob, self.decode_tfs())
         return self._decoded_pos
 
     def decode_tfs(self) -> np.ndarray:
         """True integer term frequencies (even on weighted indexes, where
         ``decode_all`` returns float weights in the tf slot)."""
-        return varint_decode(self.tfs_blob, self.df)
+        if self._tfs is None:
+            self._tfs = varint_decode(self.tfs_blob, self.df)
+        return self._tfs
 
     def decode_all_position_boosts(self) -> tuple[np.ndarray, np.ndarray]:
         """Per-occurrence boosts: (flat float64 boosts, counts per posting)
         — parallel to ``decode_all_positions_flat``."""
         if self.pboosts_blob is None:
             raise ValueError("index built without per-occurrence boosts")
-        from whoosh_novo_ray.codec import varint_decode as _vd
-
-        tfs = _vd(self.tfs_blob, self.df)
+        tfs = self.decode_tfs()
         flat = np.frombuffer(
             self.pboosts_blob, np.float32, count=int(tfs.sum())
         ).astype(np.float64)
@@ -211,9 +215,7 @@ class TermRow:
         per posting)."""
         if self.chars_blob is None:
             raise ValueError("index built without char offsets (with_chars)")
-        from whoosh_novo_ray.codec import decode_positions_flat, varint_decode
-
-        tfs = varint_decode(self.tfs_blob, self.df)
+        tfs = self.decode_tfs()
         flat, counts2 = decode_positions_flat(self.chars_blob, tfs * np.uint64(2))
         return flat.astype(np.int64).reshape(-1, 2), (counts2 // 2)
 
@@ -239,6 +241,39 @@ _BLOB_FIELDS = (
     "ids_blob", "tfs_blob", "lens_blob", "wts_blob", "pos_blob", "chars_blob",
     "pboosts_blob",
 )
+
+
+def blob_concat(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
+    """Concatenated bytes of a large_binary column as uint8: rows are
+    stored back to back in the values buffer, so a single-chunk column's
+    blobs come out as one zero-copy slice (no per-row Python)."""
+    if isinstance(col, pa.ChunkedArray):
+        col = col.combine_chunks()
+    offs = np.frombuffer(
+        col.buffers()[1], np.int64, count=len(col) + 1, offset=col.offset * 8
+    )
+    data = col.buffers()[2]
+    if data is None:
+        return np.empty(0, np.uint8)
+    return np.frombuffer(data, np.uint8)[offs[0] : offs[-1]]
+
+
+def decode_postings(rows: pa.Table | pa.RecordBatch) -> tuple[np.ndarray, np.ndarray]:
+    """``(doc ids uint64, integer tfs uint64)`` of every posting of
+    a run of segment rows, in row order: the rows' blobs are concatenated
+    and decoded in one pass (``codec.decode_doc_ids`` over their flattened
+    blocks; every row starts on a block). Reads ``df``, ``block_counts``,
+    ``ids_blob`` and ``tfs_blob``. The one batch decoder: the merge read
+    (``index/merge.py``) and a scoring actor's pin both use it."""
+    df = np.asarray(rows["df"].to_numpy(zero_copy_only=False), np.int64)
+    total = int(df.sum())
+    bc = rows["block_counts"]
+    if isinstance(bc, pa.ChunkedArray):
+        bc = bc.combine_chunks()
+    counts = bc.flatten().to_numpy(zero_copy_only=False)
+    ids = decode_doc_ids(blob_concat(rows["ids_blob"]), counts, total)
+    tfs = varint_decode(blob_concat(rows["tfs_blob"]), total)
+    return ids, tfs
 
 
 def _batch_views(batch: pa.RecordBatch) -> tuple[list, list, list]:

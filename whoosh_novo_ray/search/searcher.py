@@ -235,47 +235,50 @@ class Searcher:
         requested, else a (flat_positions, per_posting_counts) pair — posting
         i's positions are flat[counts[:i].sum() : counts[:i+1].sum()]."""
         rows = self._rows(term, with_positions)
-        if not rows:
+        return self._merge_rows(
+            ("merged", term, with_positions),
+            [r.decode_all() for r in rows],
+            [r.decode_all_positions_flat() for r in rows] if with_positions else None,
+        )
+
+    def _merge_rows(self, mkey, parts: list, flats: list | None):
+        """One term's postings from its decoded rows: ``parts`` holds each
+        row's (ids, tfs, len_bytes) and ``flats`` (when positions are
+        wanted) each row's (flat positions, counts). A single row is
+        returned as it is. Several rows (salted buckets, or several pinned
+        shard tables in a ShardSearcher) pay a concat + stable argsort +
+        ragged position gather to merge, so the merged result is cached
+        under ``mkey`` (same lifecycle as _term_cache: per-query on the
+        driver, cross-query and bounded on a serving actor). Callers never
+        mutate the returned arrays."""
+        if not parts:
             e = np.empty(0, np.uint64)
-            pos = (e.copy(), np.empty(0, np.int64)) if with_positions else None
+            pos = (e.copy(), np.empty(0, np.int64)) if flats is not None else None
             return e, e.copy(), np.empty(0, np.uint8), pos
-        # multi-row terms (salted buckets / multiple pinned shard tables in a
-        # ShardSearcher) pay a concat + argsort + ragged position gather to
-        # merge; rows themselves are decode-memoized, so cache the MERGED
-        # result too (same lifecycle as _term_cache: per-query on the driver,
-        # cross-query + bounded on a serving actor). Callers never mutate the
-        # returned arrays.
-        mkey = ("merged", term, with_positions)
-        if len(rows) > 1:
-            hit = self._term_cache.get(mkey)
-            if hit is not None:
-                return hit
-        parts = [r.decode_all() for r in rows]
+        if len(parts) == 1:
+            return (*parts[0], flats[0] if flats is not None else None)
+        hit = self._term_cache.get(mkey)
+        if hit is not None:
+            return hit
         ids = np.concatenate([p[0] for p in parts])
         tfs = np.concatenate([p[1] for p in parts])
         lens = np.concatenate([p[2] for p in parts])
+        # salted term: bucket slices interleave by doc id
+        order = np.argsort(ids, kind="stable")
+        ids, tfs, lens = ids[order], tfs[order], lens[order]
         pos = None
-        if with_positions:
-            flats = [r.decode_all_positions_flat() for r in rows]
+        if flats is not None:
             flat = np.concatenate([f[0] for f in flats])
             counts = np.concatenate([f[1] for f in flats])
-        if len(rows) > 1:  # salted term: bucket slices interleave by doc id
-            order = np.argsort(ids, kind="stable")
-            ids, tfs, lens = ids[order], tfs[order], lens[order]
-            if with_positions:
-                # ragged gather of each posting's position run
-                offs = np.cumsum(counts) - counts
-                sel_off = offs[order]
-                sel_cnt = counts[order]
-                base = np.repeat(sel_off, sel_cnt)
-                run_start = np.cumsum(sel_cnt) - sel_cnt
-                within = np.arange(int(sel_cnt.sum())) - np.repeat(run_start, sel_cnt)
-                flat = flat[base + within]
-                counts = sel_cnt
-        if with_positions:
-            pos = (flat, counts)
-        if len(rows) > 1:
-            self._term_cache[mkey] = (ids, tfs, lens, pos)
+            # ragged gather of each posting's position run
+            offs = np.cumsum(counts) - counts
+            sel_off = offs[order]
+            sel_cnt = counts[order]
+            base = np.repeat(sel_off, sel_cnt)
+            run_start = np.cumsum(sel_cnt) - sel_cnt
+            within = np.arange(int(sel_cnt.sum())) - np.repeat(run_start, sel_cnt)
+            pos = (flat[base + within], sel_cnt)
+        self._term_cache[mkey] = (ids, tfs, lens, pos)
         return ids, tfs, lens, pos
 
     def term_stats(self, term: str) -> tuple[int, float, float]:

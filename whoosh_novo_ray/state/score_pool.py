@@ -73,19 +73,32 @@ merge task) builds the result table once, after the merge. Other results
 (facet counts, collapse and sort candidates) go back as tables.
 
 Per-call CPU in ms (driver thread + actor main threads), 2,000 synthetic
-pages, 4 shards on 2 actors, a warm one-term query, 400 calls x 2 rounds
-on a 4-vCPU shared VM (``python scripts/probe_dispatch.py``; ranges over
-the rounds, both versions measured back to back). The per-argument transport
-this one replaced sent 6 arguments to each actor and got a table back:
+pages, 4 shards on 2 actors, a warm one-term query, 400 calls x 3 rounds
+on a 4-vCPU shared VM (``python scripts/probe_dispatch.py --rounds 3``;
+ranges over the rounds). A call that does no work now costs about 0.3 ms
+a side, against 0.16-0.21 ms when the one-request transport replaced a
+per-argument one (that one cost 1.06-1.18 ms on the driver and 1.88-2.00
+ms on the actors per ``ScorePool.search``, against 0.54-0.62 and
+1.15-1.27 for the one-request transport, measured back to back):
 
 ==============================================  =========  =========
 call                                            driver     actors
 ==============================================  =========  =========
-``ping`` (one actor, no work)                   0.16-0.21  0.15-0.20
-``score.remote`` (one actor, 3 arguments)       0.51-0.56  0.87-0.97
-``ScorePool.search``, per-argument transport    1.06-1.18  1.88-2.00
-``ScorePool.search``, one request, raw replies  0.54-0.62  1.15-1.27
+``ping`` (one actor, no work)                   0.32-0.41  0.30-0.43
+``score.remote`` (one actor, 3 arguments)       0.77-0.95  1.21-1.54
+``ScorePool.search`` (both actors)              0.80-1.28  1.66-2.97
 ==============================================  =========  =========
+
+Pin-time decode: an actor decodes the doc ids, tfs and weights of every
+pinned table once (:class:`PinnedTable`), so a plain term costs a hash
+lookup and array slices on every query, cold or warm, and no TermRow.
+On the benchmark's 2,000-page seed-1 index, pinning shards [0, 2] (two
+tables, 20,264 terms) takes 28-32 ms of wall time and 17-19 ms of main-
+thread CPU, against 11 ms and 4 ms when the actor kept the blobs and
+decoded them per query (15 in-process pins a side). In
+``python scripts/probe_query.py --workload head``, the actors' CPU per
+call fell from 1.38 to 0.66 ms (median of 384 queries, one run a side);
+a warm repeated term, as in the table above, costs the same as before.
 
 Actor start: every pool start, refresh, replica and restart spawns fresh
 actors, so a ScoreServer process imports only the serving code. No module
@@ -101,6 +114,7 @@ round). A bare ``@ray.remote`` actor: 975 modules, 121.5-121.9 MB,
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -120,12 +134,13 @@ from whoosh_novo_ray.index.docshard import (
     serving_dir_for,
 )
 from whoosh_novo_ray.index.segment import (
-    _SCORING_COLUMNS,
     Index,
     TermColumns,
     TermRow,
     _LRUCache,
     _TermBlocks,
+    blob_concat,
+    decode_postings,
 )
 from whoosh_novo_ray.search import query as Q
 from whoosh_novo_ray.search.plan import rewrite
@@ -192,6 +207,176 @@ def shard_slots(shards: list[int], num_shards: int) -> int:
     return m
 
 
+# the columns a pinned table keeps: the term stats and the skip lists that
+# WAND and positional TermRows carry. ``block_ids_off``/``block_tfs_off``
+# only address the blobs, which the pin decodes and drops.
+_PIN_COLUMNS = (
+    "df",
+    "weight",
+    "max_weight",
+    "min_len_byte",
+    "block_counts",
+    "block_max_ids",
+    "block_max_weights",
+    "block_min_lens",
+    "block_lens_off",
+)
+# read once per row group for the decode and the term index, not kept
+_DECODE_COLUMNS = ("term", "ids_blob", "tfs_blob", "lens_blob", "wts_blob")
+# positional/chars/per-occurrence-boost blobs are the bulk of a
+# positions-enabled segment and most queries never touch them: at fleet
+# scale pinning them would hold the full uncompressed posting set in
+# cluster RAM. They lazy-load per row group on first positional use.
+_LAZY_COLUMNS = (
+    "block_pos_off", "pos_blob",
+    "block_chars_off", "chars_blob",
+    "pboosts_blob",
+)
+# 64-bit FNV-1a over a term's UTF-8 bytes: a pin hashes a whole term
+# column with numpy, with no Python str per term
+_FNV_OFFSET = 0xCBF29CE484222325
+_FNV_PRIME = 0x100000001B3
+_U64 = (1 << 64) - 1
+
+
+@functools.lru_cache(maxsize=65536)
+def _term_hash(term: str) -> int:
+    """:func:`_column_hashes` of one term, as a signed 64-bit int."""
+    h = _FNV_OFFSET
+    for c in term.encode():
+        h = ((h ^ c) * _FNV_PRIME) & _U64
+    return h - (1 << 64) if h >> 63 else h
+
+
+def _column_hashes(offs: np.ndarray, data: np.ndarray) -> np.ndarray:
+    """FNV-1a of every value of a string column (``offs``/``data`` its
+    offsets and bytes) as int64: one numpy step per byte position, over
+    the values at least that long."""
+    lens = np.diff(offs)
+    h = np.full(len(lens), _FNV_OFFSET, np.uint64)
+    by_len = np.argsort(-lens, kind="stable")
+    n_longer = np.searchsorted(-lens[by_len], -np.arange(int(lens.max(initial=0))), "left")
+    starts = offs[:-1][by_len]
+    for k, m in enumerate(n_longer):
+        live = by_len[:m]
+        h[live] = (h[live] ^ data[starts[:m] + k]) * np.uint64(_FNV_PRIME)
+    return h.view(np.int64)
+
+
+class PinnedTable:
+    """One serving table of a scoring actor, decoded once when it is pinned.
+
+    Every posting of the table sits in flat arrays, in row order: ``ids``
+    (uint64 doc ids), ``tfs`` (uint32 integer tfs, the build's tf type),
+    ``wts`` (float64 weights, only when the file has ``wts_blob``) and
+    ``lens`` (uint8 length bytes). Row ``r`` holds postings ``starts[r]``
+    to ``starts[r + 1]``. The pin reads one row group at a time, so the
+    blobs and the decode's temporaries never exceed one group; the blobs
+    are not kept.
+
+    A plain-term lookup (:meth:`find`, :meth:`postings`) is a hash search
+    and three slices: ``hashes`` is each term's sorted ``hash()`` (stable
+    within the actor process) and ``perm`` its row; a candidate row is
+    checked against the bytes of the pinned ``term`` column. WAND and
+    positional queries get :meth:`row` TermRows, built from ``cols`` (views
+    of ``table``, the ``_PIN_COLUMNS``) and carrying the same slices."""
+
+    def __init__(self, path: str, block_cache: _LRUCache):
+        pf = pq.ParquetFile(path)
+        names = pf.schema_arrow.names
+        pin = [c for c in _PIN_COLUMNS if c in names]
+        read = pin + [c for c in _DECODE_COLUMNS if c in names]
+        df = pf.read(columns=["df"])["df"].to_numpy(zero_copy_only=False)
+        self.starts = np.zeros(len(df) + 1, np.int64)
+        np.cumsum(df, out=self.starts[1:])
+        n = int(self.starts[-1])
+        self.ids = np.empty(n, np.uint64)
+        self.tfs = np.empty(n, np.uint32)
+        self.wts = np.empty(n, np.float64) if "wts_blob" in names else None
+        self.lens = np.empty(n, np.uint8)
+        parts, terms, r = [], [], 0
+        for g in range(pf.num_row_groups):
+            rg = pf.read_row_group(g, columns=read)
+            a, b = self.starts[r], self.starts[r + len(rg)]
+            self.ids[a:b], self.tfs[a:b] = decode_postings(rg)
+            if self.wts is not None:
+                self.wts[a:b] = blob_concat(rg["wts_blob"]).view(np.float32)
+            self.lens[a:b] = blob_concat(rg["lens_blob"])
+            parts.append(rg.select(pin))
+            terms.extend(rg["term"].chunks)
+            r += len(rg)
+        self.table = (
+            pa.concat_tables(parts) if parts else pf.schema_arrow.empty_table().select(pin)
+        )
+        self.cols = TermColumns(self.table)
+        self.term = pa.concat_arrays(terms) if terms else pa.array([], pa.string())
+        self._build_term_index()
+        self.blocks = _TermBlocks(path, block_cache)
+        self.lazy_cols = tuple(c for c in _LAZY_COLUMNS if c in names)
+
+    def _build_term_index(self) -> None:
+        t = self.term
+        buf = t.buffers()
+        odt = np.int64 if pa.types.is_large_string(t.type) else np.int32
+        self._term_offs = np.frombuffer(buf[1], odt)[t.offset : t.offset + len(t) + 1]
+        self._term_data = (
+            np.empty(0, np.uint8) if buf[2] is None else np.frombuffer(buf[2], np.uint8)
+        )
+        hashes = _column_hashes(self._term_offs, self._term_data)
+        # stable: a term's rows come out in row order
+        order = np.argsort(hashes, kind="stable")
+        self.hashes = hashes[order]
+        self.perm = order.astype(np.int32)
+
+    def find(self, term: str) -> list[int]:
+        """The rows holding ``term``, in row order."""
+        h = _term_hash(term)
+        hs = self.hashes
+        i = int(hs.searchsorted(h))
+        out = []
+        while i < len(hs) and hs[i] == h:
+            r = int(self.perm[i])
+            a, b = self._term_offs[r], self._term_offs[r + 1]
+            if self._term_data[a:b].tobytes() == term.encode():
+                out.append(r)
+            i += 1
+        return out
+
+    def postings(self, r: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Row ``r``'s (doc ids, weights-or-tfs, len bytes): slices."""
+        a, b = self.starts[r], self.starts[r + 1]
+        tf = self.tfs if self.wts is None else self.wts
+        return self.ids[a:b], tf[a:b], self.lens[a:b]
+
+    def row(self, r: int, term: str, lazy: bool = False) -> TermRow:
+        """Row ``r`` as a TermRow for WAND or (``lazy``) positional use: views
+        of the pinned columns, with ``_decoded`` and ``_tfs`` slices of the
+        store. Pinned rows line up with file rows, so the lazy positional
+        columns are the same row of the file's row group (cached in the
+        actor's block LRU, and copied out so cached TermRows never pin a
+        whole group's blobs)."""
+        extra = {}
+        if lazy and self.lazy_cols:
+            g, off = self.blocks.locate_row(r)
+            extra = self.blocks.read(g, self.lazy_cols).values(off, copy=True)
+        a, b = self.starts[r], self.starts[r + 1]
+        return TermRow(
+            term=term, **self.cols.values(r), **extra,
+            _decoded=self.postings(r), _tfs=self.tfs[a:b],
+        )
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the store, the term index and the pinned table."""
+        arrays = (self.starts, self.ids, self.tfs, self.wts, self.lens,
+                  self.hashes, self.perm)
+        return (
+            sum(x.nbytes for x in arrays if x is not None)
+            + self.term.nbytes
+            + self.table.nbytes
+        )
+
+
 class _GlobalStatsView:
     """Index-shaped object a ShardSearcher scores against: GLOBAL doc count
     and average field length, with the shard's own doc universe."""
@@ -212,10 +397,12 @@ class _GlobalStatsView:
 class ShardSearcher(Searcher):
     """Searcher over pinned doc-shard tables with global stats.
 
-    Term lookups binary-search the pinned tables' sorted term columns (no
-    I/O) and build each row from the table's :class:`TermColumns` views;
-    term stats come from the driver-shipped global map, so idf / SQR
-    coordination / WAND block-max thresholds all see the whole collection.
+    A plain term reads its postings from each :class:`PinnedTable`'s
+    decoded store (a hash lookup and array slices, no I/O, no TermRow);
+    WAND and positional queries get TermRows built on first use and cached
+    (``_rows``). Term stats come from the driver-shipped global map, so idf
+    / SQR coordination / WAND block-max thresholds all see the whole
+    collection.
 
     Known degenerate-case divergence: the array-path Or's keep-the-initial-
     position-even-at-score-0 quirk (see Searcher) is relative to the GLOBAL
@@ -229,54 +416,43 @@ class ShardSearcher(Searcher):
     def __init__(
         self,
         view: _GlobalStatsView,
-        cols: list[TermColumns],
-        terms: list[np.ndarray],
-        blocks: list[_TermBlocks],
+        pinned: list[PinnedTable],
         gstats: dict[str, tuple[int, float, float]],
         weighting: WeightingModel | None = None,
-        lazy_cols: tuple[str, ...] = (),
     ):
         super().__init__(view, weighting=weighting)  # type: ignore[arg-type]
-        self._cols = cols
+        self._pinned = pinned
         self._gstats = gstats
         self._universe = view._universe
-        # aligned with cols: each table's sorted term column, and its
-        # file's block index — positional/chars blob columns are NOT pinned
-        # in RAM, they are read per row group on first positional use
-        self._terms = terms
-        self._blocks = blocks
-        self._lazy_cols = lazy_cols
 
     def _with_weighting(self, weighting: WeightingModel) -> "ShardSearcher":
-        sub = ShardSearcher(
-            self.index, self._cols, self._terms, self._blocks, self._gstats,
-            weighting, lazy_cols=self._lazy_cols,
-        )
+        sub = ShardSearcher(self.index, self._pinned, self._gstats, weighting)
         sub._term_cache = self._term_cache
         return sub
 
     def prefetch_terms(self, terms: list[str], with_positions: bool = False) -> None:
-        missing = [t for t in set(terms) if (t, with_positions) not in self._term_cache]
-        lazy = self._lazy_cols if with_positions else ()
-        for t in missing:
-            rows = self._term_cache[(t, with_positions)] = []
-            for k, tarr in enumerate(self._terms):
-                i = int(np.searchsorted(tarr, t, "left"))
-                j = int(np.searchsorted(tarr, t, "right"))
-                rows.extend(self._term_row(k, r, lazy) for r in range(i, j))
+        """Nothing to fetch ahead: plain terms read the store and the rows
+        of WAND and positional use are built on first use."""
 
-    def _term_row(self, k: int, r: int, lazy: tuple[str, ...]) -> TermRow:
-        """Row ``r`` of pinned table ``k``: views of the pinned columns.
-        Pinned rows line up with file rows, so the lazy positional columns
-        are the same row of the file's row group (cached in the actor's
-        block LRU, and copied out so cached TermRows never pin a whole
-        group's blobs)."""
-        term = self._terms[k][r]
-        if not lazy:
-            return self._cols[k].row(r, term)
-        g, off = self._blocks[k].locate_row(r)
-        extra = self._blocks[k].read(g, lazy).values(off, copy=True)
-        return TermRow(term=term, **self._cols[k].values(r), **extra)
+    def _rows(self, term: str, with_positions: bool = False) -> list[TermRow]:
+        key = (term, with_positions)
+        rows = self._term_cache.get(key)
+        if rows is None:
+            rows = self._term_cache[key] = [
+                p.row(r, term, with_positions)
+                for p in self._pinned
+                for r in p.find(term)
+            ]
+        return rows
+
+    def term_postings(self, term: str, with_positions: bool = False):
+        if with_positions:
+            return super().term_postings(term, True)
+        return self._merge_rows(
+            ("merged", term, False),
+            [p.postings(r) for p in self._pinned for r in p.find(term)],
+            None,
+        )
 
     def term_stats(self, term: str) -> tuple[int, float, float]:
         return self._gstats.get(term, (0, 0.0, 0.0))
@@ -318,11 +494,11 @@ class ScoreServer:
     parquet) and the in-flight task retries transparently — on a long-lived
     multi-node fleet individual workers WILL die. Caches rebuild lazily.
 
-    Each pinned table gets one :class:`TermColumns` at pin time, and a
-    term's rows are views of it: the cached TermRows of cold terms cost
-    no copy of their postings and the views add nothing to the actor's
-    RSS. The lazy positional columns come from the block LRU's row groups
-    and are copied out of them, so an evicted group is freed."""
+    Each pinned table is a :class:`PinnedTable`: its postings are decoded
+    once, at pin time, and a plain term's postings are slices of them.
+    Only WAND and positional queries build TermRows, which carry the same
+    slices. The lazy positional columns come from the block LRU's row
+    groups and are copied out of them, so an evicted group is freed."""
 
     def __init__(self, serving_dir: str | list[str], shards: list[int]):
         """``serving_dir`` may be a LIST of member serving dirs (one per
@@ -340,17 +516,6 @@ class ScoreServer:
         # members are doc-disjoint: global stats are the sums
         self._doc_count = int(sum(int(m["doc_count"]) for m in mans))
         self._tfl = float(sum(float(m["total_field_length"]) for m in mans))
-        # Pin ONLY the scoring columns (+ wts_blob, which rides the tf slot
-        # in scoring): positional/chars/per-occurrence-boost blobs are the
-        # bulk of a positions-enabled segment and most queries never touch
-        # them — at fleet scale pinning them would hold the full uncompressed
-        # posting set in cluster RAM. They lazy-load per term on first
-        # positional use (ShardSearcher.prefetch_terms).
-        _LAZY = (
-            "block_pos_off", "pos_blob",
-            "block_chars_off", "chars_blob",
-            "pboosts_blob",
-        )
         def _dm_universe(d: str, k: int) -> np.ndarray:
             p = os.path.join(d, "docmeta", f"bucket={k:05d}.parquet")
             if not os.path.exists(p):
@@ -364,16 +529,10 @@ class ScoreServer:
         # each (member, shard) docmeta file is read once: it is both a pinned
         # table's universe and a part of the actor's
         dm = {(d, k): _dm_universe(d, k) for d in dirs for k in self._shards}
-        self._tables: list[pa.Table] = []
-        # per pinned table: numpy views of its columns (TermRows are slices
-        # of these, so a cached row costs no copy of its postings), its
-        # sorted term column (term lookups are a binary search) and its
-        # file's block index (lazy columns)
-        self._cols: list[TermColumns] = []
-        self._terms: list[np.ndarray] = []
-        self._blocks: list[_TermBlocks] = []
+        # per pinned table: its decoded store, term index and file block
+        # index (PinnedTable); the positional columns stay on disk
+        self._pinned: list[PinnedTable] = []
         self._block_cache = _LRUCache(BLOCK_CACHE_ROW_GROUPS)
-        self._lazy_cols: tuple[str, ...] = ()
         self._table_shards: list[int] = []  # bucket id per pinned table
         # per-TABLE doc universe: with multi-member serving, several tables
         # share a shard id but partition its docs — the budgeted loop's
@@ -384,42 +543,31 @@ class ScoreServer:
             for b in man["buckets"]:
                 if b["bucket"] in shards and b["path"]:
                     p = os.path.join(d, b["path"])
-                    pf = pq.ParquetFile(p)
-                    names = pf.schema_arrow.names
-                    pin = ["term"] + [c for c in _SCORING_COLUMNS if c in names]
-                    if "wts_blob" in names:
-                        pin.append("wts_blob")
-                    self._lazy_cols = tuple(c for c in _LAZY if c in names)
-                    tbl = pf.read(columns=pin)
-                    self._tables.append(tbl)
-                    self._cols.append(TermColumns(tbl))
-                    self._terms.append(tbl["term"].to_numpy(zero_copy_only=False))
-                    self._blocks.append(_TermBlocks(p, self._block_cache))
+                    self._pinned.append(PinnedTable(p, self._block_cache))
                     self._table_shards.append(int(b["bucket"]))
                     self._table_universe.append(dm[d, int(b["bucket"])])
         self._universe = np.sort(np.concatenate([np.empty(0, np.uint64), *dm.values()]))
-        # decoded-TermRow cache shared across queries: the pinned tables are
-        # immutable, so rows only ever need filtering once per (term,
-        # with_positions). Bounded: cleared past 50k entries (stopword-grade
-        # terms dominate reuse long before that).
+        # WAND and positional TermRows and merged multi-table postings,
+        # shared across queries (the pinned tables are immutable). Bounded:
+        # cleared past 50k entries (stopword-grade terms dominate reuse long
+        # before that).
         self._tcache: dict = {}
         # per-table caches for the budgeted loop (same bound, kept by _each)
         self._table_caches: dict[int, dict] = {}
 
     def _searcher(self, gstats, weighting) -> ShardSearcher:
         view = _GlobalStatsView(self._doc_count, self._tfl, self._universe)
-        s = ShardSearcher(
-            view, self._cols, self._terms, self._blocks, gstats, weighting,
-            lazy_cols=self._lazy_cols,
-        )
+        s = ShardSearcher(view, self._pinned, gstats, weighting)
         if len(self._tcache) > 50_000:
             self._tcache.clear()
         s._term_cache = self._tcache
         return s
 
     def pinned_bytes(self) -> int:
-        """RAM held by the pinned scoring tables (the lazy-pinning metric)."""
-        return int(sum(t.nbytes for t in self._tables))
+        """RAM held by the pinned tables: each one's decoded postings, term
+        index, term column and kept scoring columns
+        (:attr:`PinnedTable.nbytes`). The caches are not counted."""
+        return int(sum(p.nbytes for p in self._pinned))
 
     def cache_sizes(self) -> dict[str, int]:
         """Entry counts of the per-actor caches (soak-test observability:
@@ -461,7 +609,7 @@ class ScoreServer:
             self._table_caches.clear()
         t0 = time.perf_counter()
         parts = []
-        for i in range(len(self._tables)):
+        for i in range(len(self._pinned)):
             if time.perf_counter() - t0 > timelimit:
                 return parts, True
             if _delay_per_table:
@@ -479,10 +627,7 @@ class ScoreServer:
             self._tfl,
             self._table_universe[i],
         )
-        s = ShardSearcher(
-            view, [self._cols[i]], [self._terms[i]], [self._blocks[i]],
-            gstats, weighting, lazy_cols=self._lazy_cols,
-        )
+        s = ShardSearcher(view, [self._pinned[i]], gstats, weighting)
         s._term_cache = self._table_caches.setdefault(i, {})
         return s
 
@@ -526,10 +671,10 @@ class ScoreServer:
     ) -> list[pa.Table]:
         """One remote round-trip for a MICRO-BATCH of queries (the serving
         throughput path). Every actor call has a fixed CPU cost: a call
-        that does no work costs 0.16-0.21 ms on the driver and 0.15-0.20 ms
-        on the actor, and a pooled one-term search 0.54-0.62 ms on the
-        driver and 1.15-1.27 ms over its 2 actors (4-vCPU shared VM; table
-        in the module docstring). Batching B queries per call divides the fixed
+        that does no work costs about 0.3 ms on the driver and 0.3 ms on
+        the actor, and a pooled one-term search 0.8-1.3 ms on the driver
+        and 1.7-3.0 ms over its 2 actors (4-vCPU shared VM; table in the
+        module docstring). Batching B queries per call divides the fixed
         part by B. ``gstats`` is the union map for the whole batch. A
         ``timelimit`` is PER QUERY (the reference arms a TimeLimitCollector
         per search, so a batch is B independent deadlines, not one shared
