@@ -13,9 +13,13 @@ then merges the replies. The servers start cold, as every benchmark
 cycle's actors do.
 
 CPU is ``time.thread_time``: "driver" is everything but the ``call``s,
-"actors" is the ``call``s. Prints each server's pin CPU (its constructor)
-and ``pinned_bytes()``, then, per query class, the count, the median and
-mean ms of each and the mean number of servers called, then the totals.
+"actors" is the ``call``s. The servers run in the driver's process, so
+the script calls ``gc.freeze()`` after the ingest and the pins: a
+generation-2 collection of the whole driver heap would otherwise land in
+one timed call now and then and skew the means. Prints each server's
+pin CPU (its constructor) and ``pinned_bytes()``, then, per query class,
+the count, the median and mean ms of each and the mean number of servers
+called, then the totals.
 With ``--profile N`` it also prints the N functions with the most
 cumulative time inside the actors' calls.
 
@@ -29,6 +33,7 @@ import argparse
 import cProfile
 import dataclasses
 import functools
+import gc
 import os
 import pstats
 import shutil
@@ -115,6 +120,10 @@ def main() -> None:
         lexicon = Searcher(index)
         qp = QueryParser()
         prof = cProfile.Profile() if args.profile else None
+        # move the ingest's and the pins' objects out of the collector's
+        # reach, so a gen-2 collection of the driver heap cannot land in a
+        # timed actor call
+        gc.freeze()
 
         def run(q: dict) -> tuple[float, float, int]:
             """(driver s, actors s, servers called) of one query."""

@@ -368,3 +368,31 @@ def test_merge_read_decodes_only_its_columns(weights_env):
                 assert set(b.column_names) < set(a.column_names)
                 assert not {"weight", "block_max_ids", "block_ids_off"} & set(b.column_names)
                 assert dec(b).equals(dec(a))
+
+
+def test_wand_block_stats_need_no_rows(members_env):
+    """WAND's exhaustive branch takes its block stats from each pinned
+    table's per-row block counts: over two tables a shard and a multi-block
+    term they equal the sum over the actor's TermRows, and the actor builds
+    no row to get them."""
+    from whoosh_novo_ray.index.multi import MultiIndex
+    from whoosh_novo_ray.search.searcher import Searcher
+
+    paths, servings = members_env
+    srv = _server(servings)
+    terms = [HEAVY, "m0", _word(3), "absent"]
+    gstats = MultiIndex(paths).term_stats_many(terms)
+    _, stats = srv.wand(terms, 10, gstats)
+    assert not [k for k in srv._tcache if k[0] in terms]  # no TermRow built
+    s = srv._searcher(gstats, None)
+    by_rows = [sum(r.n_blocks for r in s._rows(t)) for t in terms]
+    assert [s.n_blocks(t) for t in terms] == by_rows
+    assert s.n_blocks(HEAVY) > len(s._rows(HEAVY)) == 4  # several blocks a row
+    assert stats == {
+        "strategy": "exhaustive",
+        "decoded_blocks": sum(by_rows),
+        "skipped_blocks": 0,
+        "total_blocks": sum(by_rows),
+    }
+    local = Searcher(MultiIndex(paths))
+    assert local.n_blocks(HEAVY) == sum(r.n_blocks for r in local._rows(HEAVY)) > 1

@@ -22,10 +22,9 @@ diverges for characters whose ``str.lower()`` changes string length, e.g.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
-import pandas as pd
 
 # The reference's default token pattern, with the capture group made
 # non-capturing so findall() returns whole matches.
@@ -91,6 +90,24 @@ class StandardAnalyzer:
 
     def __post_init__(self):
         object.__setattr__(self, "_rx", re.compile(self.pattern))
+
+    def json_fields(self) -> dict:
+        """The options as persisted JSON fields, in field order: an index
+        manifest's config (``IndexConfig.to_json``) and a compat schema
+        (``compat._analyzer_to_json``) both store them."""
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
+        d["stoplist"] = sorted(self.stoplist) if self.stoplist is not None else None
+        return d
+
+    @classmethod
+    def from_json_fields(cls, d: dict) -> "StandardAnalyzer":
+        """The analyzer :meth:`json_fields` describes. A field ``d`` lacks
+        (a file written before the option existed) takes its default; other
+        keys are ignored."""
+        kw = {f.name: d[f.name] for f in fields(cls) if f.init and f.name in d}
+        if kw.get("stoplist") is not None:
+            kw["stoplist"] = frozenset(kw["stoplist"])
+        return cls(**kw)
 
     def _split_boost(self, tok: str) -> tuple[str, float]:
         d = self.boost_delim
@@ -175,6 +192,8 @@ class StandardAnalyzer:
         Length/stopword filtering and (downstream) hashing run once per
         UNIQUE term, not per token — the fused fast path for indexing.
         """
+        import pandas as pd
+
         # tokenize the ORIGINAL text (char spans index it directly);
         # lowercasing happens once per UNIQUE token below — the reference's
         # RegexTokenizer | LowercaseFilter order, vectorized
@@ -408,7 +427,7 @@ class _NoLowerAnalyzer(StandardAnalyzer):
     def analyze_batch_coded(self, texts):
         # delegate via a marker: uppercase-preserving tokenization
         import numpy as _np
-        import pandas as _pd
+        import pandas as pd
 
         rx = self._rx
         per_doc = [rx.findall(t) if t else [] for t in texts]
@@ -423,7 +442,7 @@ class _NoLowerAnalyzer(StandardAnalyzer):
         if n == 0:
             e = _np.empty(0, _np.int64)
             return e, e.copy(), _np.empty(0, object), e.astype(_np.int32), _np.zeros(len(texts), _np.int64)
-        codes, uniques = _pd.factorize(tokens, sort=False)
+        codes, uniques = pd.factorize(tokens, sort=False)
         pos = _np.zeros(n, _np.int32)
         run_start = _np.flatnonzero(_np.diff(doc_idx, prepend=-1))
         run_len = _np.diff(_np.append(run_start, n))
@@ -475,6 +494,8 @@ class NgramAnalyzer:
         return [v[i : i + size] for i in range(0, len(v) - size + 1)]
 
     def analyze_batch_coded(self, texts):
+        import pandas as pd
+
         per_doc = [self(t) if t else [] for t in texts]
         counts = np.fromiter((len(p) for p in per_doc), np.int64, len(per_doc))
         n = int(counts.sum())
@@ -539,6 +560,8 @@ class NgramWordsAnalyzer:
         return [v[i : i + size] for i in range(0, len(v) - size + 1)]
 
     def analyze_batch_coded(self, texts):
+        import pandas as pd
+
         mn = self.minsize
         mx = self.maxsize or self.minsize
         word_tok = simple_analyzer()

@@ -91,20 +91,7 @@ _PERSISTABLE_ANALYZERS = {c.__name__: c for c in (StandardAnalyzer, _NoLowerAnal
 def _analyzer_to_json(a: StandardAnalyzer) -> dict:
     """Persistable form of an analyzer dataclass (schema JSON must survive
     open_dir in a fresh process)."""
-    return {
-        "cls": type(a).__name__,
-        "pattern": a.pattern,
-        "stoplist": sorted(a.stoplist) if a.stoplist is not None else None,
-        "minsize": a.minsize,
-        "maxsize": a.maxsize,
-        "stem": a.stem,
-        "stem_lang": a.stem_lang,
-        "stem_algo": a.stem_algo,
-        "boost_delim": a.boost_delim,
-        "reverse_text": a.reverse_text,
-        "shingle": a.shingle,
-        "shingle_sep": a.shingle_sep,
-    }
+    return {"cls": type(a).__name__, **a.json_fields()}
 
 
 def _analyzer_from_json(d: dict) -> StandardAnalyzer:
@@ -114,20 +101,7 @@ def _analyzer_from_json(d: dict) -> StandardAnalyzer:
             f"schema names analyzer class {d['cls']!r}; only "
             f"{sorted(_PERSISTABLE_ANALYZERS)} can be reloaded"
         )
-    stop = d.get("stoplist")
-    return cls(
-        pattern=d["pattern"],
-        stoplist=frozenset(stop) if stop is not None else None,
-        minsize=d["minsize"],
-        maxsize=d["maxsize"],
-        stem=d["stem"],
-        stem_lang=d["stem_lang"],
-        stem_algo=d.get("stem_algo"),
-        boost_delim=d["boost_delim"],
-        reverse_text=d.get("reverse_text", False),
-        shingle=d.get("shingle"),
-        shingle_sep=d.get("shingle_sep", "-"),
-    )
+    return cls.from_json_fields(d)
 
 
 class TEXT(FieldSpec):

@@ -36,7 +36,6 @@ import time
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 import pyarrow.parquet as pq
@@ -117,20 +116,9 @@ class IndexConfig:
                 "at": self.analyzer.at,
             }
         else:
-            d["analyzer"] = {
-                "type": "standard",
-                "pattern": self.analyzer.pattern,
-                "stoplist": sorted(self.analyzer.stoplist) if self.analyzer.stoplist else None,
-                "minsize": self.analyzer.minsize,
-                "maxsize": self.analyzer.maxsize,
-                "stem": self.analyzer.stem,
-                "stem_lang": self.analyzer.stem_lang,
-                "stem_algo": self.analyzer.stem_algo,
-                "boost_delim": self.analyzer.boost_delim,
-                "reverse_text": self.analyzer.reverse_text,
-                "shingle": self.analyzer.shingle,
-                "shingle_sep": self.analyzer.shingle_sep,
-            }
+            d["analyzer"] = {"type": "standard", **self.analyzer.json_fields()}
+            if not self.analyzer.stoplist:
+                d["analyzer"]["stoplist"] = None  # an empty one persists as null
         return d
 
     @staticmethod
@@ -154,19 +142,7 @@ class IndexConfig:
                 minsize=a["minsize"], maxsize=a["maxsize"], at=a.get("at")
             )
         else:
-            ana = StandardAnalyzer(
-                pattern=a["pattern"],
-                stoplist=frozenset(a["stoplist"]) if a["stoplist"] is not None else None,
-                minsize=a["minsize"],
-                maxsize=a["maxsize"],
-                stem=a.get("stem", False),
-                stem_lang=a.get("stem_lang"),
-                stem_algo=a.get("stem_algo"),
-                boost_delim=a.get("boost_delim"),
-                reverse_text=a.get("reverse_text", False),
-                shingle=a.get("shingle"),
-                shingle_sep=a.get("shingle_sep", "-"),
-            )
+            ana = StandardAnalyzer.from_json_fields(a)
         d["heavy_terms"] = tuple(d.get("heavy_terms", ()))
         return IndexConfig(analyzer=ana, **d)
 
@@ -178,6 +154,8 @@ def bucket_for_terms(
     (``buckets_for_query_terms`` inverts it). Heavy terms mix in a doc-id
     range salt. With ``codes``, row i holds ``terms[codes[i]]`` and each
     term is hashed once; without it row i holds ``terms[i]``."""
+    import pandas as pd
+
     terms = np.asarray(terms, dtype=object)
     h = key_hash(terms)
     heavy = pd.Series(terms).isin(cfg.heavy_terms).to_numpy()

@@ -243,19 +243,48 @@ _BLOB_FIELDS = (
 )
 
 
+# numpy dtype by Arrow type name (``DataType.to_pandas_dtype`` imports pandas)
+_NUMPY_TYPES = {
+    "int8": np.int8, "int16": np.int16, "int32": np.int32, "int64": np.int64,
+    "uint8": np.uint8, "uint16": np.uint16, "uint32": np.uint32,
+    "uint64": np.uint64, "float": np.float32, "double": np.float64,
+}
+
+
+def arrow_view(arr: pa.Array | pa.ChunkedArray) -> np.ndarray:
+    """Read-only numpy view of a primitive Arrow array's data buffer (at
+    ``arr.offset``; several chunks are combined first). Raises on nulls. The
+    scoring actor's Arrow-to-numpy conversion: pyarrow 16.1 imports pandas
+    (about 35 MB and 0.33 s of CPU) on the first ``to_numpy()``."""
+    if isinstance(arr, pa.ChunkedArray):
+        arr = arr.chunk(0) if arr.num_chunks == 1 else arr.combine_chunks()
+    if arr.null_count:
+        raise ValueError(f"arrow_view: {arr.null_count} nulls in a {arr.type} array")
+    dtype = np.dtype(_NUMPY_TYPES[str(arr.type)])
+    buf = arr.buffers()[1]
+    if buf is None:
+        return np.empty(0, dtype)
+    return np.frombuffer(buf, dtype)[arr.offset : arr.offset + len(arr)]
+
+
+def binary_view(arr: pa.Array) -> tuple[np.ndarray, np.ndarray]:
+    """``(offsets, bytes)`` numpy views of a (large) binary or string
+    array: row ``i`` is ``bytes[offsets[i]:offsets[i + 1]]``."""
+    large = pa.types.is_large_binary(arr.type) or pa.types.is_large_string(arr.type)
+    _valid, offs, data = arr.buffers()
+    offsets = np.frombuffer(offs, np.int64 if large else np.int32)
+    data = np.empty(0, np.uint8) if data is None else np.frombuffer(data, np.uint8)
+    return offsets[arr.offset : arr.offset + len(arr) + 1], data
+
+
 def blob_concat(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     """Concatenated bytes of a large_binary column as uint8: rows are
     stored back to back in the values buffer, so a single-chunk column's
     blobs come out as one zero-copy slice (no per-row Python)."""
     if isinstance(col, pa.ChunkedArray):
         col = col.combine_chunks()
-    offs = np.frombuffer(
-        col.buffers()[1], np.int64, count=len(col) + 1, offset=col.offset * 8
-    )
-    data = col.buffers()[2]
-    if data is None:
-        return np.empty(0, np.uint8)
-    return np.frombuffer(data, np.uint8)[offs[0] : offs[-1]]
+    offs, data = binary_view(col)
+    return data[offs[0] : offs[-1]]
 
 
 def decode_postings(rows: pa.Table | pa.RecordBatch) -> tuple[np.ndarray, np.ndarray]:
@@ -265,12 +294,11 @@ def decode_postings(rows: pa.Table | pa.RecordBatch) -> tuple[np.ndarray, np.nda
     blocks; every row starts on a block). Reads ``df``, ``block_counts``,
     ``ids_blob`` and ``tfs_blob``. The one batch decoder: the merge read
     (``index/merge.py``) and a scoring actor's pin both use it."""
-    df = np.asarray(rows["df"].to_numpy(zero_copy_only=False), np.int64)
-    total = int(df.sum())
+    total = int(arrow_view(rows["df"]).sum())
     bc = rows["block_counts"]
     if isinstance(bc, pa.ChunkedArray):
         bc = bc.combine_chunks()
-    counts = bc.flatten().to_numpy(zero_copy_only=False)
+    counts = arrow_view(bc.flatten())
     ids = decode_doc_ids(blob_concat(rows["ids_blob"]), counts, total)
     tfs = varint_decode(blob_concat(rows["tfs_blob"]), total)
     return ids, tfs
@@ -284,21 +312,19 @@ def _batch_views(batch: pa.RecordBatch) -> tuple[list, list, list]:
     scalars, lists, blobs = [], [], []
     for name, arr in zip(batch.schema.names, batch.columns):
         if name in _SCALAR_FIELDS:
-            scalars.append((name, arr.to_numpy(zero_copy_only=True)))
+            scalars.append((name, arrow_view(arr)))
         elif name in _LIST_DTYPES:
             want = _LIST_DTYPES[name]
-            values = arr.values.to_numpy(zero_copy_only=True)
+            values = arrow_view(arr.values)
             cast = None
             if values.dtype != want:
                 if values.dtype.kind in "iu" and values.dtype.itemsize == want.itemsize:
                     values = values.view(want)  # uint64 offsets: reinterpret
                 else:
                     cast = want  # e.g. uint32 block counts: per-row astype
-            lists.append((name, values, arr.offsets.to_numpy(), cast))
+            lists.append((name, values, arrow_view(arr.offsets), cast))
         elif name in _BLOB_FIELDS:
-            _valid, offs, data = arr.buffers()
-            offsets = np.frombuffer(offs, np.int64)[arr.offset : arr.offset + len(arr) + 1]
-            data = np.empty(0, np.uint8) if data is None else np.frombuffer(data, np.uint8)
+            offsets, data = binary_view(arr)
             blobs.append((name, data, offsets))
     return scalars, lists, blobs
 
@@ -339,6 +365,13 @@ class TermColumns:
             s = data[offs[i] : offs[i + 1]]
             out[name] = s.copy() if copy else s
         return out
+
+    def list_len(self, i: int, name: str) -> int:
+        """Length of row ``i``'s ``name`` list, from its offsets alone."""
+        k = bisect_right(self._starts, i) - 1
+        i -= self._starts[k]
+        offs = next(o for n, _v, o, _c in self._views[k][1] if n == name)
+        return int(offs[i + 1] - offs[i])
 
     def row(self, i: int, term: str, copy: bool = False) -> TermRow:
         """Row ``i`` as a TermRow; its fields are slices of the views."""

@@ -22,7 +22,7 @@ import numpy as np
 import pyarrow as pa
 import pyarrow.compute as pc
 
-from whoosh_novo_ray.index.segment import Index, TermRow
+from whoosh_novo_ray.index.segment import Index, TermRow, arrow_view
 from whoosh_novo_ray.search import query as Q
 from whoosh_novo_ray.search.plan import (
     MULTITERM,
@@ -47,6 +47,17 @@ def _in_sorted(values: np.ndarray, sorted_arr: np.ndarray) -> np.ndarray:
     out = np.zeros(len(values), bool)
     out[ok] = sorted_arr[idx[ok]] == values[ok]
     return out
+
+
+def _hits_table(ids: np.ndarray, scores: np.ndarray) -> pa.Table:
+    """The ``(doc_id uint64, score float64)`` result table on the buffers of
+    ``ids`` and ``scores`` (``pa.array`` of an ndarray would import pandas)."""
+    cols = [
+        pa.Array.from_buffers(t, len(a), [None, pa.py_buffer(np.ascontiguousarray(a, d))])
+        for t, d, a in ((pa.uint64(), np.uint64, ids), (pa.float64(), np.float64, scores))
+    ]
+    return pa.Table.from_arrays(cols, names=["doc_id", "score"])
+
 
 # lexicographic max codepoint; analyzer tokens (\w matches) can never contain
 # it, so `prefix + _MAX_CHAR` is a safe inclusive upper bound for the prefix
@@ -226,6 +237,10 @@ class Searcher:
         if key not in self._term_cache:
             self.prefetch_terms([term], with_positions)
         return self._term_cache[key]
+
+    def n_blocks(self, term: str) -> int:
+        """Posting blocks of ``term`` over all of its rows."""
+        return sum(r.n_blocks for r in self._rows(term))
 
     def term_postings(
         self, term: str, with_positions: bool = False
@@ -941,7 +956,7 @@ class Searcher:
             ids, _ = self.postings(obj)
             return np.asarray(ids, np.uint64)
         if isinstance(obj, pa.Table):
-            obj = obj["doc_id"].to_numpy(zero_copy_only=False)
+            obj = arrow_view(obj["doc_id"])
         if isinstance(obj, (set, frozenset)):
             obj = sorted(obj)
         arr = np.unique(np.asarray(obj, np.uint64))
@@ -1015,12 +1030,7 @@ class Searcher:
             order = np.lexsort((ids, -scores))
             if limit is not None:
                 order = order[:limit]
-        return pa.table(
-            {
-                "doc_id": pa.array(ids[order], pa.uint64()),
-                "score": pa.array(scores[order], pa.float64()),
-            }
-        )
+        return _hits_table(ids[order], scores[order])
 
     def search_page(
         self, q: Q.Query, pagenum: int, pagelen: int = 10, filter=None, mask=None

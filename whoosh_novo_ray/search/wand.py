@@ -22,6 +22,7 @@ import pyarrow as pa
 
 from whoosh_novo_ray.index.segment import TermRow
 from whoosh_novo_ray.search.scoring import TermScorer
+from whoosh_novo_ray.search.searcher import _hits_table
 
 _SENTINEL = np.uint64(0xFFFFFFFFFFFFFFFF)
 
@@ -161,14 +162,8 @@ def wand_topk(
     while True:
         if deadline is not None and _time.perf_counter() > deadline:
             ranked = sorted(heap, key=lambda e: (-e[0], -e[1]))
-            partial = pa.table(
-                {
-                    "doc_id": pa.array([-e[1] for e in ranked], pa.uint64()),
-                    "score": pa.array([e[0] for e in ranked], pa.float64()),
-                }
-            )
             raise TimeLimit(
-                partial,
+                _ranked_table(ranked),
                 {
                     "decoded_blocks": sum(c.decoded_blocks for c in cursors),
                     "skipped_blocks": sum(c.skipped_blocks for c in cursors),
@@ -269,14 +264,14 @@ def wand_topk(
         "skipped_blocks": sum(c.skipped_blocks for c in cursors),
         "total_blocks": sum(c.row.n_blocks for c in cursors),
     }
-    return (
-        pa.table(
-            {
-                "doc_id": pa.array([-e[1] for e in ranked], pa.uint64()),
-                "score": pa.array([e[0] for e in ranked], pa.float64()),
-            }
-        ),
-        stats,
+    return _ranked_table(ranked), stats
+
+
+def _ranked_table(ranked: list[tuple[float, int]]) -> pa.Table:
+    """The result table of ranked ``(score, -doc_id)`` heap entries."""
+    return _hits_table(
+        np.array([-e[1] for e in ranked], np.uint64),
+        np.array([e[0] for e in ranked], np.float64),
     )
 
 
@@ -314,9 +309,7 @@ def searcher_wand_topk(
         from whoosh_novo_ray.search import query as Q
 
         t = searcher.search(Q.Or(*[Q.Term(x) for x in terms]), limit=k)
-        total_blocks = sum(
-            r.n_blocks for term in terms for r in searcher._rows(term)
-        )
+        total_blocks = sum(searcher.n_blocks(term) for term in terms)
         return t, {
             "strategy": "exhaustive",
             "decoded_blocks": total_blocks,

@@ -18,7 +18,6 @@ from __future__ import annotations
 import functools
 
 import numpy as np
-import pandas as pd
 import pyarrow as pa
 import pyarrow.compute as pc
 
@@ -35,6 +34,8 @@ def key_hash(values) -> np.ndarray:
     (both sides of a shard-join meet). Anything else hashes as objects:
     strings by their bytes, other types by ``str``.
     """
+    import pandas as pd
+
     if isinstance(values, (pa.Array, pa.ChunkedArray)):
         values = values.to_numpy(zero_copy_only=False)
     arr = np.asarray(values)

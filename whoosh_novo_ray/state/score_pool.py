@@ -101,15 +101,15 @@ call fell from 1.38 to 0.66 ms (median of 384 queries, one run a side);
 a warm repeated term, as in the table above, costs the same as before.
 
 Actor start: every pool start, refresh, replica and restart spawns fresh
-actors, so a ScoreServer process imports only the serving code. No module
-it reaches imports ``ray.data`` at module level, and it reads Parquet with
-``pq.ParquetFile(...).read``, because ``pq.read_table`` loads
-``pyarrow.dataset``. Per actor at ready, 2,000 synthetic pages, 4 shards,
-6 rounds of ``python scripts/probe_actor_start.py`` on the same 4-vCPU
-shared VM: 1,338 modules loaded (1,539 with both), peak RSS 177.5-178.0 MB
-(189.3-190.1), main-thread CPU 1.20-2.03 s (1.40-2.07; lower in every
-round). A bare ``@ray.remote`` actor: 975 modules, 121.5-121.9 MB,
-0.63-1.14 s.
+actors, so a ScoreServer imports only the serving code: no ``ray.data``
+or pandas at module level, ``pq.ParquetFile(...).read`` (``pq.read_table``
+loads ``pyarrow.dataset``), and Arrow to numpy through ``arrow_view``
+(pyarrow imports pandas on the first ``to_numpy()`` or ``pa.array``). Per
+actor at ready, 2,000 synthetic pages, 4 shards, 2 interleaved rounds of
+``python scripts/probe_actor_start.py``, same VM: 1,016 modules (1,339
+with pandas), peak RSS 146.2-146.3 MB (177.3-177.9), main-thread CPU
+0.89-1.04 s (1.11-1.33). A bare ``@ray.remote`` actor: 975 modules,
+121.6-121.7 MB, 0.54-0.79 s.
 """
 
 from __future__ import annotations
@@ -139,12 +139,14 @@ from whoosh_novo_ray.index.segment import (
     TermRow,
     _LRUCache,
     _TermBlocks,
+    arrow_view,
+    binary_view,
     blob_concat,
     decode_postings,
 )
 from whoosh_novo_ray.search import query as Q
 from whoosh_novo_ray.search.plan import rewrite
-from whoosh_novo_ray.search.searcher import Searcher, _in_sorted
+from whoosh_novo_ray.search.searcher import Searcher, _hits_table, _in_sorted
 from whoosh_novo_ray.search.scoring import WeightingModel
 from whoosh_novo_ray.search.sorting import collapse_keep_mask, falsy_key_mask
 from whoosh_novo_ray.search.wand import TimeLimit, searcher_wand_topk
@@ -286,7 +288,7 @@ class PinnedTable:
         names = pf.schema_arrow.names
         pin = [c for c in _PIN_COLUMNS if c in names]
         read = pin + [c for c in _DECODE_COLUMNS if c in names]
-        df = pf.read(columns=["df"])["df"].to_numpy(zero_copy_only=False)
+        df = arrow_view(pf.read(columns=["df"])["df"])
         self.starts = np.zeros(len(df) + 1, np.int64)
         np.cumsum(df, out=self.starts[1:])
         n = int(self.starts[-1])
@@ -294,6 +296,7 @@ class PinnedTable:
         self.tfs = np.empty(n, np.uint32)
         self.wts = np.empty(n, np.float64) if "wts_blob" in names else None
         self.lens = np.empty(n, np.uint8)
+        # never empty: ``write_segment`` writes a row group even for no rows
         parts, terms, r = [], [], 0
         for g in range(pf.num_row_groups):
             rg = pf.read_row_group(g, columns=read)
@@ -305,23 +308,15 @@ class PinnedTable:
             parts.append(rg.select(pin))
             terms.extend(rg["term"].chunks)
             r += len(rg)
-        self.table = (
-            pa.concat_tables(parts) if parts else pf.schema_arrow.empty_table().select(pin)
-        )
+        self.table = pa.concat_tables(parts)
         self.cols = TermColumns(self.table)
-        self.term = pa.concat_arrays(terms) if terms else pa.array([], pa.string())
+        self.term = pa.concat_arrays(terms)
         self._build_term_index()
         self.blocks = _TermBlocks(path, block_cache)
         self.lazy_cols = tuple(c for c in _LAZY_COLUMNS if c in names)
 
     def _build_term_index(self) -> None:
-        t = self.term
-        buf = t.buffers()
-        odt = np.int64 if pa.types.is_large_string(t.type) else np.int32
-        self._term_offs = np.frombuffer(buf[1], odt)[t.offset : t.offset + len(t) + 1]
-        self._term_data = (
-            np.empty(0, np.uint8) if buf[2] is None else np.frombuffer(buf[2], np.uint8)
-        )
+        self._term_offs, self._term_data = binary_view(self.term)
         hashes = _column_hashes(self._term_offs, self._term_data)
         # stable: a term's rows come out in row order
         order = np.argsort(hashes, kind="stable")
@@ -454,6 +449,10 @@ class ShardSearcher(Searcher):
             None,
         )
 
+    def n_blocks(self, term: str) -> int:
+        return sum(p.cols.list_len(r, "block_counts")
+                   for p in self._pinned for r in p.find(term))
+
     def term_stats(self, term: str) -> tuple[int, float, float]:
         return self._gstats.get(term, (0, 0.0, 0.0))
 
@@ -521,8 +520,7 @@ class ScoreServer:
             if not os.path.exists(p):
                 return np.empty(0, np.uint64)
             return np.sort(
-                pq.ParquetFile(p).read(columns=["doc_id"])["doc_id"]
-                .to_numpy(zero_copy_only=False)
+                arrow_view(pq.ParquetFile(p).read(columns=["doc_id"])["doc_id"])
                 .astype(np.uint64)
             )
 
@@ -579,8 +577,8 @@ class ScoreServer:
         }
 
     def rss_bytes(self) -> int:
-        """This actor process's resident set size (the fleet-memory metric
-        pinned_bytes approximates from the table side)."""
+        """This actor process's PEAK resident set size (``ru_maxrss``), the
+        fleet-memory metric pinned_bytes approximates from the table side."""
         import resource
 
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
@@ -996,8 +994,8 @@ def _fan_out(actors: list, op: str, *args, **kwargs) -> list:
 def _hits_blob(t: pa.Table) -> bytes:
     """A (doc_id, score) result table as an actor's raw reply: the uint64
     doc ids, then the float64 scores, then one timed-out byte."""
-    ids = t["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64, copy=False)
-    scores = t["score"].to_numpy(zero_copy_only=False).astype(np.float64, copy=False)
+    ids = arrow_view(t["doc_id"]).astype(np.uint64, copy=False)
+    scores = arrow_view(t["score"]).astype(np.float64, copy=False)
     return ids.tobytes() + scores.tobytes() + (b"\1" if timed_out(t) else b"\0")
 
 
@@ -1060,15 +1058,7 @@ def _merge_hits(
     order = np.lexsort((ids, -scores))
     if limit is not None:
         order = order[:limit]
-    return _flag(
-        pa.table(
-            {
-                "doc_id": pa.array(ids[order], pa.uint64()),
-                "score": pa.array(scores[order], pa.float64()),
-            }
-        ),
-        out_of_time,
-    )
+    return _flag(_hits_table(ids[order], scores[order]), out_of_time)
 
 
 def _merge_replies(blobs: list[bytes], limit: int | None) -> pa.Table:
@@ -1081,11 +1071,7 @@ def _merge_topk(parts: list[pa.Table], limit: int | None) -> pa.Table:
     tables it finished)."""
     return _merge_hits(
         [
-            (
-                p["doc_id"].to_numpy(zero_copy_only=False),
-                p["score"].to_numpy(zero_copy_only=False),
-                timed_out(p),
-            )
+            (arrow_view(p["doc_id"]), arrow_view(p["score"]), timed_out(p))
             for p in parts
         ],
         limit,
