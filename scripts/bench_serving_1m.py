@@ -78,11 +78,11 @@ def main() -> None:
     pool = ScorePool(OUT, num_actors=8)
     res["pool_spinup_sec"] = round(time.perf_counter() - t0, 2)
     res["pinned_bytes"] = int(
-        sum(ray.get([a.pinned_bytes.remote() for a in pool._actors]))
+        sum(ray.get([a.pinned_bytes.remote() for a in pool._replicas[0]]))
     )
     res["pinned_vs_full"] = round(res["pinned_bytes"] / res["full_column_bytes"], 3)
     res["actor_rss_bytes"] = int(
-        sum(ray.get([a.rss_bytes.remote() for a in pool._actors]))
+        sum(ray.get([a.rss_bytes.remote() for a in pool._replicas[0]]))
     )
 
     qset = {

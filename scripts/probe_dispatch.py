@@ -83,8 +83,8 @@ def main() -> None:
         pool = ScorePool(path, num_actors=2, num_shards=4)
         cpu = ScoringCpu(scoring_actor_pids())
         q = Q.Term(_warm_term(t["text"].to_pylist()))
-        gstats = pool._gstats(pool._stat_terms(q))
-        actor = pool._actors[0]
+        gstats = pool._plan(q).gstats
+        actor = pool._replicas[0][0]
         rows = {
             "ping": lambda: ray.get(actor.ping.remote()),
             "score.remote": lambda: ray.get(actor.score.remote(q, 10, gstats)),

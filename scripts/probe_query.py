@@ -129,17 +129,16 @@ def main() -> None:
             """(driver s, actors s, servers called) of one query."""
             d0 = time.thread_time()
             if q["cls"] == "wand":
-                gstats, slots = ScorePool._stats_and_slots(
+                p = ScorePool._stats_plan(
                     drv, Q.Or(*[Q.Term(t) for t in q["terms"]]), q["terms"]
                 )
+                gstats, slots = p.gstats, p.slots
                 request, _ = _pack_request("wand", q["terms"], TOP_K, gstats, None, "auto",
                                            timelimit=None)
             else:
-                q2 = rewrite(qp.parse(q["text"]), lexicon,
-                             lambda t: ScorePool._gstats(drv, t))
-                gstats, slots = ScorePool._stats_and_slots(
-                    drv, q2, ScorePool._stat_terms(None, q2)
-                )
+                q2 = rewrite(qp.parse(q["text"]), lexicon, drv._term_info)
+                p = ScorePool._stats_plan(drv, q2, ScorePool._stat_terms(None, q2))
+                gstats, slots = p.gstats, p.slots
                 request, _ = _pack_request("score", q2, TOP_K, gstats, None, None, None,
                                            timelimit=None, _delay_per_table=0.0)
             called = [srv for srv, m in zip(servers, server_slots) if m & slots]

@@ -71,8 +71,9 @@ def test_live_actors_leave_out_build_stack(ray_session, pool):
 
         return [m for m in LEAKS if m in sys.modules]
 
-    assert len(pool._actors) == 2
-    got = ray.get([a.__ray_call__.remote(loaded) for a in pool._actors])
+    (actors,) = pool._replicas
+    assert len(actors) == 2
+    got = ray.get([a.__ray_call__.remote(loaded) for a in actors])
     assert got == [[], []]
 
 

@@ -96,12 +96,14 @@ def test_serving_build_matches_in_process(ray_session, tmp_path, cfg):
 
 
 def test_two_member_serving_build_matches_in_process(ray_session, tmp_path):
+    """Each member of a two-member generation gets its own serving layout,
+    built from that member's postings only."""
     t = _docs()
     a = _build(t.slice(0, 150), str(tmp_path / "a"), FULL)
     b = _build(t.slice(150), str(tmp_path / "b"), FULL)
-    out = str(tmp_path / "serving")
-    build_serving_shards([a, b], num_shards=NUM_SHARDS, out_dir=out)
-    _assert_serving_identity([a, b], out)
+    for m in (a, b):
+        build_serving_shards(m, num_shards=NUM_SHARDS)
+        _assert_serving_identity([m], serving_dir_for(m))
 
 
 def _sorted(t: pa.Table, keys: list[str]) -> pa.Table:

@@ -380,6 +380,48 @@ def test_scorepool_over_generational_multiindex(ray_session, tmp_path):
         pool.shutdown()
 
 
+def test_generational_pool_serves_shard_without_postings(ray_session, tmp_path):
+    """A serving shard whose docs have no postings (its manifest row has no
+    segment file) still gets an actor: Every() over a generation answers as
+    the local Searcher does, as the one-index pool does."""
+    import json
+
+    import numpy as np
+    import pyarrow as pa
+    import ray.data
+
+    from whoosh_novo_ray.index import IndexConfig
+    from whoosh_novo_ray.index.build import doc_shard_of
+    from whoosh_novo_ray.index.docshard import serving_dir_for
+    from whoosh_novo_ray.index.incremental import GenerationalIndex
+
+    ids = np.arange(15, dtype=np.int64)
+    shard = doc_shard_of(ids, 4)
+    empty = shard == shard[0]
+    assert 0 < empty.sum() < len(ids)
+    gi = GenerationalIndex(
+        str(tmp_path / "gi"), IndexConfig(num_buckets=2), policy="merge_small"
+    )
+    gi.add_documents(
+        ray.data.from_arrow(pa.table({
+            "doc_id": pa.array(ids, pa.int64()),
+            "text": pa.array(["" if e else "alpha beta" for e in empty]),
+        })),
+        lineage="g",
+    )
+    want = Searcher(gi.open()).search(Every(), limit=None).to_pydict()
+    assert len(want["doc_id"]) == len(ids)
+    pool = ScorePool.for_generational(gi, num_actors=2, num_shards=4)
+    try:
+        (member,) = gi._members(gi.current_path())
+        with open(os.path.join(serving_dir_for(member), "manifest.json")) as f:
+            rows = json.load(f)["buckets"]
+        assert {b["bucket"]: b["path"] for b in rows}[int(shard[0])] == ""
+        assert pool.search(Every(), limit=None).to_pydict() == want
+    finally:
+        pool.shutdown()
+
+
 def test_scorepool_on_salted_index(ray_session, tmp_path, pages_table):
     """Heavy-term salting splits posting rows across buckets; the serving
     rebuild must reassemble them doc-sharded with identical ranks."""
@@ -600,6 +642,52 @@ def test_pool_sorted_search_matches_local(spool, built_index, attrs2_parquet):
     assert pooled == local
 
 
+def test_pooled_otherwise_candidates_match_local(
+    ppool, built_index, shards_of, attrs2_parquet
+):
+    """Otherwise(a, b) takes b only when a matches nowhere, which no actor
+    can tell from its own shards. With ``a`` in one shard only, pooled facet
+    counts, collapse and sorted search of an Otherwise (as the query or as
+    a filter) equal their local sorting functions."""
+    from whoosh_novo_ray.search import Otherwise
+    from whoosh_novo_ray.search.sorting import (
+        FieldFacet,
+        MultiFacet,
+        collapse_search,
+        facet_counts,
+        sorted_search,
+    )
+
+    tbl = built_index.iter_term_stats(("term", "df")).sort_by([("df", "descending")])
+    common = tbl["term"][0].as_py()
+    q = Otherwise(Term(_rare(shards_of, 0)), Term(common))
+    s = Searcher(built_index)
+    lang, n = FieldFacet(attrs2_parquet, "lang"), FieldFacet(attrs2_parquet, "n")
+    for got, want in (
+        (ppool.facet_counts(q, attrs2_parquet, "lang"), facet_counts(s, q, lang)),
+        (
+            ppool.facet_counts(Term(common), attrs2_parquet, "lang", filter=q),
+            facet_counts(s, Term(common), lang, filter=q),
+        ),
+        (
+            ppool.collapse_search(q, attrs2_parquet, "lang", order_column="n"),
+            collapse_search(s, q, lang, order_facet=n),
+        ),
+        (
+            ppool.sorted_search(
+                q, attrs2_parquet, ["lang", "n"], reverses=[False, True], limit=5
+            ),
+            sorted_search(
+                s, q,
+                MultiFacet([lang, FieldFacet(attrs2_parquet, "n", reverse=True)]),
+                limit=5,
+            ),
+        ),
+    ):
+        assert got.to_pydict() == want.to_pydict()
+    assert facet_counts(s, q, lang)["count"].to_pylist() == [1]
+
+
 def test_pool_forced_wand_strategy_parity(spool, built_index):
     """Forcing the block-max WAND cursor loop per shard still produces the
     exact top-k (skip proofs hold under global stats)."""
@@ -784,7 +872,7 @@ def test_lazy_pinning_excludes_positional_blobs(spool, built_index):
 
     from whoosh_novo_ray.index.docshard import serving_dir_for
 
-    pinned = sum(ray.get([a.pinned_bytes.remote() for a in spool._actors]))
+    pinned = sum(ray.get([a.pinned_bytes.remote() for a in spool._replicas[0]]))
     seg_bytes = sum(
         os.path.getsize(f)
         for f in glob.glob(
@@ -874,11 +962,11 @@ def test_actor_crash_recovery(built_index):
         q = Or(Term("search"), Term("data"), Term("index"))
         before = rp.search(q, limit=10).to_pydict()
         # simulate a worker crash (restartable kill, NOT the shutdown path)
-        ray.kill(rp._actors[0], no_restart=False)
+        ray.kill(rp._replicas[0][0], no_restart=False)
         after = rp.search(q, limit=10).to_pydict()
         assert after == before
         # and again mid-micro-batch
-        ray.kill(rp._actors[1], no_restart=False)
+        ray.kill(rp._replicas[0][1], no_restart=False)
         got = [
             t.to_pydict()
             for t in ray.get(rp.search_many_async([q, Term("search")], limit=10))
@@ -1049,13 +1137,13 @@ def server(spool):
     from whoosh_novo_ray.state.score_pool import ScoreServer
 
     shards = sorted(k for ks in spool._assignments for k in ks)
-    return ScoreServer.__ray_actor_class__(spool._serving_dir, shards)
+    return ScoreServer.__ray_actor_class__(spool._serving_dirs, shards)
 
 
 def _budgeted_op(spool, server, attrs_parquet, op):
     """``op`` as a callable taking the budget kwargs; returns a table list."""
     q = Or(Term("search"), Term("data"), Term("index"))
-    g = spool._gstats(spool._stat_terms(q))
+    g = spool._plan(q).gstats
     attrs = spool._attrs_dir_for(attrs_parquet, "lang")
     return {
         "score": lambda **kw: [server.score(q, 10, g, **kw)],
@@ -1141,7 +1229,7 @@ def _transport_case(spool, server, attrs_parquet, attrs2_parquet, op):
     """(args, kwargs, decode) for ``op``: decode turns the entry point's
     reply into the shape the method itself returns."""
     q = Or(Term("search"), Term("data"), Term("index"))
-    g = spool._gstats(spool._stat_terms(q))
+    g = spool._plan(q).gstats
     attrs = spool._attrs_dir_for(attrs_parquet, "lang")
     same = lambda r: r  # noqa: E731
     return {
@@ -1225,7 +1313,7 @@ def test_pool_search_packs_request_once(spool, monkeypatch):
         return pack(*args, **kwargs)
 
     monkeypatch.setattr(score_pool, "_pack_request", counting)
-    assert len(spool._actors) == 2
+    assert len(spool._replicas[0]) == 2
     assert len(spool.search(Term("search"), limit=10)) > 0
     assert calls == ["score"]
 

@@ -137,14 +137,14 @@ def test_manifest_roundtrip():
 def test_compat_schema_roundtrip():
     """The facade's schema JSON (survives open_dir in a fresh process) also
     carries the new analyzer options."""
-    from whoosh_novo_ray.compat import _analyzer_from_json, _analyzer_to_json
+    from whoosh_novo_ray.analysis import analyzer_from_json, analyzer_to_json
 
     for ana in (
         StandardAnalyzer(shingle=2),
         StandardAnalyzer(reverse_text=True, stem_algo="porter2"),
         StandardAnalyzer(),
     ):
-        assert _analyzer_from_json(_analyzer_to_json(ana)) == ana
+        assert analyzer_from_json(analyzer_to_json(ana)) == ana
 
 
 def test_all_tokens_filtered_is_empty_not_crash():

@@ -17,7 +17,6 @@ import pytest
 import ray
 
 from whoosh_novo_ray.search import Or, Searcher, Term
-from whoosh_novo_ray.search.plan import rewrite
 from whoosh_novo_ray.state.score_pool import ScorePool
 
 N_DOCS = 6000
@@ -65,13 +64,13 @@ def test_hot_term_parity_and_bounded_transfer(skew_env):
         assert mine.to_pydict() == local.search(q, limit=10).to_pydict()
     # direct fan-out: each actor returns AT MOST limit rows even though the
     # hot term matches ~N_DOCS/2 — posting blobs never cross to the driver
-    q2 = rewrite(Term("hotterm"), pool._driver_searcher, pool._gstats)
-    gstats = pool._gstats(pool._stat_terms(q2))
+    p = pool._plan(Term("hotterm"))
+    (actors,) = pool._replicas
     parts = ray.get(
-        [a.score.remote(q2, 10, gstats, None) for a in pool._actors]
+        [a.score.remote(p.q, 10, p.gstats, None) for a in actors]
     )
-    assert all(len(p) <= 10 for p in parts)
-    assert sum(len(p) for p in parts) <= 10 * len(pool._actors)
+    assert all(len(t) <= 10 for t in parts)
+    assert sum(len(t) for t in parts) <= 10 * len(actors)
 
 
 def test_hot_term_shard_balance(skew_env):
@@ -79,11 +78,11 @@ def test_hot_term_shard_balance(skew_env):
     shard above ~2x the mean (md5 doc-hash is uniform; 3000 postings over 8
     shards concentrates tightly)."""
     idx, pool = skew_env
-    gstats = pool._gstats(["hotterm"])
+    gstats = pool._plan(Term("hotterm")).gstats
     df_total = gstats["hotterm"][0]
     assert df_total == N_DOCS // 2
     per_actor = ray.get(
-        [a.score.remote(Term("hotterm"), None, gstats, None) for a in pool._actors]
+        [a.score.remote(Term("hotterm"), None, gstats, None) for a in pool._replicas[0]]
     )
     sizes = [len(p) for p in per_actor]
     assert sum(sizes) == df_total
@@ -116,7 +115,7 @@ def test_serving_soak_caches_bounded(skew_env):
     for i in range(1600):
         if i % 400 == 0:
             pool.search(Or(Term(f"w{i % 500:04d}"), Term("hotterm")), limit=5)
-    sizes = ray.get([a.cache_sizes.remote() for a in pool._actors])
+    sizes = ray.get([a.cache_sizes.remote() for a in pool._replicas[0]])
     for sz in sizes:
         assert sz["term_cache"] <= 50_000
         assert sz["attr_cache"] <= 8

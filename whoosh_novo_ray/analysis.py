@@ -92,9 +92,8 @@ class StandardAnalyzer:
         object.__setattr__(self, "_rx", re.compile(self.pattern))
 
     def json_fields(self) -> dict:
-        """The options as persisted JSON fields, in field order: an index
-        manifest's config (``IndexConfig.to_json``) and a compat schema
-        (``compat._analyzer_to_json``) both store them."""
+        """The options as persisted JSON fields, in field order
+        (:func:`analyzer_to_json` stores them with the class name)."""
         d = {f.name: getattr(self, f.name) for f in fields(self) if f.init}
         d["stoplist"] = sorted(self.stoplist) if self.stoplist is not None else None
         return d
@@ -449,6 +448,32 @@ class _NoLowerAnalyzer(StandardAnalyzer):
         pos = (_np.arange(n) - _np.repeat(run_start, run_len)).astype(_np.int32)
         fl = _np.bincount(doc_idx, minlength=len(texts)).astype(_np.int64)
         return doc_idx, codes, _np.asarray(uniques, object), pos, fl
+
+
+# the analyzer classes whose every option is a dataclass field, so their
+# JSON rebuilds the same token stream (any other class would come back as
+# something else)
+PERSISTABLE_ANALYZERS = {c.__name__: c for c in (StandardAnalyzer, _NoLowerAnalyzer)}
+
+
+def analyzer_to_json(a: StandardAnalyzer) -> dict:
+    """The persisted form of a StandardAnalyzer-family analyzer: its class
+    name and :meth:`StandardAnalyzer.json_fields`. An index manifest's
+    config (``IndexConfig.to_json``) and a compat schema both store it."""
+    return {"cls": type(a).__name__, **a.json_fields()}
+
+
+def analyzer_from_json(d: dict) -> StandardAnalyzer:
+    """The analyzer :func:`analyzer_to_json` wrote. A dict that names no
+    class (written before the class was recorded) is a StandardAnalyzer;
+    a class outside :data:`PERSISTABLE_ANALYZERS` raises ValueError."""
+    cls = PERSISTABLE_ANALYZERS.get(d.get("cls", "StandardAnalyzer"))
+    if cls is None:
+        raise ValueError(
+            f"analyzer class {d['cls']!r} cannot be reloaded; only "
+            f"{sorted(PERSISTABLE_ANALYZERS)} can"
+        )
+    return cls.from_json_fields(d)
 
 
 def id_analyzer() -> _NoLowerAnalyzer:

@@ -41,8 +41,10 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 
 from whoosh_novo_ray.analysis import (
+    PERSISTABLE_ANALYZERS,
     StandardAnalyzer,
-    _NoLowerAnalyzer,
+    analyzer_from_json,
+    analyzer_to_json,
     id_analyzer,
     keyword_analyzer,
     simple_analyzer,
@@ -82,28 +84,6 @@ class FieldSpec:
         return {"kind": self.kind, **self.options()}
 
 
-# the analyzer classes a schema can persist: every option is a dataclass
-# field that _analyzer_to_json records, so reloading rebuilds the same
-# token stream (any other class would come back as something else)
-_PERSISTABLE_ANALYZERS = {c.__name__: c for c in (StandardAnalyzer, _NoLowerAnalyzer)}
-
-
-def _analyzer_to_json(a: StandardAnalyzer) -> dict:
-    """Persistable form of an analyzer dataclass (schema JSON must survive
-    open_dir in a fresh process)."""
-    return {"cls": type(a).__name__, **a.json_fields()}
-
-
-def _analyzer_from_json(d: dict) -> StandardAnalyzer:
-    cls = _PERSISTABLE_ANALYZERS.get(d.get("cls", "StandardAnalyzer"))
-    if cls is None:
-        raise ValueError(
-            f"schema names analyzer class {d['cls']!r}; only "
-            f"{sorted(_PERSISTABLE_ANALYZERS)} can be reloaded"
-        )
-    return cls.from_json_fields(d)
-
-
 class TEXT(FieldSpec):
     """Analyzed full-text field (reference fields.TEXT). ``vector=True``
     stores per-doc (term, weight) vectors beside the field index
@@ -134,15 +114,15 @@ class TEXT(FieldSpec):
         self.minsize = minsize
         self.vector = vector
         if isinstance(analyzer, dict):  # schema-JSON reconstruction
-            analyzer = _analyzer_from_json(analyzer)
+            analyzer = analyzer_from_json(analyzer)
         elif analyzer is not None and type(analyzer) not in (
-            _PERSISTABLE_ANALYZERS.values()
+            PERSISTABLE_ANALYZERS.values()
         ):
             # fail here, not at schema-save time or as a silent downgrade
             # on reload
             raise TypeError(
                 f"TEXT(analyzer=) takes a StandardAnalyzer-family analyzer "
-                f"({sorted(_PERSISTABLE_ANALYZERS)}), got "
+                f"({sorted(PERSISTABLE_ANALYZERS)}), got "
                 f"{type(analyzer).__name__}"
             )
         self._analyzer = analyzer
@@ -165,7 +145,7 @@ class TEXT(FieldSpec):
             "stem": self.stem,
             "minsize": self.minsize,
             "vector": self.vector,
-            "analyzer": _analyzer_to_json(self._analyzer)
+            "analyzer": analyzer_to_json(self._analyzer)
             if self._analyzer is not None
             else None,
             "lang": self.lang,

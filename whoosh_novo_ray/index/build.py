@@ -42,7 +42,11 @@ import pyarrow.parquet as pq
 
 import ray
 
-from whoosh_novo_ray.analysis import StandardAnalyzer
+from whoosh_novo_ray.analysis import (
+    StandardAnalyzer,
+    analyzer_from_json,
+    analyzer_to_json,
+)
 from whoosh_novo_ray.codec import (
     delta_encode_with_resets,
     encode_positions,
@@ -116,7 +120,7 @@ class IndexConfig:
                 "at": self.analyzer.at,
             }
         else:
-            d["analyzer"] = {"type": "standard", **self.analyzer.json_fields()}
+            d["analyzer"] = {"type": "standard", **analyzer_to_json(self.analyzer)}
             if not self.analyzer.stoplist:
                 d["analyzer"]["stoplist"] = None  # an empty one persists as null
         return d
@@ -142,7 +146,7 @@ class IndexConfig:
                 minsize=a["minsize"], maxsize=a["maxsize"], at=a.get("at")
             )
         else:
-            ana = StandardAnalyzer.from_json_fields(a)
+            ana = analyzer_from_json(a)
         d["heavy_terms"] = tuple(d.get("heavy_terms", ()))
         return IndexConfig(analyzer=ana, **d)
 

@@ -151,7 +151,7 @@ def build_index_and_serving(
 
 
 def build_serving_shards(
-    index_path: str | list[str],
+    index_path: str,
     num_shards: int = 8,
     out_dir: str | None = None,
     resume: bool = True,
@@ -162,27 +162,19 @@ def build_serving_shards(
     file, term-sorted, the main segments' codec and schema less their
     ``doc_slots``) plus
     ``serving/docmeta/bucket=K.parquet`` (the shard's doc universe) and a
-    serving manifest whose doc_count / total_field_length are the GLOBAL
-    collection stats — a shard searcher scores with these, never its local
-    counts. Returns the serving manifest dict.
-
-    ``index_path`` may be a LIST of member index dirs (a generational
-    MultiIndex with doc-disjoint members): the serving build unions their
-    posting streams, so a MERGE_SMALL generation serves from one shard set
-    regardless of how many segment sets back it.
+    serving manifest whose doc_count / total_field_length are the index's
+    collection stats — a shard searcher scores with these (summed over the
+    members of a generation), never its local counts. Returns the serving
+    manifest dict. Each member of a generation gets its own layout, and a
+    scoring actor pins shard k of every member.
     """
-    members = [index_path] if isinstance(index_path, str) else list(index_path)
-    idxs = [Index(p) for p in members]
-    idx = idxs[0]
+    idx = Index(index_path)
     cfg = idx.cfg
-    if out_dir is None:
-        if len(members) > 1:
-            raise ValueError("multi-member serving build needs an explicit out_dir")
-        out_dir = serving_dir_for(members[0])
-    lineage = "serving:" + ";".join(
-        f"{i.manifest.get('lineage', '')}:{i.manifest.get('generation', 0)}"
-        for i in idxs
-    ) + f":{num_shards}"
+    out_dir = out_dir or serving_dir_for(index_path)
+    lineage = (
+        f"serving:{idx.manifest.get('lineage', '')}:"
+        f"{idx.manifest.get('generation', 0)}:{num_shards}"
+    )
 
     man_path = os.path.join(out_dir, MANIFEST_NAME)
     if resume and os.path.exists(man_path):
@@ -191,13 +183,13 @@ def build_serving_shards(
         if old.get("serving_lineage") == lineage:
             return old
 
-    postings = read_bucket_postings(members, cfg)
+    postings = read_bucket_postings([index_path], cfg)
     sharded = postings.map_batches(
         _add_doc_shard(num_shards), batch_format="pyarrow", zero_copy_batch=True
     )
 
-    doc_count = sum(i.doc_count for i in idxs)
-    total_fl = float(sum(i.total_field_length for i in idxs))
+    doc_count = idx.doc_count
+    total_fl = float(idx.total_field_length)
     # doc-sharded layout needs no heavy-term salting: skew splits by doc hash
     cfg2 = dataclasses.replace(cfg, num_buckets=num_shards, heavy_terms=())
     # the pool reads each term's doc_slots from the term-bucket files; its

@@ -273,7 +273,13 @@ def facet_counts(searcher, q, facet: Facet, filter=None, mask=None) -> pa.Table:
     ids, scores = searcher.postings(q)
     keys = _facet_keys(searcher, facet, ids, scores)
     mask = np.array([k is not None for k in keys], dtype=bool)
-    uniq, counts = np.unique(keys[mask].astype(str), return_counts=True)
+    return key_counts(keys[mask].astype(str))
+
+
+def key_counts(keys: np.ndarray) -> pa.Table:
+    """(key, count) per distinct string key, in key order: a Count facet
+    map. A scoring actor counts its shards' keys with it too."""
+    uniq, counts = np.unique(keys, return_counts=True)
     return pa.table(
         {
             "key": pa.array(uniq, pa.string()),
@@ -293,28 +299,39 @@ def sorted_search(
     q = _filtered(q, filter, mask)
     ids, scores = searcher.postings(q)
     sub = facet.facets if isinstance(facet, MultiFacet) else [facet]
-    subkeys = [_facet_keys(searcher, f, ids, scores) for f in sub]
-    if len(sub) == 1:
-        keys = subkeys[0]
-    else:
-        keys = np.empty(len(ids), dtype=object)
-        for i in range(len(ids)):
-            keys[i] = tuple(c[i] for c in subkeys)
+    return sorted_table(
+        ids, scores,
+        [_facet_keys(searcher, f, ids, scores) for f in sub],
+        [bool(getattr(f, "reverse", False)) != bool(reverse) for f in sub],
+        limit,
+    )
+
+
+def sort_order(ids, keysets, reverses, limit=None) -> np.ndarray:
+    """The row order of a multi-key sort: each level's keys ranked (object
+    keys compare in Python, so ``np.lexsort`` always sees numbers), a
+    reversed level's ranks negated, ties broken by doc_id ascending; cut
+    to ``limit``. A scoring actor, the pool's re-rank and
+    :func:`sorted_search` all order by it."""
     ranks = []
-    for f, k in zip(sub, subkeys):
-        # rank the keys (object keys compare in Python) so np.lexsort
-        # always sees a numeric array
+    for k, rev in zip(keysets, reverses):
         rank = np.unique(k, return_inverse=True)[1]
-        if bool(getattr(f, "reverse", False)) != bool(reverse):
-            rank = -rank
-        ranks.append(rank)
-    order = np.lexsort((ids, *reversed(ranks)))
-    if limit is not None:
-        order = order[:limit]
+        ranks.append(-rank if rev else rank)
+    return np.lexsort((ids, *reversed(ranks)))[:limit]
+
+
+def sorted_table(ids, scores, keysets, reverses, limit=None) -> pa.Table:
+    """The (doc_id, key, score) result of a sort (:func:`sort_order`); a
+    multi-level key shows as the tuple of its levels."""
+    order = sort_order(ids, keysets, reverses, limit)
+    if len(keysets) == 1:
+        keys = [str(k) for k in keysets[0][order]]
+    else:
+        keys = [str(tuple(ks[i] for ks in keysets)) for i in order]
     return pa.table(
         {
             "doc_id": pa.array(ids[order], pa.uint64()),
-            "key": pa.array([str(k) for k in keys[order]], pa.string()),
+            "key": pa.array(keys, pa.string()),
             "score": pa.array(scores[order], pa.float64()),
         }
     )
@@ -424,24 +441,37 @@ def collapse_search(
     q = _filtered(q, filter, mask)
     ids, scores = searcher.postings(q)
     keys = np.asarray(_facet_keys(searcher, key_facet, ids, scores))
+    okeys = None
     if order_facet is not None:
         okeys = np.asarray(_facet_keys(searcher, order_facet, ids, scores))
-        _u, orank = np.unique(okeys, return_inverse=True)
-        sel = np.lexsort((ids, orank))
+    return collapse_table(ids, scores, keys, per_key, okeys, limit)
+
+
+def collapse_select(ids, scores, keys, per_key: int, okeys=None) -> np.ndarray:
+    """The rows a collapse keeps, in selection-priority order: the lowest
+    order key first (doc_id tiebreak) when ``okeys`` is given (reference
+    CollapseCollector, collectors.py:976-982), else result order (score
+    desc, doc_id asc); at most ``per_key`` per key, and every falsy key.
+    A scoring actor's candidates and :func:`collapse_table` both come from
+    it."""
+    if okeys is not None:
+        sel = np.lexsort((ids, np.unique(okeys, return_inverse=True)[1]))
     else:
         sel = np.lexsort((ids, -scores))
-    ids, scores, keys = ids[sel], scores[sel], keys[sel]
-    keep = collapse_keep_mask(keys.astype(str), per_key)
-    keep |= falsy_key_mask(keys)
-    ids, scores, keys = ids[keep], scores[keep], keys[keep]
-    out = np.lexsort((ids, -scores))
-    ids, scores, keys = ids[out], scores[out], keys[out]
-    if limit is not None:
-        ids, scores, keys = ids[:limit], scores[:limit], keys[:limit]
+    keys = keys[sel]
+    return sel[collapse_keep_mask(keys.astype(str), per_key) | falsy_key_mask(keys)]
+
+
+def collapse_table(ids, scores, keys, per_key: int, okeys=None, limit=None) -> pa.Table:
+    """The (doc_id, key, score) result of a collapse: the
+    :func:`collapse_select` rows in result order whatever the orderer (it
+    only changes which docs survive), cut to ``limit``."""
+    kept = collapse_select(ids, scores, keys, per_key, okeys)
+    kept = kept[np.lexsort((ids[kept], -scores[kept]))][:limit]
     return pa.table(
         {
-            "doc_id": pa.array(ids, pa.uint64()),
-            "key": pa.array(keys.astype(str), pa.string()),
-            "score": pa.array(scores, pa.float64()),
+            "doc_id": pa.array(ids[kept], pa.uint64()),
+            "key": pa.array(keys[kept].astype(str), pa.string()),
+            "score": pa.array(scores[kept], pa.float64()),
         }
     )

@@ -21,9 +21,24 @@ Driver responsibilities (cheap, metadata-only):
     main index's open-once bucket files, cached across queries), together
     with the term's ``doc_slots`` mask (bit ``key_hash(doc_id) % 64`` per
     posting, read in the same cached stats group; only the stats ship);
-  * send a top-k query (``search``, ``search_async``, ``wand_topk``) only
-    to the actors that can match it (below);
+  * send each operation (``search``, ``search_async``, ``wand_topk``,
+    ``facet_counts``, ``collapse_search``, ``sorted_search``) only to the
+    actors that can match it (below);
   * k-way-merge the per-shard top-k tables with the reference tie-break.
+
+One plan step (``ScorePool._plan``) serves every operation: it decides
+whether the query or a Query filter must run on the driver, rewrites the
+query and its filters, fetches the stats to ship and the doc slots that can
+hold a match; the operation then sends it to the routed replica's actors
+that hold one of those slots. ``wand_topk`` uses only the stats-and-slots
+part, and the micro-batch path routes each query of a batch to a replica
+whose every actor gets that replica's chunk.
+
+One constructor: a pool serves a generation's members (a single index dir
+is a one-member generation), each from its own serving shard set
+(``index/docshard.py``). Every shard that a member's serving manifest lists
+is assigned to an actor, docmeta-only shards included, and an actor pins
+its shards' tables from every member.
 
 Pruning before dispatch: a serving shard is ``key_hash(doc_id) % n`` and a
 slot ``key_hash(doc_id) % 64``, so with ``g = gcd(n, 64)`` slot ``s`` can
@@ -41,12 +56,14 @@ only when one of its shards can hold one of those slots; when none can,
 the query returns the empty merge without a round trip. Tail words are
 rare, so most of a tail query's round trips could only return nothing
 (REPOSE, ICDE 2021, prunes distributed top-k partitions the same way).
-Facets, collapse, sorted search and the micro-batch path still fan out to
-every actor.
+The micro-batch path sends a chunk to every actor of its replica.
 
 Queries whose semantics are inherently global-order-dependent (Otherwise's
 "b only if a matches NOTHING anywhere", NestedParent/NestedChildren block
-joins that need doc-contiguity) fall back to the driver-side Searcher.
+joins that need doc-contiguity), in the query or in a Query filter, fall
+back to the driver for every operation: ``Searcher.search``,
+``sorting.facet_counts``, ``sorting.collapse_search`` or
+``sorting.sorted_search`` over the pool's index.
 
 Time budgets: every ScoreServer operation (``score``, ``score_many``,
 ``facet_counts``, ``collapse_candidates``, ``wand``) is ONE method taking
@@ -119,6 +136,7 @@ import json
 import math
 import os
 import time
+from typing import NamedTuple
 
 import numpy as np
 import pyarrow as pa
@@ -129,10 +147,11 @@ from ray import cloudpickle
 
 from whoosh_novo_ray.index.build import MANIFEST_NAME
 from whoosh_novo_ray.index.docshard import (
-    SERVING_SUBDIR,
     build_serving_shards,
+    default_num_shards,
     serving_dir_for,
 )
+from whoosh_novo_ray.index.multi import MultiIndex
 from whoosh_novo_ray.index.segment import (
     Index,
     TermColumns,
@@ -148,7 +167,7 @@ from whoosh_novo_ray.search import query as Q
 from whoosh_novo_ray.search.plan import rewrite
 from whoosh_novo_ray.search.searcher import Searcher, _hits_table, _in_sorted
 from whoosh_novo_ray.search.scoring import WeightingModel
-from whoosh_novo_ray.search.sorting import collapse_keep_mask, falsy_key_mask
+from whoosh_novo_ray.search import sorting
 from whoosh_novo_ray.search.wand import TimeLimit, searcher_wand_topk
 
 
@@ -466,24 +485,6 @@ class ShardSearcher(Searcher):
         return super().postings(q)
 
 
-# canonical implementation lives in search.sorting (shared with the local
-# collapse_search); kept under the old private name for in-module callers
-_collapse_keep_mask = collapse_keep_mask
-
-
-def _collapse_sel_order(
-    ids: np.ndarray, scores: np.ndarray, okeys: np.ndarray | None
-) -> np.ndarray:
-    """Selection-priority permutation for a collapse: lowest order-facet
-    key first (doc_id tiebreak) when an orderer is given — reference
-    CollapseCollector collectors.py:976-982 — else result order
-    (score desc, doc_id asc)."""
-    if okeys is not None:
-        _u, orank = np.unique(okeys, return_inverse=True)
-        return np.lexsort((ids, orank))
-    return np.lexsort((ids, -scores))
-
-
 @ray.remote(max_restarts=4, max_task_retries=2)
 class ScoreServer:
     """Pins a set of doc shards; evaluates queries over them end-to-end.
@@ -738,43 +739,34 @@ class ScoreServer:
             self._attr_cache[key] = tbl
         return self._attr_cache[key]
 
-    def _matched_keys(self, s: "Searcher", q, attrs_dir, column):
-        """(ids, scores, keys) for the docs ``s`` sees: key lookup is a
-        searchsorted into the actor's own attribute partition. Matched docs
-        MISSING from the attrs table are dropped (mirroring the None-key
-        masking in sorting.facet_counts) rather than taking an out-of-bounds
-        position or a neighbor's key."""
-        ids, scores = s.postings(q)
-        if not len(ids):
-            return ids, scores, np.empty(0, object)
+    def _lookup(self, attrs_dir: str, column: str, ids: np.ndarray):
+        """``(found, values)``: which of ``ids`` this actor's attribute
+        partition holds (a searchsorted into its sorted doc ids), and their
+        ``column`` values, in ``ids`` order."""
         tbl = self._attr_table(attrs_dir, column)
         aid = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
         pos = np.searchsorted(aid, ids)
         found = pos < len(aid)
         found[found] &= aid[pos[found]] == ids[found]
-        if not found.all():
-            ids, scores, pos = ids[found], scores[found], pos[found]
-        if not len(ids):
-            return ids, scores, np.empty(0, object)
-        keys = tbl[column].take(pa.array(pos)).to_numpy(zero_copy_only=False)
-        return ids, scores, keys
+        vals = tbl[column].take(pa.array(pos[found])).to_numpy(zero_copy_only=False)
+        return found, vals
+
+    def _matched_keys(self, s: "Searcher", q, attrs_dir, column):
+        """(ids, scores, keys) for the docs ``s`` matches. Matched docs
+        MISSING from the attrs table are dropped (mirroring the None-key
+        masking in sorting.facet_counts) rather than taking an out-of-bounds
+        position or a neighbor's key."""
+        ids, scores = s.postings(q)
+        found, keys = self._lookup(attrs_dir, column, ids)
+        return ids[found], scores[found], keys
 
     def _keys_at(self, attrs_dir: str, column: str, ids: np.ndarray):
         """Attribute values aligned to ``ids`` (used for the collapse ORDER
         column, on ids already validated against the key column); an id
         missing from this partition gets a null key."""
-        tbl = self._attr_table(attrs_dir, column)
-        aid = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        pos = np.searchsorted(aid, ids)
-        found = pos < len(aid)
-        found[found] &= aid[pos[found]] == ids[found]
+        found, vals = self._lookup(attrs_dir, column, ids)
         out = np.full(len(ids), None, object)
-        if found.any():
-            out[found] = (
-                tbl[column]
-                .take(pa.array(pos[found]))
-                .to_numpy(zero_copy_only=False)
-            )
+        out[found] = vals
         return out
 
     def facet_counts(
@@ -790,18 +782,8 @@ class ScoreServer:
             lambda s: self._matched_keys(s, q, attrs_dir, column)[2],
         )
         keys = [k.astype(str) for k in parts if len(k)]
-        if not keys:
-            return _flag(_empty_counts(), out_of_time)
-        uniq, counts = np.unique(np.concatenate(keys), return_counts=True)
-        return _flag(
-            pa.table(
-                {
-                    "key": pa.array(uniq, pa.string()),
-                    "count": pa.array(counts.astype(np.int64), pa.int64()),
-                }
-            ),
-            out_of_time,
-        )
+        counts = sorting.key_counts(np.concatenate([np.empty(0, str), *keys]))
+        return _flag(counts, out_of_time)
 
     def collapse_candidates(
         self,
@@ -835,17 +817,14 @@ class ScoreServer:
         okeys = None
         if order_column is not None:
             okeys = self._keys_at(order_dir, order_column, ids)
-        order = _collapse_sel_order(ids, scores, okeys)
-        ids, scores, keys = ids[order], scores[order], keys[order]
-        keep = _collapse_keep_mask(keys.astype(str), per_key)
-        keep |= falsy_key_mask(keys)
+        kept = sorting.collapse_select(ids, scores, keys, per_key, okeys)
         cols = {
-            "doc_id": pa.array(ids[keep], pa.uint64()),
-            "key": pa.array(keys[keep]),
-            "score": pa.array(scores[keep], pa.float64()),
+            "doc_id": pa.array(ids[kept], pa.uint64()),
+            "key": pa.array(keys[kept]),
+            "score": pa.array(scores[kept], pa.float64()),
         }
         if okeys is not None:
-            cols["okey"] = pa.array(okeys[order][keep])
+            cols["okey"] = pa.array(okeys[kept])
         return _flag(pa.table(cols), out_of_time)
 
     def sorted_candidates(
@@ -879,13 +858,7 @@ class ScoreServer:
         keysets = [k0]
         for d, c in zip(attrs_dirs[1:], columns[1:]):
             keysets.append(self._keys_at(d, c, ids))
-        ranks = []
-        for k, rev in zip(keysets, reverses):
-            rank = np.unique(k, return_inverse=True)[1]
-            ranks.append(-rank if rev else rank)
-        order = np.lexsort((ids, *reversed(ranks)))
-        if limit is not None:
-            order = order[:limit]
+        order = sorting.sort_order(ids, keysets, reverses, limit)
         out = {
             "doc_id": pa.array(ids[order], pa.uint64()),
             "score": pa.array(scores[order], pa.float64()),
@@ -1021,12 +994,6 @@ _REPLY = {
 }
 
 
-def _empty_counts() -> pa.Table:
-    return pa.table(
-        {"key": pa.array([], pa.string()), "count": pa.array([], pa.int64())}
-    )
-
-
 def _empty_hits() -> pa.Table:
     return pa.table(
         {
@@ -1078,6 +1045,17 @@ def _merge_topk(parts: list[pa.Table], limit: int | None) -> pa.Table:
     )
 
 
+class _Plan(NamedTuple):
+    """One pooled operation's driver-side plan (:meth:`ScorePool._plan`)."""
+
+    q: Q.Query  # rewritten; the candidate operations' filters folded in
+    fq: object  # the normalized allow filter a top-k query ships
+    mq: object  # the normalized restrict filter a top-k query ships
+    gstats: dict  # (df, weight, max_weight) per term the query ships
+    slots: int  # the doc slots that can hold a match
+    cost: float  # the replica-routing estimate
+
+
 class ScorePool:
     """Pool of doc-shard scoring actors + the driver-side query planner."""
 
@@ -1086,13 +1064,16 @@ class ScorePool:
         index_path: str | list[str],
         num_actors: int = 4,
         num_shards: int | None = None,
-        serving_dir: str | None = None,
         num_replicas: int = 1,
-        member_serving_dirs: list[str] | None = None,
     ):
-        """``index_path`` may be a list of doc-disjoint member index dirs
-        (a generational MultiIndex): the serving shards union them, so a
-        MERGE_SMALL generation serves through the same actor pool.
+        """A pool over a generation's members: ``index_path`` is a list of
+        doc-disjoint member index dirs (a generational MultiIndex), or one
+        index dir, a one-member generation. Each member serves from its own
+        shard set, ``serving_dir_for(member)``, built with resume (keyed on
+        the member's lineage and the shard count). Member dirs are immutable
+        (commits add new member dirs; deletes rewrite affected members into
+        new dirs), so a delta commit encodes only the new members, and each
+        actor pins its shards' tables from every member.
 
         ``num_replicas`` > 1 creates REPLICA GROUPS: full copies of the
         shard-set actor fleet, with each query routed (round-robin) to ONE
@@ -1101,52 +1082,23 @@ class ScorePool:
         floor (BASELINE.md round-3 QPS anatomy); past that knee more actors
         per replica buy nothing — more REPLICAS buy linear QPS at the cost
         of pinning the (scoring-column) shard set once per replica."""
-        if isinstance(index_path, str):
-            self.index = Index(index_path)
-            serving_dir = serving_dir or serving_dir_for(index_path)
-        else:
-            from whoosh_novo_ray.index.multi import MultiIndex
-
-            self.index = MultiIndex(list(index_path))
-            if serving_dir is None and member_serving_dirs is None:
-                raise ValueError(
-                    "multi-member ScorePool needs serving_dir or "
-                    "member_serving_dirs"
-                )
+        members = [index_path] if isinstance(index_path, str) else list(index_path)
+        self.index = Index(members[0]) if len(members) == 1 else MultiIndex(members)
         # shard count scales with the CLUSTER, not the actor count: the
         # doc-shard shuffle/encode parallelism is num_shards-bounded
         # (measured 3.5x on a 1M-doc rebuild going 16 -> 64 shards at 32
         # cpus) while query latency is flat — actors just pin more,
         # smaller tables
         if num_shards is None:
-            from whoosh_novo_ray.index.docshard import default_num_shards
-
             num_shards = default_num_shards(num_actors)
-        if member_serving_dirs is not None:
-            # incremental serving: one serving shard set PER MEMBER (same
-            # doc hash + shard count), built with resume — member dirs are
-            # immutable, so only members new to this generation re-encode;
-            # the actors pin shard k's table from every member
-            members = (
-                list(index_path) if isinstance(index_path, list) else [index_path]
-            )
-            if len(members) != len(member_serving_dirs):
-                raise ValueError("one serving dir per member required")
-            mans = [
-                build_serving_shards(m, num_shards=num_shards, out_dir=d)
-                for m, d in zip(members, member_serving_dirs)
-            ]
-            self._serving_dirs = list(member_serving_dirs)
-            all_shards = sorted(
-                {b["bucket"] for man in mans for b in man["buckets"] if b["path"]}
-            )
-        else:
-            man = build_serving_shards(
-                index_path, num_shards=num_shards, out_dir=serving_dir
-            )
-            self._serving_dirs = [serving_dir]
-            all_shards = sorted(b["bucket"] for b in man["buckets"])
-        self._serving_dir = self._serving_dirs[0]
+        self._serving_dirs = [serving_dir_for(m) for m in members]
+        # every shard a serving manifest lists, docmeta-only ones (docs with
+        # no postings) included: their docs still match Every and Not
+        all_shards = sorted({
+            b["bucket"]
+            for m in members
+            for b in build_serving_shards(m, num_shards=num_shards)["buckets"]
+        })
         self._num_shards = num_shards
         assignments: list[list[int]] = [[] for _ in range(num_actors)]
         for i, k in enumerate(all_shards):
@@ -1157,7 +1109,6 @@ class ScorePool:
         self._replicas: list[list] = [
             self._spawn_replica() for _ in range(max(1, num_replicas))
         ]
-        self._actors = self._replicas[0]
         self._replica_load = [0.0] * len(self._replicas)
         ray.get([a.ping.remote() for grp in self._replicas for a in grp])
         self._stats_cache: _LRUCache = _LRUCache(200_000)
@@ -1166,12 +1117,7 @@ class ScorePool:
         self._driver_searcher = Searcher(self.index)
 
     def _spawn_replica(self) -> list:
-        dirs = (
-            self._serving_dirs
-            if len(self._serving_dirs) > 1
-            else self._serving_dirs[0]
-        )
-        return [ScoreServer.remote(dirs, ks) for ks in self._assignments]
+        return [ScoreServer.remote(self._serving_dirs, ks) for ks in self._assignments]
 
     # -- elastic replica scaling ----------------------------------------------
 
@@ -1199,8 +1145,6 @@ class ScorePool:
             raise ValueError("cannot remove the last replica")
         grp = self._replicas.pop()
         self._replica_load.pop()
-        if self._actors is grp:  # keep the direct-handle alias valid
-            self._actors = self._replicas[0]
         ray.get([a.ping.remote() for a in grp])  # drain
         for a in grp:
             ray.kill(a)
@@ -1208,43 +1152,20 @@ class ScorePool:
 
     @classmethod
     def for_generational(cls, gi, num_actors: int = 4, num_shards: int | None = None):
-        """Serving pool over a GenerationalIndex's CURRENT generation —
-        INCREMENTAL: each member segment set gets its own serving shard set
-        under ``<member>/serving`` (resume keyed on the member's lineage +
-        shard count). Member dirs are immutable (commits add new member
-        dirs; deletes rewrite affected members into new dirs), so a delta
-        commit re-encodes ONLY the new member(s); unchanged members' serving
-        sets are reused as-is and the actors pin shard k from every member."""
-        members = gi._members(gi.current_path())
-        return cls(
-            members if len(members) > 1 else members[0],
-            num_actors=num_actors,
-            num_shards=num_shards,
-            member_serving_dirs=[
-                os.path.join(m, SERVING_SUBDIR) for m in members
-            ],
-        )
+        """The pool over a GenerationalIndex's current generation."""
+        return cls(gi._members(gi.current_path()), num_actors, num_shards)
 
     # -- planning ------------------------------------------------------------
 
-    def _term_info(self, terms: list[str]) -> dict[str, tuple[int, float, float, int]]:
+    def _term_info(self, terms) -> dict[str, tuple[int, float, float, int]]:
         """``(df, weight, max_weight, doc_slots)`` per term, through the
-        bounded cache (one stats lookup per term fetches all four)."""
-        missing = [t for t in set(terms) if t not in self._stats_cache]
+        bounded cache (one stats lookup per term fetches all four). It is
+        also the stats function ``rewrite`` reads dfs from."""
+        terms = set(terms)
+        missing = [t for t in terms if t not in self._stats_cache]
         if missing:
             self._stats_cache.update(self.index.term_stats_and_slots(missing))
-        return {t: self._stats_cache[t] for t in set(terms)}
-
-    def _stats_and_slots(self, q2: Q.Query, terms: list[str]) -> tuple[dict, int]:
-        """The stats ``terms`` ship, ``(df, weight, max_weight)`` each, and
-        the doc slots that can hold a match of the rewritten ``q2``."""
-        info = self._term_info(terms)
-        gstats = {t: v[:3] for t, v in info.items()}
-        return gstats, query_slots(q2, {t: v[3] for t, v in info.items()})
-
-    def _gstats(self, terms: list[str]) -> dict[str, tuple[int, float, float]]:
-        """The global stats a query ships: ``(df, weight, max_weight)``."""
-        return {t: v[:3] for t, v in self._term_info(terms).items()}
+        return {t: self._stats_cache[t] for t in terms}
 
     def _stat_terms(self, q: Q.Query) -> list[str]:
         """Every concrete term the query can score — Term leaves AND the
@@ -1262,36 +1183,58 @@ class ScorePool:
         return sorted(out)
 
     def _needs_fallback(self, q: Q.Query) -> bool:
-        """Global-order-dependent nodes evaluate driver-side."""
-        for leaf in q.leaves():
-            if isinstance(leaf, (Q.NestedParent, Q.NestedChildren)):
-                return True
-        # Otherwise does not yield itself from leaves(); walk containers
+        """Global-order-dependent nodes evaluate driver-side: a Nested join
+        among the leaves, or an Otherwise anywhere (it does not yield itself
+        from leaves(), so the containers are walked)."""
+        if any(isinstance(x, (Q.NestedParent, Q.NestedChildren)) for x in q.leaves()):
+            return True
         stack = [q]
         while stack:
             node = stack.pop()
             if isinstance(node, Q.Otherwise):
                 return True
-            for attr in ("children",):
-                stack.extend(getattr(node, attr, ()) or ())
+            stack.extend(getattr(node, "children", ()) or ())
             for attr in (
-                "a", "b", "child", "subq", "parents", "parents_q",
-                "allow", "restrict",
+                "a", "b", "child", "subq", "parents", "parents_q", "allow", "restrict"
             ):
                 c = getattr(node, attr, None)
                 if isinstance(c, Q.Query):
                     stack.append(c)
         return False
 
-    def _est_cost(self, gstats, stat_terms) -> float:
-        """Per-query work estimate for replica routing: postings scored is
-        the dominant cost and equals the df sum of the query's terms (+1 so
-        zero-df queries still advance the balance)."""
-        return 1.0 + float(sum(gstats.get(t, (0,))[0] for t in stat_terms))
+    def _plan(
+        self, q: Q.Query, filter=None, mask=None, wrap: bool = False
+    ) -> _Plan | None:
+        """The driver's plan for one pooled operation, or None when ``q``
+        or a Query filter must run on the driver (:meth:`_needs_fallback`).
+        It rewrites ``q``, normalizes the filters (:meth:`_norm_filter`)
+        and, with ``wrap`` (facets, collapse, sorted search), folds them
+        into the query as a :class:`Q.Filtered`, so those actor paths
+        filter with no extra plumbing. The rest is :meth:`_stats_plan`;
+        filters only drop matches, so they do not widen the slots."""
+        if any(isinstance(x, Q.Query) and self._needs_fallback(x) for x in (q, filter, mask)):
+            return None
+        q2 = rewrite(q, self._driver_searcher, self._term_info)
+        fq, fterms = self._norm_filter(filter, put=not wrap)
+        mq, mterms = self._norm_filter(mask, put=not wrap)
+        if wrap and (fq is not None or mq is not None):
+            q2, fq, mq = Q.Filtered(q2, fq, mq), None, None
+        return self._stats_plan(q2, self._stat_terms(q2), [*fterms, *mterms], fq, mq)
 
-    def _route(self, cost: float = 1.0) -> list:
-        """Pick a replica's actor set, LEAST-LOADED by accumulated estimated
-        cost. Plain round-robin aliases against cyclic workloads (with R
+    def _stats_plan(self, q2: Q.Query, terms: list[str], extra=(), fq=None, mq=None) -> _Plan:
+        """The plan of the rewritten ``q2``: the stats that ``terms`` (its
+        own) and ``extra`` (its Query filters') ship, the doc slots that
+        can hold a match (:func:`query_slots`), and its routing cost: the
+        postings scored, the df sum of ``terms``, plus 1 so that a query
+        with no postings still advances the balance."""
+        info = self._term_info([*terms, *extra])
+        gstats = {t: v[:3] for t, v in info.items()}
+        slots = query_slots(q2, {t: v[3] for t, v in info.items()})
+        return _Plan(q2, fq, mq, gstats, slots, 1.0 + float(sum(gstats[t][0] for t in terms)))
+
+    def _route(self, cost: float = 1.0) -> int:
+        """Pick a replica, LEAST-LOADED by accumulated estimated cost.
+        Plain round-robin aliases against cyclic workloads (with R
         replicas and a repeating mix of R·k query types, each replica gets a
         FIXED subset of the types — one replica inherits all the expensive
         ones and paces the fleet; measured 0.60 efficiency on the bench mix).
@@ -1304,43 +1247,28 @@ class ScorePool:
             m = min(loads)
             for i in range(len(loads)):
                 loads[i] -= m
-        return self._replicas[r]
+        return r
 
-    def _actors_for(self, slots: int, cost: float) -> list:
-        """The routed replica's actors holding a shard of one of ``slots``
-        (none when the query cannot match)."""
-        grp = self._route(cost)
-        return [a for a, m in zip(grp, self._actor_slots) if m & slots]
-
-    def _plan(self, q: Q.Query, filter, mask) -> tuple:
-        """The driver's steps for one top-k query: rewrite it, normalize
-        the filters, fetch the stats it ships and pick the actors that can
-        match it (filters only drop matches). Returns ``(q2, fq, mq,
-        gstats, actors)``."""
-        q2 = rewrite(q, self._driver_searcher, self._gstats)
-        fq, fterms = self._norm_filter(filter)
-        mq, mterms = self._norm_filter(mask)
-        stat_terms = self._stat_terms(q2)
-        gstats, slots = self._stats_and_slots(q2, sorted({*stat_terms, *fterms, *mterms}))
-        actors = self._actors_for(slots, self._est_cost(gstats, stat_terms))
-        return q2, fq, mq, gstats, actors
-
-    # -- search --------------------------------------------------------------
+    def _actors(self, p: _Plan) -> list:
+        """The actors of the routed replica that hold a shard of one of
+        ``p``'s slots (none when it cannot match)."""
+        grp = self._replicas[self._route(p.cost)]
+        return [a for a, m in zip(grp, self._actor_slots) if m & p.slots]
 
     def _norm_filter(self, obj, put: bool = True) -> tuple[object, list[str]]:
         """Driver-side normalization of a FilterCollector allow/restrict arg
         (reference collectors.py:659-763). A Query ships to the shards and
         each actor computes its LOCAL comb (the scale path — the filter's
         posting set never leaves the actors); a results table / set-like
-        becomes ONE sorted unique id array, ray.put once when large so N
-        actors share a single object-store copy. Returns (normalized,
-        stat_terms_needed)."""
+        becomes ONE sorted unique id array, ray.put once when large (and
+        ``put``) so N actors share a single object-store copy. Returns
+        (normalized, stat_terms_needed)."""
         if obj is None:
             return None, []
         if isinstance(obj, Q.Query):
             if isinstance(obj, Q.NullQuery):
                 return None, []  # falsy in the reference — filtering off
-            q2 = rewrite(obj, self._driver_searcher, self._gstats)
+            q2 = rewrite(obj, self._driver_searcher, self._term_info)
             return q2, self._stat_terms(q2)
         if isinstance(obj, pa.Table):
             obj = obj["doc_id"].to_numpy(zero_copy_only=False)
@@ -1353,20 +1281,7 @@ class ScorePool:
             return ray.put(arr), []
         return arr, []
 
-    def _wrap_filter(self, q2: Q.Query, filter, mask) -> Q.Query:
-        """Fold allow/restrict into the (already rewritten) query as a
-        :class:`Q.Filtered` wrapper — the facet/collapse/sorted actor paths
-        then filter with no extra plumbing (query-form filters still
-        evaluate per shard inside the actors). Set-likes stay inline
-        ndarrays here (no ray.put: the wrapper pickles with the query)."""
-        if filter is None and mask is None:
-            return q2
-        fq, _ = self._norm_filter(filter, put=False)
-        mq, _ = self._norm_filter(mask, put=False)
-        if fq is None and mq is None:
-            # both sides hit the falsy bypass (NullQuery / empty set-like)
-            return q2
-        return Q.Filtered(q2, fq, mq)
+    # -- search --------------------------------------------------------------
 
     def search(
         self,
@@ -1390,16 +1305,12 @@ class ScorePool:
         ``filter`` / ``mask``: FilterCollector allow/restrict (a Query,
         results table, or set-like of doc ids); per-shard filtering happens
         before each shard's top-k cut, so the merge is exact."""
-        if self._needs_fallback(q) or any(
-            isinstance(f, Q.Query) and self._needs_fallback(f)
-            for f in (filter, mask)
-            if f is not None
-        ):
+        p = self._plan(q, filter, mask)
+        if p is None:
             s = Searcher(self.index, weighting=weighting)
             return s.search(q, limit=limit, filter=filter, mask=mask)
-        q2, fq, mq, gstats, actors = self._plan(q, filter, mask)
         futs = _fan_out(
-            actors, "score", q2, limit, gstats, weighting, fq, mq,
+            self._actors(p), "score", p.q, limit, p.gstats, weighting, p.fq, p.mq,
             timelimit=timelimit, _delay_per_table=_delay_per_table,
         )
         merged = _merge_replies(ray.get(futs), limit)
@@ -1422,15 +1333,13 @@ class ScorePool:
         on merges — the serving-throughput path benchmarked by
         ``bench.py --qps``. Queries needing the local fallback (Otherwise /
         Nested) resolve eagerly via ray.put."""
-        if self._needs_fallback(q) or any(
-            isinstance(f, Q.Query) and self._needs_fallback(f)
-            for f in (filter, mask)
-            if f is not None
-        ):
+        p = self._plan(q, filter, mask)
+        if p is None:
             s = Searcher(self.index, weighting=weighting)
             return ray.put(s.search(q, limit=limit, filter=filter, mask=mask))
-        q2, fq, mq, gstats, actors = self._plan(q, filter, mask)
-        futs = _fan_out(actors, "score", q2, limit, gstats, weighting, fq, mq)
+        futs = _fan_out(
+            self._actors(p), "score", p.q, limit, p.gstats, weighting, p.fq, p.mq
+        )
         if not futs:
             return ray.put(_merge_replies([], limit))
         return _merge_topk_task.remote(limit, *futs)
@@ -1449,71 +1358,45 @@ class ScorePool:
         resolving to a list of merged top-k tables aligned with ``queries``.
         Queries needing the local fallback are evaluated eagerly.
 
+        With more than one replica the batch splits ACROSS the replica
+        groups, LPT-style: queries in descending estimated cost, each
+        routed on its own (:meth:`_route`, continuing the pool's running
+        balance). A strided split has the same aliasing failure as
+        round-robin routing — a cyclic batch with period R lands every
+        expensive query in one chunk. Each group's chunk goes to every
+        actor of the group.
+
         With ``timelimit`` each query gets its OWN per-actor budget (the
         reference arms a TimeLimitCollector per search); the ref then
         resolves to a list of ``(table, timed_out)`` pairs — an async path
         can't raise per query, so the flag rides the result instead of a
         :class:`TimeLimit` exception. Local-fallback entries never time out
         (they evaluate driver-side in one shot, flag False)."""
-        rewritten = []
-        stat_terms: set[str] = set()
-        fallback_idx: list[int] = []
-        for i, q in enumerate(queries):
-            if self._needs_fallback(q):
-                fallback_idx.append(i)
-                rewritten.append(None)
-                continue
-            q2 = rewrite(q, self._driver_searcher, self._gstats)
-            rewritten.append(q2)
-            stat_terms.update(self._stat_terms(q2))
-        positions = [i for i, q2 in enumerate(rewritten) if q2 is not None]
-        remote_qs = [rewritten[i] for i in positions]
-        gstats = self._gstats(sorted(stat_terms))
-        # (replica group, indices into remote_qs) per dispatched chunk
-        split: list[tuple[list, list[int]]] = []
-        R = len(self._replicas)
-        if R == 1 or len(remote_qs) <= 1:
-            if remote_qs:
-                cost = sum(
-                    self._est_cost(gstats, self._stat_terms(q2)) for q2 in remote_qs
-                )
-                split.append((self._route(cost), list(range(len(remote_qs)))))
-        else:
-            # split the batch ACROSS replica groups, LPT-style: queries in
-            # descending estimated cost, each to the least-loaded replica
-            # (continuing the pool's running balance). A strided split has
-            # the same aliasing failure as round-robin routing — a cyclic
-            # batch with period R lands every expensive query in one chunk.
-            costs = [
-                self._est_cost(gstats, self._stat_terms(q2)) for q2 in remote_qs
-            ]
-            order = sorted(range(len(remote_qs)), key=lambda i: -costs[i])
-            assign: list[list[int]] = [[] for _ in range(R)]
-            loads = self._replica_load
-            for i in order:
-                r = min(range(R), key=loads.__getitem__)
-                loads[r] += costs[i]
-                assign[r].append(i)
-            if max(loads) > 1e12:  # rebase, keep relative differences
-                m = min(loads)
-                for j in range(R):
-                    loads[j] -= m
-            split = [(grp, idxs) for grp, idxs in zip(self._replicas, assign) if idxs]
+        plans = [self._plan(q) for q in queries]
+        remote = sorted(
+            (i for i, p in enumerate(plans) if p is not None),
+            key=lambda i: -plans[i].cost,
+        )
+        gstats: dict = {}
+        by_group: dict[int, list[int]] = {}
+        for i in remote:
+            gstats.update(plans[i].gstats)
+            by_group.setdefault(self._route(plans[i].cost), []).append(i)
         replies: list = []
         chunks: list[tuple[list[int], int]] = []
-        for grp, idxs in split:
+        for r, idxs in by_group.items():
+            grp = self._replicas[r]
             replies += _fan_out(
-                grp, "score_many", [remote_qs[i] for i in idxs], limit, gstats,
+                grp, "score_many", [plans[i].q for i in idxs], limit, gstats,
                 weighting, timelimit=timelimit, _delay_per_table=_delay_per_table,
             )
-            chunks.append(([positions[i] for i in idxs], len(grp)))
+            chunks.append((idxs, len(grp)))
         # fallbacks (Otherwise/Nested*) evaluate driver-side AFTER the remote
         # dispatch, so the actor fleet is already working while the driver
         # handles the (rare) global-semantics stragglers
-        local = {}
-        if fallback_idx:
-            s = Searcher(self.index, weighting=weighting)
-            local = {i: s.search(queries[i], limit=limit) for i in fallback_idx}
+        s = Searcher(self.index, weighting=weighting)
+        local = {i: s.search(queries[i], limit=limit)
+                 for i, p in enumerate(plans) if p is None}
         return _batch_task.remote(
             limit, timelimit is not None, len(queries), local, chunks, *replies
         )
@@ -1532,14 +1415,11 @@ class ScorePool:
         term occurs run it. With ``timelimit``, each actor's cursor loop
         checks the deadline per iteration; any expiry raises
         :class:`TimeLimit` carrying the merged partials."""
-        gstats, slots = self._stats_and_slots(
-            Q.Or(*[Q.Term(t) for t in terms]), list(terms)
-        )
+        p = self._stats_plan(Q.Or(*[Q.Term(t) for t in terms]), list(terms))
         results = ray.get(
             _fan_out(
-                self._actors_for(slots, self._est_cost(gstats, list(terms))),
-                "wand", list(terms), k, gstats, weighting, strategy,
-                timelimit=timelimit,
+                self._actors(p), "wand", list(terms), k, p.gstats, weighting,
+                strategy, timelimit=timelimit,
             )
         )
         merged = _merge_replies([b for b, _s in results], k)
@@ -1566,7 +1446,7 @@ class ScorePool:
         tag = hashlib.md5(
             f"{attrs_path}|{column}|{self._num_shards}".encode()
         ).hexdigest()[:12]
-        out = os.path.join(self._serving_dir, "attrs", tag)
+        out = os.path.join(self._serving_dirs[0], "attrs", tag)
         build_attr_shards(
             attrs_path,
             out,
@@ -1585,25 +1465,28 @@ class ScorePool:
         """Distributed FacetCollector: per-shard partial key counts (each
         actor keys against ITS doc-sharded attribute partition) summed on
         the driver. Result identical to sorting.facet_counts over a
-        FieldFacet. With ``timelimit`` each actor counts under the budget
-        (shard-table granularity); if any ran out, raises
+        FieldFacet, which answers a local-fallback query. With
+        ``timelimit`` each actor counts under the budget (shard-table
+        granularity); if any ran out, raises
         :class:`whoosh_novo_ray.search.wand.TimeLimit` carrying the partial
         counts (exact over the covered tables) in ``.partial``."""
+        p = self._plan(q, filter, mask, wrap=True)
+        if p is None:
+            return sorting.facet_counts(
+                Searcher(self.index, weighting=weighting), q,
+                sorting.FieldFacet(attrs_path, column), filter, mask,
+            )
         attrs_dir = self._attrs_dir_for(attrs_path, column)
-        q2 = self._wrap_filter(
-            rewrite(q, self._driver_searcher, self._gstats), filter, mask
-        )
-        gstats = self._gstats(self._stat_terms(q2))
         results = ray.get(
             _fan_out(
-                self._route(self._est_cost(gstats, self._stat_terms(q2))),
-                "facet_counts", q2, gstats, attrs_dir, column, weighting,
+                self._actors(p), "facet_counts", p.q, p.gstats, attrs_dir,
+                column, weighting,
                 timelimit=timelimit, _delay_per_table=_delay_per_table,
             )
         )
         parts = [t for t in results if len(t)]
         if not parts:
-            out = _empty_counts()
+            out = sorting.key_counts(np.empty(0, str))
         else:
             tbl = pa.concat_tables(parts)
             g = pa.TableGroupBy(tbl, "key").aggregate([("count", "sum")])
@@ -1624,24 +1507,29 @@ class ScorePool:
         the collapse over the tiny union — exact. ``order_column`` selects
         the kept docs by LOWEST attribute value instead of result order
         (reference CollapseCollector order facet); falsy collapse keys are
-        never eliminated. With ``timelimit`` each actor works under the
-        budget; any expiry raises :class:`TimeLimit` carrying the collapse
-        over the covered tables in ``.partial``."""
+        never eliminated. A local-fallback query runs
+        sorting.collapse_search. With ``timelimit`` each actor works under
+        the budget; any expiry raises :class:`TimeLimit` carrying the
+        collapse over the covered tables in ``.partial``."""
+        p = self._plan(q, filter, mask, wrap=True)
+        if p is None:
+            return sorting.collapse_search(
+                Searcher(self.index, weighting=weighting), q,
+                sorting.FieldFacet(attrs_path, column), per_key, limit,
+                None if order_column is None
+                else sorting.FieldFacet(attrs_path, order_column),
+                filter, mask,
+            )
         attrs_dir = self._attrs_dir_for(attrs_path, column)
         order_dir = (
             self._attrs_dir_for(attrs_path, order_column)
             if order_column is not None
             else None
         )
-        q2 = self._wrap_filter(
-            rewrite(q, self._driver_searcher, self._gstats), filter, mask
-        )
-        gstats = self._gstats(self._stat_terms(q2))
         results = ray.get(
             _fan_out(
-                self._route(self._est_cost(gstats, self._stat_terms(q2))),
-                "collapse_candidates", q2, gstats, attrs_dir, column, per_key,
-                weighting, order_dir, order_column,
+                self._actors(p), "collapse_candidates", p.q, p.gstats,
+                attrs_dir, column, per_key, weighting, order_dir, order_column,
                 timelimit=timelimit, _delay_per_table=_delay_per_table,
             )
         )
@@ -1650,31 +1538,15 @@ class ScorePool:
             out = _empty_hits()
         else:
             tbl = pa.concat_tables(parts)
-            ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-            scores = tbl["score"].to_numpy(zero_copy_only=False)
-            keys = tbl["key"].to_numpy(zero_copy_only=False)
-            okeys = (
+            out = sorting.collapse_table(
+                tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64),
+                tbl["score"].to_numpy(zero_copy_only=False),
+                tbl["key"].to_numpy(zero_copy_only=False),
+                per_key,
                 tbl["okey"].to_numpy(zero_copy_only=False)
                 if "okey" in tbl.column_names
-                else None
-            )
-            sel = _collapse_sel_order(ids, scores, okeys)
-            ids, scores, keys = ids[sel], scores[sel], keys[sel]
-            keep = _collapse_keep_mask(keys.astype(str), per_key)
-            keep |= falsy_key_mask(keys)
-            ids, scores, keys = ids[keep], scores[keep], keys[keep]
-            # kept docs come back in RESULT order regardless of the orderer
-            # (the reference orderer only changes which docs survive)
-            res = np.lexsort((ids, -scores))
-            ids, scores, keys = ids[res], scores[res], keys[res]
-            if limit is not None:
-                ids, scores, keys = ids[:limit], scores[:limit], keys[:limit]
-            out = pa.table(
-                {
-                    "doc_id": pa.array(ids, pa.uint64()),
-                    "key": pa.array(keys.astype(str), pa.string()),
-                    "score": pa.array(scores, pa.float64()),
-                }
+                else None,
+                limit,
             )
         if any(timed_out(t) for t in results):
             raise TimeLimit(out, {"timed_out": True})
@@ -1698,50 +1570,35 @@ class ScorePool:
         ``columns`` is a column name or list; ``reverses`` a flag or
         per-column list (reference sortedby=[FieldFacet(a),
         FieldFacet(b, reverse=True)]). Output matches the local
-        ``sorting.sorted_search`` (doc_id, key, score)."""
+        ``sorting.sorted_search`` (doc_id, key, score), which answers a
+        local-fallback query."""
         if isinstance(columns, str):
             columns = [columns]
         if isinstance(reverses, bool):
             reverses = [reverses] * len(columns)
+        p = self._plan(q, filter, mask, wrap=True)
+        if p is None:
+            sub = [sorting.FieldFacet(attrs_path, c, r) for c, r in zip(columns, reverses)]
+            return sorting.sorted_search(
+                Searcher(self.index, weighting=weighting), q,
+                sub[0] if len(sub) == 1 else sorting.MultiFacet(sub),
+                limit=limit, filter=filter, mask=mask,
+            )
         attrs_dirs = [self._attrs_dir_for(attrs_path, c) for c in columns]
-        q2 = self._wrap_filter(
-            rewrite(q, self._driver_searcher, self._gstats), filter, mask
-        )
-        gstats = self._gstats(self._stat_terms(q2))
         futs = _fan_out(
-            self._route(self._est_cost(gstats, self._stat_terms(q2))),
-            "sorted_candidates", q2, gstats, attrs_dirs, columns,
-            list(reverses), limit, weighting,
+            self._actors(p), "sorted_candidates", p.q, p.gstats, attrs_dirs,
+            columns, list(reverses), limit, weighting,
         )
         parts = [t for t in ray.get(futs) if len(t)]
         if not parts:
             return _empty_hits()
         tbl = pa.concat_tables(parts)
-        ids = tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64)
-        scores = tbl["score"].to_numpy(zero_copy_only=False)
-        keysets = [
-            tbl[f"k{i}"].to_numpy(zero_copy_only=False)
-            for i in range(len(columns))
-        ]
-        ranks = []
-        for k, rev in zip(keysets, reverses):
-            rank = np.unique(k, return_inverse=True)[1]
-            ranks.append(-rank if rev else rank)
-        order = np.lexsort((ids, *reversed(ranks)))
-        if limit is not None:
-            order = order[:limit]
-        if len(columns) == 1:
-            disp = [str(k) for k in keysets[0][order]]
-        else:
-            disp = [
-                str(tuple(ks[i] for ks in keysets)) for i in order
-            ]
-        return pa.table(
-            {
-                "doc_id": pa.array(ids[order], pa.uint64()),
-                "key": pa.array(disp, pa.string()),
-                "score": pa.array(scores[order], pa.float64()),
-            }
+        return sorting.sorted_table(
+            tbl["doc_id"].to_numpy(zero_copy_only=False).astype(np.uint64),
+            tbl["score"].to_numpy(zero_copy_only=False),
+            [tbl[f"k{i}"].to_numpy(zero_copy_only=False) for i in range(len(columns))],
+            reverses,
+            limit,
         )
 
     def shutdown(self) -> None:
@@ -1749,4 +1606,3 @@ class ScorePool:
             for a in grp:
                 ray.kill(a)
         self._replicas = [[]]
-        self._actors = []
