@@ -11,6 +11,8 @@ doc-sharded serving build). Then prints:
 * the bytes of each Parquet column of the segment files, per layout: the
   column-chunk sizes summed over row groups, plus the rest of each file
   (footer and magic) as ``(footer)``;
+* the share of each layout's term rows with one posting block (``df <=
+  block_size``), which store empty skip lists;
 * ``bytes_per_text_byte``: the whole ingest root over the input's text
   bytes, the benchmark's metric.
 
@@ -54,9 +56,11 @@ def column_bytes(path: str) -> dict[str, int]:
     return dict(out)
 
 
-def report(root: str, text_bytes: int) -> None:
+def report(root: str, text_bytes: int, block_size: int) -> None:
     layouts: dict[str, list[int]] = defaultdict(lambda: [0, 0])
     columns: dict[str, dict[str, int]] = defaultdict(lambda: defaultdict(int))
+    # term rows and one-block term rows, per layout
+    rows: dict[str, list[int]] = defaultdict(lambda: [0, 0])
     for d, _dirs, files in os.walk(root):
         for f in files:
             p = os.path.join(d, f)
@@ -66,6 +70,9 @@ def report(root: str, text_bytes: int) -> None:
             if name.endswith("segments") and f.endswith(".parquet"):
                 for col, n in column_bytes(p).items():
                     columns[col][name.split()[0]] += n
+                df = pq.read_table(p, columns=["df"])["df"].to_numpy()
+                rows[name.split()[0]][0] += len(df)
+                rows[name.split()[0]][1] += int((df <= block_size).sum())
     total = sum(n for _f, n in layouts.values())
     print(f"{'layout':<20}{'files':>7}{'bytes':>12}")
     for name in sorted(layouts):
@@ -77,6 +84,10 @@ def report(root: str, text_bytes: int) -> None:
     for col in sorted(columns, key=lambda c: -sum(columns[c].values())):
         b, s = columns[col]["bucket"], columns[col]["serving"]
         print(f"{col:<20}{b:>12,}{s:>12,}{b + s:>12,}")
+    print()
+    for layout, (n, one) in sorted(rows.items()):
+        print(f"{layout} term rows {n:,}, one block (df <= {block_size}) "
+              f"{one:,} ({one / max(n, 1):.1%})")
     print()
     print(f"text bytes {text_bytes:,}  bytes_per_text_byte {total / text_bytes:.4f}")
 
@@ -124,7 +135,7 @@ def main() -> None:
         build_serving_shards(member, num_shards=NUM_SHARDS,
                              out_dir=serving_dir_for(member))
         print(f"{args.pages} pages, seed {args.seed}")
-        report(root, corpus["text_bytes"])
+        report(root, corpus["text_bytes"], cfg.block_size)
     finally:
         ray.shutdown()
         shutil.rmtree(work, ignore_errors=True)

@@ -1,9 +1,10 @@
 """A scoring actor's decoded posting store (state/score_pool.py
 ``PinnedTable``).
 
-Each pinned table's doc ids, tfs, weights and length bytes are decoded once
-at pin time. Every row of every pinned table is checked against
-``TermRow`` decodes of the file's own blobs: the whole posting list, each
+Each pinned table's doc ids, tfs and weights are decoded once at pin time,
+and its length bytes looked up in the shard's docmeta. Every row of every
+pinned table is checked against ``TermRow`` decodes of the file's own
+blobs, with the docmeta's length bytes: the whole posting list, each
 block, the integer tfs and the positional payloads. Indexes with positions,
 with weights, chars and per-occurrence boosts, and a two-member serving set
 (two tables per shard) are covered. Last, the benchmark's query mix is
@@ -105,21 +106,37 @@ def _server(serving, shards=(0, 1)):
     return ScoreServer.__ray_actor_class__(serving, list(shards))
 
 
+def _docmeta_of(path: str) -> pa.Table:
+    """The docmeta file of a serving segment file's shard."""
+    serving = os.path.dirname(os.path.dirname(path))
+    return pq.read_table(os.path.join(serving, "docmeta", os.path.basename(path)))
+
+
 class _FileRows:
-    """Every row of one segment file as a TermRow over its own blobs."""
+    """Every row of one serving segment file as a TermRow over its own
+    blobs, with each posting's length byte taken from the shard's docmeta
+    (the serving files store none)."""
 
     def __init__(self, path: str):
-        from whoosh_novo_ray.index.segment import TermColumns
+        from whoosh_novo_ray.index.segment import TermColumns, decode_postings
 
         self.table = pq.read_table(path)
-        self.cols = TermColumns(self.table)
+        self.cols = TermColumns(self.table, 128)
         self.terms = self.table["term"].to_pylist()
         self.by_term: dict[str, list[int]] = {}
         for r, t in enumerate(self.terms):
             self.by_term.setdefault(t, []).append(r)
+        dm = _docmeta_of(path)
+        dm_ids = dm["doc_id"].to_numpy().astype(np.uint64)
+        ids = decode_postings(self.table, 128)[0]
+        at = np.searchsorted(dm_ids, ids)
+        assert (dm_ids[at] == ids).all()
+        self.lens = dm["len_byte"].to_numpy()[at]
+        self.starts = np.cumsum([0] + self.table["df"].to_pylist())
 
     def row(self, r: int):
-        return self.cols.row(r, self.terms[r], copy=True)
+        a, b = self.starts[r], self.starts[r + 1]
+        return self.cols.row(r, self.terms[r], copy=True, lens_blob=self.lens[a:b])
 
 
 def _eq(a, b) -> bool:
@@ -185,6 +202,64 @@ def test_store_matches_blob_decode_of_every_row(request, env):
         for x in (p.starts, p.ids, p.tfs, p.lens, p.hashes, p.perm)
     ) + sum(p.wts.nbytes for p in srv._pinned if p.wts is not None)
     assert srv.pinned_bytes() >= sum(p.table.nbytes for p in srv._pinned)
+
+
+@pytest.fixture(scope="module")
+def pages_env(ray_session, tmp_path_factory):
+    """400 synthetic pages with positions, two serving shards."""
+    from whoosh_novo_ray.index import IndexConfig
+    from whoosh_novo_ray.testing.pages import synth_pages
+
+    t = synth_pages(n=400, seed=3)
+    out = str(tmp_path_factory.mktemp("store") / "pages")
+    return _build(out, t["text"], IndexConfig(num_buckets=4), ids=t["doc_id"].to_numpy())
+
+
+def test_lengths_agree_across_layouts(pages_env):
+    """Every posting's length byte in an actor's store equals its doc's
+    docmeta ``len_byte`` and the term-bucket row's decode for the same
+    (term, doc). A table pinned against docmeta that lacks one of its docs,
+    or with another posting count than its manifest row, raises."""
+    from whoosh_novo_ray.index import Index
+    from whoosh_novo_ray.index.segment import _LRUCache
+    from whoosh_novo_ray.state.score_pool import PinnedTable
+
+    path, serving = pages_env
+    srv = _server(serving)
+    assert len(srv._pinned) == 2
+    bucket_rows = Index(path).term_rows(
+        sorted({t for p in srv._pinned for t in p.term.to_pylist()})
+    )
+    n_multi_block = n_postings = 0
+    for p in srv._pinned:
+        dm = _docmeta_of(p.blocks.path)
+        dm_len = dict(zip(dm["doc_id"].to_pylist(), dm["len_byte"].to_pylist()))
+        assert [dm_len[d] for d in p.ids.tolist()] == p.lens.tolist()
+        for r, term in enumerate(p.term.to_pylist()):
+            ids, _tf, lens = p.postings(r)
+            by_doc = {}
+            for row in bucket_rows[term]:
+                b_ids, _b_tf, b_lens = row.decode_all()
+                by_doc.update(zip(b_ids.tolist(), b_lens.tolist()))
+            assert [by_doc[d] for d in ids.tolist()] == lens.tolist(), term
+            n_multi_block += p.n_blocks(r) > 1
+            n_postings += len(ids)
+    assert n_multi_block and n_postings == sum(len(p.ids) for p in srv._pinned)
+
+    p = srv._pinned[0]
+    dm = _docmeta_of(p.blocks.path)
+    dm_ids = dm["doc_id"].to_numpy().astype(np.uint64)
+    dm_lens = dm["len_byte"].to_numpy()
+    n = len(p.ids)
+    same = PinnedTable(p.blocks.path, _LRUCache(4), 128, n, (dm_ids, dm_lens))
+    assert same.lens.tolist() == p.lens.tolist()
+    for victim in (p.ids[n // 2], p.ids.max(), p.ids.min()):
+        keep = dm_ids != victim
+        with pytest.raises(ValueError, match="missing from the shard's docmeta"):
+            PinnedTable(p.blocks.path, _LRUCache(4), 128, n, (dm_ids[keep], dm_lens[keep]))
+    for wrong in (n - 1, n + 1):
+        with pytest.raises(ValueError, match="n_postings"):
+            PinnedTable(p.blocks.path, _LRUCache(4), 128, wrong, (dm_ids, dm_lens))
 
 
 def test_term_lookup_misses_and_collisions(pos_env):
@@ -367,7 +442,7 @@ def test_merge_read_decodes_only_its_columns(weights_env):
             for a, b in zip(full, some):
                 assert set(b.column_names) < set(a.column_names)
                 assert not {"weight", "block_max_ids", "block_ids_off"} & set(b.column_names)
-                assert dec(b).equals(dec(a))
+                assert dec(b, 128).equals(dec(a, 128))
 
 
 def test_wand_block_stats_need_no_rows(members_env):

@@ -14,7 +14,12 @@ import pytest
 
 from whoosh_novo_ray.analysis import StandardAnalyzer
 from whoosh_novo_ray.index import Index, IndexConfig, build_index
-from whoosh_novo_ray.index.build import DOCMETA_TERM, doc_shard_of, encode_bucket_table
+from whoosh_novo_ray.index.build import (
+    DOCMETA_TERM,
+    SERVING_LAYOUT,
+    doc_shard_of,
+    encode_bucket_table,
+)
 from whoosh_novo_ray.index.docshard import build_serving_shards, serving_dir_for
 from whoosh_novo_ray.index.merge import (
     DecodeSegmentRows,
@@ -55,7 +60,9 @@ def _decoded(members: list[str]) -> tuple[pa.Table, pa.Table]:
         for b in idx.manifest["buckets"]:
             if b["path"]:
                 seg = pq.read_table(os.path.join(m, b["path"]))
-                rows.append(DecodeSegmentRows(idx.cfg.with_positions)(seg))
+                rows.append(
+                    DecodeSegmentRows(idx.cfg.with_positions)(seg, idx.cfg.block_size)
+                )
             dm = os.path.join(m, "docmeta", f"bucket={b['bucket']:05d}.parquet")
             if os.path.exists(dm):
                 dms.append(pq.read_table(dm))
@@ -72,7 +79,7 @@ def _assert_serving_identity(members: list[str], out_dir: str) -> None:
             postings.filter(pa.array(p_shard == k)),
             cfg.block_size,
             cfg.with_positions,
-            doc_slots=False,  # the serving layout leaves the masks out
+            layout=SERVING_LAYOUT,
         )
         got = pq.read_table(os.path.join(out_dir, "segments", f"bucket={k:05d}.parquet"))
         assert got.equals(want), k

@@ -57,7 +57,8 @@ def test_resume_skips_completed_buckets(ray_session, pages_table, tmp_path):
 
 def test_other_format_versions_are_refused_and_rebuilt(ray_session, pages_table, tmp_path):
     """``Index`` opens only the current format; a resumed build over an
-    index of another format rewrites every bucket instead of reusing it."""
+    index of another format (format 3 last) rewrites every bucket instead
+    of reusing it."""
     import ray.data
 
     from whoosh_novo_ray.index.build import FORMAT_VERSION, MANIFEST_NAME
@@ -66,18 +67,19 @@ def test_other_format_versions_are_refused_and_rebuilt(ray_session, pages_table,
     docs = ray.data.from_arrow(pages_table.select(["doc_id", "text"]))
     cfg = IndexConfig(num_buckets=4)
     m1 = build_index(docs, out, cfg, lineage="L1")
-    assert m1["format_version"] == FORMAT_VERSION == 3
+    assert m1["format_version"] == FORMAT_VERSION == 4
     man_path = os.path.join(out, MANIFEST_NAME)
-    for old in (1, 2, None):
+    for old in (1, 2, None, 3):
         m = dict(m1, format_version=old)
         with open(man_path, "w") as f:
             json.dump(m, f)
         with pytest.raises(ValueError, match="Rebuild the index"):
             Index(out)
-    seg = os.path.join(out, m1["buckets"][0]["path"])
-    before = os.stat(seg).st_mtime_ns
+    segs = [os.path.join(out, b["path"]) for b in m1["buckets"] if b["path"]]
+    assert len(segs) == 4
+    before = [os.stat(seg).st_mtime_ns for seg in segs]
     m2 = build_index(docs, out, cfg, lineage="L1", resume=True)
-    assert os.stat(seg).st_mtime_ns != before
+    assert all(os.stat(s).st_mtime_ns != t for s, t in zip(segs, before))
     assert m2["format_version"] == FORMAT_VERSION
     assert Index(out).doc_count == m1["doc_count"]
 

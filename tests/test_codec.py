@@ -91,7 +91,7 @@ def test_bucket_encode_decode_roundtrip():
         expect[r["term"]].append((r["doc_id"], r["tf"], r["len_byte"], r["positions"]))
 
     assert len(seg) == len(expect)
-    rows = TermColumns(seg)
+    rows = TermColumns(seg, 128)
     for i, term in enumerate(seg["term"].to_pylist()):
         tr = rows.row(i, term)
         exp = sorted(expect[tr.term])
@@ -103,6 +103,8 @@ def test_bucket_encode_decode_roundtrip():
         pos = tr.decode_all_positions()
         assert [p.tolist() for p in pos] == [e[3] for e in exp]
         # per-block decode agrees with full decode
+        max_ids, max_weights, min_lens = tr.skip_table()
+        assert tr.n_blocks == len(max_ids) == -(-len(exp) // 128)
         off = 0
         for b in range(tr.n_blocks):
             bids, btfs, blens = tr.decode_block(b)
@@ -110,10 +112,11 @@ def test_bucket_encode_decode_roundtrip():
             assert bids.tolist() == ids[off : off + cnt].tolist()
             assert btfs.tolist() == tfs[off : off + cnt].tolist()
             assert blens.tolist() == lens[off : off + cnt].tolist()
-            assert int(tr.block_max_ids[b]) == int(bids[-1])
-            assert float(tr.block_max_weights[b]) == float(btfs.max())
-            assert int(tr.block_min_lens[b]) == int(blens.min())
+            assert int(max_ids[b]) == int(bids[-1])
+            assert float(max_weights[b]) == float(btfs.max())
+            assert int(min_lens[b]) == int(blens.min())
             off += cnt
+        assert off == len(exp)
         # term aggregates
         assert float(tr.weight) == float(tfs.sum())
         assert float(tr.max_weight) == float(tfs.max())

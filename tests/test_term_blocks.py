@@ -161,7 +161,7 @@ def test_duplicate_rows_across_row_group_boundary(tmp_path):
     pq.write_table(
         pa.table({"term": terms, "df": list(range(len(terms)))}), f, row_group_size=2
     )
-    tb = _TermBlocks(f, _LRUCache(2))
+    tb = _TermBlocks(f, _LRUCache(2), 128)
     for t in ["a", "c", "e", "f", "bb", "0", "g"]:
         got = [
             int(tb.offsets[g]) + r
@@ -352,10 +352,10 @@ def _assert_row(tr, want: dict, names) -> None:
     is not in ``names`` is None."""
     from whoosh_novo_ray.index.segment import _LIST_DTYPES
 
-    assert tr.term == want["term"]
+    assert tr.term == want["term"] and tr.block_size == 128
     for name in _row_fields():
         got = getattr(tr, name)
-        if name == "term":
+        if name in ("term", "block_size"):
             continue
         if name not in names:
             assert got is None, name
@@ -445,25 +445,33 @@ def test_pinned_rows_are_views_of_every_file_row(request, env):
     tfs and wts blobs (it decodes them at pin time) and without
     ``block_ids_off``/``block_tfs_off``. A pinned row's fields are views of
     the pinned table; the lazy positional row adds copies of its lazy
-    columns, and decodes as the file row does."""
-    from whoosh_novo_ray.index.segment import TermColumns
+    columns, and decodes as the file row does (with the length bytes of
+    the shard's docmeta, which the serving files do not store)."""
+    from whoosh_novo_ray.index.segment import TermColumns, decode_postings
     from whoosh_novo_ray.state.score_pool import _PIN_COLUMNS, ScoreServer
 
     _, serving = request.getfixturevalue(env)
     srv = ScoreServer.__ray_actor_class__(serving, [0, 1])
     assert len(srv._pinned) == 2
-    for p in srv._pinned:
+    for k, p in zip(srv._table_shards, srv._pinned):
         tbl, tb = p.table, p.blocks
         assert p.lazy_cols
         wants = _file_rows(tb.path)
-        file_cols = TermColumns(pq.read_table(tb.path))
+        file_tbl = pq.read_table(tb.path)
+        file_cols = TermColumns(file_tbl, 128)
+        dm = pq.read_table(os.path.join(serving, "docmeta", f"bucket={k:05d}.parquet"))
+        dm_ids = dm["doc_id"].to_numpy().astype(np.uint64)
+        ids = decode_postings(file_tbl, 128)[0]
+        lens = dm["len_byte"].to_numpy()[np.searchsorted(dm_ids, ids)]
+        assert (dm_ids[np.searchsorted(dm_ids, ids)] == ids).all()
+        starts = np.cumsum([0] + [w["df"] for w in wants])
         assert len(wants) == len(tbl)
         pinned = set(tbl.column_names)
         assert pinned == set(_PIN_COLUMNS)
         for r, want in enumerate(wants):
             tr = p.cols.row(r, want["term"])
             _assert_row(tr, want, pinned)
-            for name in pinned - {"term", "block_counts"}:
+            for name in pinned - {"term"}:
                 v = getattr(tr, name)
                 if isinstance(v, np.ndarray) and v.size:
                     assert any(
@@ -472,7 +480,9 @@ def test_pinned_rows_are_views_of_every_file_row(request, env):
             # the lazy positional path: pinned views plus copied lazy columns
             lazy = p.row(r, want["term"], lazy=True)
             _assert_row(lazy, want, pinned | set(p.lazy_cols))
-            ref = file_cols.row(r, want["term"])
+            ref = file_cols.row(
+                r, want["term"], lens_blob=lens[starts[r] : starts[r + 1]]
+            )
             for got, exp in zip(lazy.decode_all(), ref.decode_all()):
                 assert got.tolist() == exp.tolist(), want["term"]
             assert lazy.decode_tfs().tolist() == ref.decode_tfs().tolist()
@@ -505,14 +515,14 @@ def test_doc_slots_match_decoded_postings(request, env):
     ``k`` decodes only to docs that ``doc_shard_of`` sends to shard ``k``."""
     from whoosh_novo_ray.index import Index
     from whoosh_novo_ray.index.build import doc_shard_of
-    from whoosh_novo_ray.index.segment import TermColumns
+    from whoosh_novo_ray.index.segment import TermColumns, decode_postings
 
     path, serving = request.getfixturevalue(env)
     by_term: dict[str, int] = {}
     for f in _segment_files(path):
         tbl = pq.read_table(f)
         assert "min_id" not in tbl.column_names
-        cols = TermColumns(tbl)
+        cols = TermColumns(tbl, 128)
         for r, (t, slots) in enumerate(
             zip(tbl["term"].to_pylist(), tbl["doc_slots"].to_pylist())
         ):
@@ -536,9 +546,10 @@ def test_doc_slots_match_decoded_postings(request, env):
             continue
         tbl = pq.read_table(os.path.join(serving, b["path"]))
         assert "doc_slots" not in tbl.column_names
-        cols = TermColumns(tbl)
-        for r, t in enumerate(tbl["term"].to_pylist()):
-            ids = cols.row(r, t).decode_all()[0]
+        all_ids = decode_postings(tbl, 128)[0]
+        ends = np.cumsum(tbl["df"].to_numpy())
+        assert ends[-1] == len(all_ids)
+        for t, ids in zip(tbl["term"].to_pylist(), np.split(all_ids, ends[:-1])):
             assert set(doc_shard_of(ids, n).tolist()) == {b["bucket"]}, t
         seen.add(b["bucket"])
     assert seen == set(range(n))
@@ -555,14 +566,16 @@ def _layout_files(path: str, serving: str) -> list[tuple[str, str]]:
 
 @pytest.mark.parametrize("env", ["blocks_env", "full_env"])
 def test_segment_columns(request, env):
-    """Neither layout stores ``max_len_byte``; only the term-bucket files
-    store ``doc_slots``."""
+    """Neither layout stores ``max_len_byte``, block counts or length
+    offsets; only the term-bucket files store ``doc_slots``, ``weight`` and
+    ``lens_blob`` (a scoring actor reads none of them)."""
     path, serving = request.getfixturevalue(env)
     for layout, f in _layout_files(path, serving):
         names = set(pq.ParquetFile(f).schema_arrow.names)
-        assert "max_len_byte" not in names, f
-        assert ("doc_slots" in names) == (layout == "bucket"), f
-        assert {"term", "df", "ids_blob", "tfs_blob", "lens_blob"} <= names
+        assert not {"max_len_byte", "block_counts", "block_lens_off"} & names, f
+        for col in ("doc_slots", "weight", "lens_blob"):
+            assert (col in names) == (layout == "bucket"), (f, col)
+        assert {"term", "df", "max_weight", "ids_blob", "tfs_blob"} <= names
 
 
 def _n_varints(blob: bytes) -> int:
@@ -604,6 +617,7 @@ def test_segment_statistics_only_on_term(request, env):
                 assert c.is_stats_set == (name == "term"), (f, name)
                 if name == "term":
                     assert "DELTA_BYTE_ARRAY" in c.encodings, f
+                # lens_blob and doc_slots: the term-bucket files only
                 plain = ("term", "ids_blob", "pos_blob", "chars_blob", "lens_blob",
                          "doc_slots")
                 assert c.has_dictionary_page == (name not in plain), (f, name)

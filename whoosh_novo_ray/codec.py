@@ -8,16 +8,21 @@ encoders over flat posting arrays, so a whole hash-bucket of terms is encoded
 in one pass with no per-posting Python loop.
 
 Layout per term (columns of the segment Parquet, see index/build.py):
-  * three blobs — ``ids_blob`` (varint deltas, absolute at block starts),
-    ``tfs_blob`` (varint), ``lens_blob`` (raw uint8 length bytes) — kept
-    separate so a block decode is three slices, no interleave parsing;
-  * per-block metadata lists (count, max_id, max_weight, min_len_byte) +
-    byte offsets into the blobs = the skip table;
-  * per-term scalars: df, weight, max_weight and min_len_byte; the
-    term-bucket files add ``doc_slots`` (bit ``key_hash(doc_id) % 64`` per
-    posting, the serving shards a term can match in). The serving files
-    carry no ``doc_slots``: the score pool reads the masks from the
-    term-bucket files, and its actors never read them.
+  * blobs — ``ids_blob`` (varint deltas, absolute at block starts),
+    ``tfs_blob`` (varint) and, in the term-bucket files, ``lens_blob`` (raw
+    uint8 length bytes) — kept separate so a block decode is slices, no
+    interleave parsing;
+  * the skip table: per-block max_id, max_weight and min_len_byte lists
+    plus byte offsets into the blobs. Block i starts at posting
+    i * ``block_size``, so block counts are computed (:func:`block_counts`),
+    not stored. A term with ``df <= block_size`` has one block and writes
+    every list empty: its term scalars, last doc id and offsets of 0 imply
+    it (``index/segment.py`` ``TermRow`` applies the rule);
+  * per-term scalars: df, max_weight and min_len_byte; the term-bucket
+    files add ``weight`` and ``doc_slots`` (bit ``key_hash(doc_id) % 64``
+    per posting, the serving shards a term can match in). The serving
+    files hold only what a scoring actor reads: it takes length bytes
+    from its shard's docmeta and scores with the driver's global stats.
   * optional ``pos_blob`` / ``chars_blob``: per posting, varint deltas of
     its sorted positions (or interleaved char start/end offsets), the first
     one absolute, and no count. A posting's count is its tf (``2 * tf``
@@ -105,6 +110,16 @@ def varint_decode(buf, n: int) -> np.ndarray:
         multi = multi[extra[multi] > k]
         k += 1
     return vals
+
+
+def block_counts(df: np.ndarray, block_size: int) -> np.ndarray:
+    """Postings per block of each term of ``df``, flattened in term order."""
+    df = np.asarray(df, np.int64)
+    nb = -(-df // block_size)
+    counts = np.full(int(nb.sum()), block_size, np.int64)
+    has = nb > 0
+    counts[np.cumsum(nb)[has] - 1] = df[has] - (nb[has] - 1) * block_size
+    return counts
 
 
 def decode_doc_ids(buf, block_counts: np.ndarray, n: int) -> np.ndarray:

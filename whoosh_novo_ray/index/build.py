@@ -57,9 +57,11 @@ from whoosh_novo_ray.shuffle import key_hash, shard_of, shard_reduce
 
 MANIFEST_NAME = "manifest.json"
 # on-disk layout version, written to every manifest; ``Index`` refuses any
-# other (3: positions without a per-posting count, no ``max_len_byte``, no
-# ``doc_slots`` in the serving files, statistics on ``term`` only)
-FORMAT_VERSION = 3
+# other (4: no block counts or length offsets, empty skip lists on one-block
+# terms, serving files without ``lens_blob``, ``weight`` or ``doc_slots``)
+FORMAT_VERSION = 4
+# the segment layouts ``encode_bucket_table`` writes (term-bucket, serving)
+BUCKET_LAYOUT, SERVING_LAYOUT = "bucket", "serving"
 _SALT_PRIME = np.uint64(2654435761)
 # no analyzer token can contain NUL, so this term marks per-doc metadata rows
 # that ride the same shuffle as postings (doc length + length byte)
@@ -383,27 +385,30 @@ def _check_counts(name: str, counts: np.ndarray, want: np.ndarray) -> None:
 
 
 def encode_bucket_table(
-    tbl: pa.Table, block_size: int, with_positions: bool, doc_slots: bool = True
+    tbl: pa.Table, block_size: int, with_positions: bool, layout: str = BUCKET_LAYOUT
 ) -> pa.Table:
     """Vectorized posting-block encoding of one term-space bucket.
 
     Sorts by (term, doc_id), finds term runs, delta+varint encodes doc ids
     (absolute value at every block start so blocks decode independently),
     varints tfs, keeps length bytes raw, and computes the per-block skip
-    table (count / max id / max weight / min len byte) with
-    ``np.*.reduceat`` — no per-term Python loop. Positions (and char
-    offsets) store no per-posting count: a posting's position count must
-    equal its tf (2 * tf chars values), which the reader relies on, so a
-    mismatch raises ``ValueError``.
+    table (max id / max weight / min len byte, blob offsets; empty lists
+    for a one-block term) with ``np.*.reduceat`` — no per-term Python
+    loop. Positions (and char offsets) store no per-posting count: a
+    posting's position count must equal its tf (2 * tf chars values), which
+    the reader relies on, so a mismatch raises ``ValueError``.
 
-    ``doc_slots`` is a per-term uint64 with bit ``key_hash(doc_id) % 64``
-    set for each posting. A serving shard is ``key_hash(doc_id) % n``
-    (``doc_shard_of``), so a term's mask bounds its shard set (exactly when
-    ``n`` is a power of two): the score pool sends a query only to the
-    actors that pin one of those shards. The serving files pass
-    ``doc_slots=False``: the pool reads the masks from the term-bucket
-    files, and its actors never read the column.
+    ``layout`` is ``BUCKET_LAYOUT`` or ``SERVING_LAYOUT``. The term-bucket
+    files carry ``weight``, ``lens_blob`` and ``doc_slots``, a per-term
+    uint64 with bit ``key_hash(doc_id) % 64`` set for each posting. A
+    serving shard is ``key_hash(doc_id) % n`` (``doc_shard_of``), so a
+    term's mask bounds its shard set (exactly when ``n`` is a power of
+    two): the score pool sends a query only to the actors that pin one of
+    those shards. The serving files leave all three out: a scoring actor
+    takes length bytes from its docmeta and scores with global stats.
     """
+    if layout not in (BUCKET_LAYOUT, SERVING_LAYOUT):
+        raise ValueError(f"unknown segment layout {layout!r}")
     n = len(tbl)
     # dictionary-encode terms (C pass), then sort postings by
     # (lexicographic term rank, doc_id) entirely in numpy — much cheaper
@@ -446,11 +451,15 @@ def encode_bucket_table(
     block_start_mask = (within % block_size) == 0
     block_starts = np.flatnonzero(block_start_mask)
     nblocks_per_term = ((df + block_size - 1) // block_size).astype(np.int64)
-    block_term = np.repeat(np.arange(n_terms), nblocks_per_term)
     # end (exclusive) of each block
     term_end = np.repeat(np.append(term_starts[1:], n), nblocks_per_term)
     block_ends = np.minimum(block_starts + block_size, term_end)
-    block_counts = (block_ends - block_starts).astype(np.uint32)
+    # skip lists are written for multi-block terms only
+    listed = np.repeat(df > block_size, nblocks_per_term)
+    n_listed = np.where(df > block_size, nblocks_per_term, 0)
+
+    def skip_list(values: np.ndarray, typ: pa.DataType) -> pa.ListArray:
+        return _list_array(pa.array(values[listed], typ), n_listed)
 
     # encode doc ids
     deltas = delta_encode_with_resets(doc_ids, block_start_mask)
@@ -486,8 +495,6 @@ def encode_bucket_table(
     blk_tfs_off = (tfs_byte_start[block_starts] - np.repeat(t_tfs_off, nblocks_per_term)).astype(
         np.uint64
     )
-    # lens blob offset per block = posting ordinal within term
-    blk_lens_off = (block_starts - np.repeat(term_starts, nblocks_per_term)).astype(np.uint64)
 
     cols: dict[str, pa.Array] = {
         "term": uniq_terms,
@@ -495,22 +502,20 @@ def encode_bucket_table(
         "weight": pa.array(term_weight, pa.float64()),
         "max_weight": pa.array(term_max_w, pa.float64()),
         "min_len_byte": pa.array(term_min_lb, pa.uint8()),
-        "block_counts": _list_array(pa.array(block_counts, pa.uint32()), nblocks_per_term),
-        "block_max_ids": _list_array(pa.array(block_max_id, pa.uint64()), nblocks_per_term),
-        "block_max_weights": _list_array(pa.array(block_max_w, pa.float64()), nblocks_per_term),
-        "block_min_lens": _list_array(
-            pa.array(block_min_lb, pa.uint8()), nblocks_per_term
-        ),
-        "block_ids_off": _list_array(pa.array(blk_ids_off, pa.uint64()), nblocks_per_term),
-        "block_tfs_off": _list_array(pa.array(blk_tfs_off, pa.uint64()), nblocks_per_term),
-        "block_lens_off": _list_array(pa.array(blk_lens_off, pa.uint64()), nblocks_per_term),
+        "block_max_ids": skip_list(block_max_id, pa.uint64()),
+        "block_max_weights": skip_list(block_max_w, pa.float64()),
+        "block_min_lens": skip_list(block_min_lb, pa.uint8()),
+        "block_ids_off": skip_list(blk_ids_off, pa.uint64()),
+        "block_tfs_off": skip_list(blk_tfs_off, pa.uint64()),
         "ids_blob": _large_binary_from_slices(ids_buf, np.append(t_ids_off, t_ids_end[-1:])),
         "tfs_blob": _large_binary_from_slices(tfs_buf, np.append(t_tfs_off, t_tfs_end[-1:])),
         "lens_blob": _large_binary_from_slices(
             len_bytes, np.append(term_starts, n).astype(np.int64)
         ),
     }
-    if doc_slots:
+    if layout == SERVING_LAYOUT:
+        del cols["weight"], cols["lens_blob"]
+    else:
         slot_bits = np.left_shift(np.uint64(1), key_hash(doc_ids) % np.uint64(64))
         cols["doc_slots"] = pa.array(
             np.bitwise_or.reduceat(slot_bits, term_starts), pa.uint64()
@@ -536,9 +541,7 @@ def encode_bucket_table(
         blk_ch_off = (
             ch_byte_start[block_starts] - np.repeat(t_ch_off, nblocks_per_term)
         ).astype(np.uint64)
-        cols["block_chars_off"] = _list_array(
-            pa.array(blk_ch_off, pa.uint64()), nblocks_per_term
-        )
+        cols["block_chars_off"] = skip_list(blk_ch_off, pa.uint64())
         cols["chars_blob"] = _large_binary_from_slices(
             ch_buf, np.append(t_ch_off, t_ch_end[-1:])
         )
@@ -572,7 +575,7 @@ def encode_bucket_table(
         blk_pos_off = (
             pos_byte_start[block_starts] - np.repeat(t_pos_off, nblocks_per_term)
         ).astype(np.uint64)
-        cols["block_pos_off"] = _list_array(pa.array(blk_pos_off, pa.uint64()), nblocks_per_term)
+        cols["block_pos_off"] = skip_list(blk_pos_off, pa.uint64())
         cols["pos_blob"] = _large_binary_from_slices(
             pos_buf, np.append(t_pos_off, t_pos_end[-1:])
         )
@@ -616,11 +619,11 @@ class BucketEncoder:
     bucket's segment file; emits one manifest row per bucket, whose
     ``bytes`` is the size of the segment plus docmeta files it wrote."""
 
-    def __init__(self, out_dir: str, cfg: IndexConfig, lineage: str, doc_slots: bool = True):
+    def __init__(self, out_dir: str, cfg: IndexConfig, lineage: str, layout=BUCKET_LAYOUT):
         self.out_dir = out_dir
         self.cfg = cfg
         self.lineage = lineage
-        self.doc_slots = doc_slots
+        self.layout = layout
 
     def __call__(self, shard: pa.Table) -> pa.Table:
         is_meta = pc.equal(shard["term"], DOCMETA_TERM)
@@ -673,7 +676,7 @@ class BucketEncoder:
             group.drop_columns(["bucket"]),
             self.cfg.block_size,
             self.cfg.with_positions,
-            doc_slots=self.doc_slots,
+            layout=self.layout,
         )
         seg_dir = os.path.join(self.out_dir, "segments")
         os.makedirs(seg_dir, exist_ok=True)
@@ -720,11 +723,10 @@ def _run_bucket_shuffle(
     lineage: str,
     resume: bool,
     doc_count: int | None,
-    doc_slots: bool = True,
+    layout: str = BUCKET_LAYOUT,
 ) -> dict:
-    """The shared tail of every build: bucket shuffle -> encode -> manifest.
-    ``doc_slots=False`` leaves the per-term slot masks out of the segment
-    files (the serving layout)."""
+    """The shared tail of every build: bucket shuffle -> encode -> manifest,
+    writing segment files of ``layout`` (``encode_bucket_table``)."""
     os.makedirs(out_dir, exist_ok=True)
 
     done_buckets: dict[int, dict] = {}
@@ -762,7 +764,7 @@ def _run_bucket_shuffle(
 
     rows = []
     if postings is not None:
-        encoder = BucketEncoder(out_dir, cfg, lineage, doc_slots)
+        encoder = BucketEncoder(out_dir, cfg, lineage, layout)
 
         def encode_group(shard: pa.Table) -> pa.Table:
             return encoder(shard)

@@ -45,6 +45,7 @@ import ray
 
 from whoosh_novo_ray.index.build import (
     MANIFEST_NAME,
+    SERVING_LAYOUT,
     _run_bucket_shuffle,
     build_index,
     doc_shard_of,
@@ -159,8 +160,8 @@ def build_serving_shards(
     """Build (or resume) the doc-sharded serving layout for an index.
 
     Writes ``<index>/serving/segments/bucket=K.parquet`` (one doc shard per
-    file, term-sorted, the main segments' codec and schema less their
-    ``doc_slots``) plus
+    file, term-sorted, the main segments' codec in ``SERVING_LAYOUT``: no
+    ``weight``, ``lens_blob`` or ``doc_slots``) plus
     ``serving/docmeta/bucket=K.parquet`` (the shard's doc universe) and a
     serving manifest whose doc_count / total_field_length are the index's
     collection stats — a shard searcher scores with these (summed over the
@@ -192,11 +193,9 @@ def build_serving_shards(
     total_fl = float(idx.total_field_length)
     # doc-sharded layout needs no heavy-term salting: skew splits by doc hash
     cfg2 = dataclasses.replace(cfg, num_buckets=num_shards, heavy_terms=())
-    # the pool reads each term's doc_slots from the term-bucket files; its
-    # actors never read them from the serving files
     manifest = _run_bucket_shuffle(
         sharded, out_dir, cfg2, lineage, resume=resume, doc_count=doc_count,
-        doc_slots=False,
+        layout=SERVING_LAYOUT,
     )
     # global stats for shard searchers + a layout tag so nobody term-routes
     # into doc shards by mistake

@@ -40,7 +40,8 @@ from whoosh_novo_ray.index.segment import Index, blob_concat, decode_postings
 
 
 class DecodeSegmentRows:
-    """map_batches callable: segment term rows -> flat posting rows
+    """Callable: term-bucket segment rows of an index with ``block_size``
+    -> flat posting rows
     (term, doc_id, tf, len_byte[, weight][, positions, tboosts][, chars]).
 
     Fully batch-vectorized: every term row's blobs concatenate into one
@@ -76,13 +77,13 @@ class DecodeSegmentRows:
     def columns(self, names: list[str]) -> list[str]:
         """The columns of a segment file (with column ``names``) that the
         decode reads; the skip lists and the term stats are left out."""
-        want = ["term", "df", "block_counts", "ids_blob", "tfs_blob", "lens_blob",
-                "wts_blob", "chars_blob"]
+        want = ["term", "df", "ids_blob", "tfs_blob", "lens_blob", "wts_blob",
+                "chars_blob"]
         if self.with_positions:
             want += ["pos_blob", "pboosts_blob"]
         return [c for c in want if c in names]
 
-    def __call__(self, batch: pa.Table) -> pa.Table:
+    def __call__(self, batch: pa.Table, block_size: int) -> pa.Table:
         from whoosh_novo_ray.codec import decode_positions_flat
 
         wp = self.with_positions and "pos_blob" in batch.column_names
@@ -97,7 +98,7 @@ class DecodeSegmentRows:
         terms = np.repeat(
             np.asarray(batch["term"].to_pylist(), dtype=object), df
         )
-        ids, tfs = decode_postings(batch)
+        ids, tfs = decode_postings(batch, block_size)
         lens = blob_concat(batch["lens_blob"])
         weights = (
             blob_concat(batch["wts_blob"]).view(np.float32).astype(np.float64)
@@ -224,14 +225,17 @@ def _row_groups(path: str, columns=None):
 def bucket_read_items(index_dirs: list[str]) -> list[dict]:
     """One read item per (member, bucket) of the inputs' manifests: the
     bucket's segment file and the docmeta file of the same bucket, each ""
-    where the bucket has none (a docmeta-only bucket has no segment)."""
+    where the bucket has none (a docmeta-only bucket has no segment), and
+    the member's block size."""
     items = []
     for d in index_dirs:
-        for b in Index(d).manifest["buckets"]:
+        idx = Index(d)
+        for b in idx.manifest["buckets"]:
             dm = os.path.join(d, "docmeta", f"bucket={b['bucket']:05d}.parquet")
             items.append({
                 "segment": os.path.join(d, b["path"]) if b["path"] else "",
                 "docmeta": dm if os.path.exists(dm) else "",
+                "block_size": idx.cfg.block_size,
             })
     return items
 
@@ -249,10 +253,11 @@ class ReadBucketPostings:
         self.dm_rows = docmeta_rows_fn(ww=ww, wp=wp, wpb=wpb, wc=wc, del_set=del_set)
 
     def __call__(self, batch: pa.Table):
-        for seg, dm in zip(batch["segment"].to_pylist(), batch["docmeta"].to_pylist()):
+        cols = ("segment", "docmeta", "block_size")
+        for seg, dm, bs in zip(*(batch[c].to_pylist() for c in cols)):
             if seg:
                 for rg in _row_groups(seg, self.decode.columns):
-                    yield self.decode(rg)
+                    yield self.decode(rg, bs)
             if dm:
                 for rg in _row_groups(dm):
                     yield self.dm_rows(rg)

@@ -28,7 +28,9 @@ Besides df, weight and max_weight, each term-bucket row carries
 ``doc_slots``: a uint64 with bit ``key_hash(doc_id) % 64`` set for each of
 its postings. ``Index.term_stats_and_slots`` reads it in the same cached
 stats group; the score pool maps it to the serving shards that can hold a
-match. The serving files leave it out: the actors never read it. The
+match. The serving files leave it, ``weight`` and ``lens_blob`` out: a
+scoring actor never reads them. A row's blocks follow from its df and the
+index's ``block_size`` (``TermRow``). The
 segment files carry Parquet statistics on ``term`` only, so a reader that
 wants another column's footer statistics must have the writer
 (``build.write_segment``) keep them for that column. ``Index`` opens only
@@ -47,7 +49,9 @@ import pyarrow as pa
 import pyarrow.parquet as pq
 import ray
 
-from whoosh_novo_ray.codec import decode_doc_ids, decode_positions_flat, varint_decode
+from whoosh_novo_ray.codec import (
+    block_counts, decode_doc_ids, decode_positions_flat, varint_decode,
+)
 from whoosh_novo_ray.index.build import (
     FORMAT_VERSION,
     MANIFEST_NAME,
@@ -62,13 +66,11 @@ _SCORING_COLUMNS = (
     "weight",
     "max_weight",
     "min_len_byte",
-    "block_counts",
     "block_max_ids",
     "block_max_weights",
     "block_min_lens",
     "block_ids_off",
     "block_tfs_off",
-    "block_lens_off",
     "ids_blob",
     "tfs_blob",
     "lens_blob",
@@ -88,20 +90,23 @@ class TermRow:
     ``block_ids_off``/``block_tfs_off``: it decodes its tables once when it
     pins them, and its rows come with ``_decoded`` and ``_tfs`` already
     set to slices of that store. Every decode below reads the memoized
-    arrays when they are set, and the blobs only when they are not."""
+    arrays when they are set, and the blobs only when they are not.
+
+    Block i starts at posting i * ``block_size``. A row with ``df <=
+    block_size`` has one block and stores its skip lists and offsets
+    empty: :meth:`skip_table` and :meth:`decode_block`, the one place the
+    rule lives, take them from the row's scalars and its last doc id."""
 
     term: str
     df: int
-    weight: float
     max_weight: float
     min_len_byte: int
-    block_counts: np.ndarray
+    block_size: int
+    # as stored: empty on a one-block row (read them through skip_table)
     block_max_ids: np.ndarray
     block_max_weights: np.ndarray
     block_min_lens: np.ndarray
-    # posting ordinal of each block's first posting (lens are one byte per
-    # posting, so it is also the block's offset into lens_blob)
-    block_lens_off: np.ndarray
+    weight: float | None = None  # none in a serving row: actors use global stats
     block_ids_off: np.ndarray | None = None
     block_tfs_off: np.ndarray | None = None
     ids_blob: np.ndarray | None = None
@@ -131,31 +136,36 @@ class TermRow:
 
     @property
     def n_blocks(self) -> int:
-        return len(self.block_counts)
+        return -(-self.df // self.block_size)
+
+    def skip_table(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per-block (max doc ids, max weights, min length bytes). A
+        one-block row stores none: its block's are the row's own, and its
+        max id is its last doc id (a slice of a scoring actor's store, or a
+        decode of at most ``block_size`` postings)."""
+        if self.n_blocks > 1:
+            return self.block_max_ids, self.block_max_weights, self.block_min_lens
+        return (self.decode_all()[0][-1:], np.array([self.max_weight]),
+                np.array([self.min_len_byte], np.uint8))
 
     def decode_block(self, i: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Decode block i -> (doc_ids, weights-or-tfs, len_bytes)."""
-        cnt = int(self.block_counts[i])
-        o = int(self.block_lens_off[i])  # posting ordinal within term
-        if self._decoded is not None:
-            ids, tfs, lens = self._decoded
-            return ids[o : o + cnt], tfs[o : o + cnt], lens[o : o + cnt]
-        a = int(self.block_ids_off[i])
-        b = int(self.block_ids_off[i + 1]) if i + 1 < self.n_blocks else len(self.ids_blob)
-        deltas = varint_decode(self.ids_blob[a:b], cnt)
-        ids = np.cumsum(deltas, dtype=np.uint64)
+        """Decode block i -> (doc_ids, weights-or-tfs, len_bytes). A
+        one-block row's block is its whole posting list."""
+        o, bs = i * self.block_size, self.block_size
+        if self._decoded is not None or self.n_blocks == 1:
+            ids, tfs, lens = self.decode_all()
+            return ids[o : o + bs], tfs[o : o + bs], lens[o : o + bs]
+        cnt = min(bs, self.df - o)
+        ids = np.cumsum(
+            varint_decode(_block_bytes(self.ids_blob, self.block_ids_off, i), cnt),
+            dtype=np.uint64,
+        )
         if self.wts_blob is not None:
             tfs = np.frombuffer(
                 self.wts_blob, np.float32, count=cnt, offset=4 * o
             ).astype(np.float64)
         else:
-            a = int(self.block_tfs_off[i])
-            b = (
-                int(self.block_tfs_off[i + 1])
-                if i + 1 < self.n_blocks
-                else len(self.tfs_blob)
-            )
-            tfs = varint_decode(self.tfs_blob[a:b], cnt)
+            tfs = varint_decode(_block_bytes(self.tfs_blob, self.block_tfs_off, i), cnt)
         lens = np.frombuffer(self.lens_blob, np.uint8, count=cnt, offset=o)
         return ids, tfs, lens
 
@@ -166,7 +176,7 @@ class TermRow:
         if self._decoded is not None:
             return self._decoded
         n = self.df
-        ids = decode_doc_ids(self.ids_blob, self.block_counts, n)
+        ids = decode_doc_ids(self.ids_blob, block_counts([n], self.block_size), n)
         if self.wts_blob is not None:
             tfs = np.frombuffer(self.wts_blob, np.float32, count=n).astype(
                 np.float64
@@ -220,15 +230,19 @@ class TermRow:
         return flat.astype(np.int64).reshape(-1, 2), (counts2 // 2)
 
 
+def _block_bytes(blob: np.ndarray, offs: np.ndarray, i: int) -> np.ndarray:
+    """Block ``i``'s bytes of a multi-block row's ``blob``."""
+    end = offs[i + 1] if i + 1 < len(offs) else len(blob)
+    return blob[int(offs[i]) : int(end)]
+
+
 # TermRow field -> the dtype a row's slice of that list column carries
 _LIST_DTYPES = {
-    "block_counts": np.dtype(np.int64),
     "block_max_ids": np.dtype(np.uint64),
     "block_max_weights": np.dtype(np.float64),
     "block_min_lens": np.dtype(np.uint8),
     "block_ids_off": np.dtype(np.int64),
     "block_tfs_off": np.dtype(np.int64),
-    "block_lens_off": np.dtype(np.int64),
     "block_pos_off": np.dtype(np.int64),
     "block_chars_off": np.dtype(np.int64),
 }
@@ -287,42 +301,33 @@ def blob_concat(col: pa.ChunkedArray | pa.Array) -> np.ndarray:
     return data[offs[0] : offs[-1]]
 
 
-def decode_postings(rows: pa.Table | pa.RecordBatch) -> tuple[np.ndarray, np.ndarray]:
+def decode_postings(rows: pa.Table | pa.RecordBatch, block_size: int) -> tuple:
     """``(doc ids uint64, integer tfs uint64)`` of every posting of
-    a run of segment rows, in row order: the rows' blobs are concatenated
-    and decoded in one pass (``codec.decode_doc_ids`` over their flattened
-    blocks; every row starts on a block). Reads ``df``, ``block_counts``,
+    a run of segment rows of an index with ``block_size``, in row order:
+    the rows' blobs are concatenated and decoded in one pass
+    (``codec.decode_doc_ids`` over their flattened blocks, whose counts
+    follow from df; every row starts on a block). Reads ``df``,
     ``ids_blob`` and ``tfs_blob``. The one batch decoder: the merge read
     (``index/merge.py``) and a scoring actor's pin both use it."""
-    total = int(arrow_view(rows["df"]).sum())
-    bc = rows["block_counts"]
-    if isinstance(bc, pa.ChunkedArray):
-        bc = bc.combine_chunks()
-    counts = arrow_view(bc.flatten())
-    ids = decode_doc_ids(blob_concat(rows["ids_blob"]), counts, total)
+    df = arrow_view(rows["df"])
+    total = int(df.sum())
+    ids = decode_doc_ids(blob_concat(rows["ids_blob"]), block_counts(df, block_size), total)
     tfs = varint_decode(blob_concat(rows["tfs_blob"]), total)
     return ids, tfs
 
 
 def _batch_views(batch: pa.RecordBatch) -> tuple[list, list, list]:
     """Zero-copy numpy views of one batch's TermRow columns: ``(name,
-    values)`` per scalar column, ``(name, values, offsets, cast)`` per list
-    column and ``(name, data, offsets)`` per blob column. Other columns
-    (``term``) are left out."""
+    values)`` per scalar column, ``(name, values, offsets)`` per list
+    column (uint64 offsets reinterpreted as int64) and ``(name, data,
+    offsets)`` per blob column. Other columns (``term``) are left out."""
     scalars, lists, blobs = [], [], []
     for name, arr in zip(batch.schema.names, batch.columns):
         if name in _SCALAR_FIELDS:
             scalars.append((name, arrow_view(arr)))
         elif name in _LIST_DTYPES:
-            want = _LIST_DTYPES[name]
-            values = arrow_view(arr.values)
-            cast = None
-            if values.dtype != want:
-                if values.dtype.kind in "iu" and values.dtype.itemsize == want.itemsize:
-                    values = values.view(want)  # uint64 offsets: reinterpret
-                else:
-                    cast = want  # e.g. uint32 block counts: per-row astype
-            lists.append((name, values, arrow_view(arr.offsets), cast))
+            values = arrow_view(arr.values).view(_LIST_DTYPES[name])
+            lists.append((name, values, arrow_view(arr.offsets)))
         elif name in _BLOB_FIELDS:
             offsets, data = binary_view(arr)
             blobs.append((name, data, offsets))
@@ -336,15 +341,15 @@ class TermColumns:
     an ``Index``/actor block LRU): it holds zero-copy numpy views of the
     scalar columns, ``(values, offsets)`` per list column and ``(data,
     offsets)`` per ``large_binary`` blob column. A row is then a handful of
-    numpy slices. Dtype casts (uint32 block counts to int64) apply to the
-    row's slice, never to a whole column, so building the views copies
-    nothing and a pinned table's footprint stays that of the table.
+    numpy slices. Building the views copies nothing, so a pinned table's
+    footprint stays that of the table.
 
     ``values(i)`` returns row ``i``'s TermRow fields that the table holds;
     with ``copy=True`` every slice is copied, so the row outlives the table
     without pinning it (cached row groups come and go)."""
 
-    def __init__(self, tbl: pa.Table):
+    def __init__(self, tbl: pa.Table, block_size: int):
+        self.block_size = block_size
         batches = [b for b in tbl.to_batches() if len(b)]
         self._starts = np.cumsum([0] + [len(b) for b in batches]).tolist()
         self._views = [_batch_views(b) for b in batches]
@@ -354,30 +359,19 @@ class TermColumns:
         i -= self._starts[k]
         scalars, lists, blobs = self._views[k]
         out = {name: v[i].item() for name, v in scalars}
-        for name, v, offs, cast in lists:
+        for name, v, offs in lists:
             s = v[offs[i] : offs[i + 1]]
-            if cast is not None:
-                s = s.astype(cast)
-            elif copy:
-                s = s.copy()
-            out[name] = s
+            out[name] = s.copy() if copy else s
         for name, data, offs in blobs:
             s = data[offs[i] : offs[i + 1]]
             out[name] = s.copy() if copy else s
         return out
 
-    def list_len(self, i: int, name: str) -> int:
-        """Length of row ``i``'s ``name`` list, from its offsets alone."""
-        k = bisect_right(self._starts, i) - 1
-        i -= self._starts[k]
-        offs = next(o for n, _v, o, _c in self._views[k][1] if n == name)
-        return int(offs[i + 1] - offs[i])
-
-    def row(self, i: int, term: str, copy: bool = False) -> TermRow:
-        """Row ``i`` as a TermRow; its fields are slices of the views."""
+    def row(self, i: int, term: str, copy: bool = False, **extra) -> TermRow:
+        """Row ``i`` as a TermRow of slices of the views, plus ``extra``."""
         v = self.values(i, copy)
         v.pop("doc_slots", None)
-        return TermRow(term=term, **v)
+        return TermRow(term=term, block_size=self.block_size, **v, **extra)
 
 
 @ray.remote(num_cpus=1)
@@ -433,8 +427,9 @@ class _TermBlocks:
     decoded row groups come from ``cache``, an entry-capped LRU that may be
     shared by several files (entries are keyed by path)."""
 
-    def __init__(self, path: str, cache: _LRUCache):
+    def __init__(self, path: str, cache: _LRUCache, block_size: int):
         self.path = path
+        self.block_size = block_size
         self._pf = pq.ParquetFile(path)
         self._cache = cache
         md = self._pf.metadata
@@ -505,7 +500,8 @@ class _TermBlocks:
         (made once per cache entry)."""
         return self._cached(
             (g, columns),
-            lambda: TermColumns(self._pf.read_row_group(g, columns=list(columns))),
+            lambda: TermColumns(self._pf.read_row_group(g, columns=list(columns)),
+                                self.block_size),
         )
 
     def find(self, term: str) -> list[tuple[int, int, int]]:
@@ -587,7 +583,9 @@ class Index:
             p = self._bucket_paths.get(bucket)
             if p is None:
                 return None
-            tb = self._blocks_by_bucket[bucket] = _TermBlocks(p, self._block_cache)
+            tb = self._blocks_by_bucket[bucket] = _TermBlocks(
+                p, self._block_cache, self.cfg.block_size
+            )
         return tb
 
     def _term_spans(self, terms: list[str]):

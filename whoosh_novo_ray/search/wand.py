@@ -6,7 +6,7 @@ Doc-at-a-time port of the reference's quality-pruning machinery:
   (W3LeafMatcher.block_quality / skip_to_quality, whoosh3.py:1085-1098),
 * the collector's minscore threshold loop (collectors.py:376-508).
 
-Cursors advance by whole blocks using the skip table (block_max_ids) without
+Cursors advance by whole blocks using the skip table (``TermRow.skip_table``) without
 decoding; a block is decoded only when the WAND pivot test says documents in
 it could enter the current top-k. Results are EXACTLY the same ranking as the
 exhaustive evaluator (skipping uses strict inequality so boundary ties are
@@ -44,6 +44,7 @@ class LeafCursor:
     __slots__ = (
         "row",
         "scorer",
+        "block_max_ids",
         "max_quality",
         "block_qualities",
         "block_i",
@@ -58,10 +59,9 @@ class LeafCursor:
         self.row = row
         self.scorer = scorer
         self.max_quality = scorer.max_quality(row.max_weight, row.min_len_byte)
+        self.block_max_ids, max_weights, min_lens = row.skip_table()
         # all block quality bounds in one vectorized pass
-        self.block_qualities = scorer.score_arrays(
-            row.block_max_weights, row.block_min_lens
-        )
+        self.block_qualities = scorer.score_arrays(max_weights, min_lens)
         self.block_i = 0
         self.ids = None  # type: np.ndarray | None
         self.scores = None
@@ -99,7 +99,7 @@ class LeafCursor:
         return float(self.block_qualities[self.block_i])
 
     def block_max_id(self) -> np.uint64:
-        return np.uint64(self.row.block_max_ids[self.block_i])
+        return np.uint64(self.block_max_ids[self.block_i])
 
     def next(self) -> None:
         self._ensure_block()
@@ -114,7 +114,7 @@ class LeafCursor:
         if not self.is_active():
             return
         # find first block whose max_id >= target
-        bmax = self.row.block_max_ids
+        bmax = self.block_max_ids
         j = int(np.searchsorted(bmax[self.block_i :], target) + self.block_i)
         if j >= self.row.n_blocks:
             self.skipped_blocks += self.row.n_blocks - self.block_i - (

@@ -233,17 +233,14 @@ def shard_slots(shards: list[int], num_shards: int) -> int:
 # only address the blobs, which the pin decodes and drops.
 _PIN_COLUMNS = (
     "df",
-    "weight",
     "max_weight",
     "min_len_byte",
-    "block_counts",
     "block_max_ids",
     "block_max_weights",
     "block_min_lens",
-    "block_lens_off",
 )
 # read once per row group for the decode and the term index, not kept
-_DECODE_COLUMNS = ("term", "ids_blob", "tfs_blob", "lens_blob", "wts_blob")
+_DECODE_COLUMNS = ("term", "ids_blob", "tfs_blob", "wts_blob")
 # positional/chars/per-occurrence-boost blobs are the bulk of a
 # positions-enabled segment and most queries never touch them: at fleet
 # scale pinning them would hold the full uncompressed posting set in
@@ -291,9 +288,12 @@ class PinnedTable:
     (uint64 doc ids), ``tfs`` (uint32 integer tfs, the build's tf type),
     ``wts`` (float64 weights, only when the file has ``wts_blob``) and
     ``lens`` (uint8 length bytes). Row ``r`` holds postings ``starts[r]``
-    to ``starts[r + 1]``. The pin reads one row group at a time, so the
+    to ``starts[r + 1]``. The store is sized from the file's manifest row
+    (``n_postings``), and the pin reads one row group at a time, so the
     blobs and the decode's temporaries never exceed one group; the blobs
-    are not kept.
+    are not kept. The serving files store no length bytes: ``lens`` is one
+    ``searchsorted`` of ``ids`` into the shard's docmeta, and a posting
+    whose doc that docmeta lacks raises ``ValueError``.
 
     A plain-term lookup (:meth:`find`, :meth:`postings`) is a hash search
     and three slices: ``hashes`` is each term's sorted ``hash()`` (stable
@@ -302,36 +302,49 @@ class PinnedTable:
     positional queries get :meth:`row` TermRows, built from ``cols`` (views
     of ``table``, the ``_PIN_COLUMNS``) and carrying the same slices."""
 
-    def __init__(self, path: str, block_cache: _LRUCache):
+    def __init__(self, path: str, block_cache: _LRUCache, block_size: int,
+                 n_postings: int, docmeta: tuple[np.ndarray, np.ndarray]):
+        """``docmeta``: the shard's (doc ids, len bytes), sorted by id."""
         pf = pq.ParquetFile(path)
         names = pf.schema_arrow.names
         pin = [c for c in _PIN_COLUMNS if c in names]
         read = pin + [c for c in _DECODE_COLUMNS if c in names]
-        df = arrow_view(pf.read(columns=["df"])["df"])
-        self.starts = np.zeros(len(df) + 1, np.int64)
-        np.cumsum(df, out=self.starts[1:])
-        n = int(self.starts[-1])
+        n, self.block_size = n_postings, block_size
         self.ids = np.empty(n, np.uint64)
         self.tfs = np.empty(n, np.uint32)
         self.wts = np.empty(n, np.float64) if "wts_blob" in names else None
-        self.lens = np.empty(n, np.uint8)
         # never empty: ``write_segment`` writes a row group even for no rows
-        parts, terms, r = [], [], 0
+        starts, parts, terms = [np.zeros(1, np.int64)], [], []
+        a = b = 0
         for g in range(pf.num_row_groups):
             rg = pf.read_row_group(g, columns=read)
-            a, b = self.starts[r], self.starts[r + len(rg)]
-            self.ids[a:b], self.tfs[a:b] = decode_postings(rg)
+            starts.append(a + np.cumsum(arrow_view(rg["df"]), dtype=np.int64))
+            b = int(starts[-1][-1]) if len(rg) else a
+            if b > n:
+                break
+            self.ids[a:b], self.tfs[a:b] = decode_postings(rg, block_size)
             if self.wts is not None:
                 self.wts[a:b] = blob_concat(rg["wts_blob"]).view(np.float32)
-            self.lens[a:b] = blob_concat(rg["lens_blob"])
             parts.append(rg.select(pin))
             terms.extend(rg["term"].chunks)
-            r += len(rg)
+            a = b
+        if b != n:  # a group overran the store (break) or the last fell short
+            raise ValueError(f"{path}: its rows' df sum differs from the manifest's "
+                             f"n_postings ({n})")
+        self.starts = np.concatenate(starts)
+        dm_ids, dm_lens = docmeta
+        at = np.searchsorted(dm_ids, self.ids)
+        found = at < len(dm_ids)
+        found[found] = dm_ids[at[found]] == self.ids[found]
+        if not found.all():
+            raise ValueError(f"{path}: {int((~found).sum())} postings name docs "
+                             "missing from the shard's docmeta")
+        self.lens = dm_lens[at]
         self.table = pa.concat_tables(parts)
-        self.cols = TermColumns(self.table)
+        self.cols = TermColumns(self.table, block_size)
         self.term = pa.concat_arrays(terms)
         self._build_term_index()
-        self.blocks = _TermBlocks(path, block_cache)
+        self.blocks = _TermBlocks(path, block_cache, block_size)
         self.lazy_cols = tuple(c for c in _LAZY_COLUMNS if c in names)
 
     def _build_term_index(self) -> None:
@@ -374,10 +387,13 @@ class PinnedTable:
             g, off = self.blocks.locate_row(r)
             extra = self.blocks.read(g, self.lazy_cols).values(off, copy=True)
         a, b = self.starts[r], self.starts[r + 1]
-        return TermRow(
-            term=term, **self.cols.values(r), **extra,
-            _decoded=self.postings(r), _tfs=self.tfs[a:b],
+        return self.cols.row(
+            r, term, **extra, _decoded=self.postings(r), _tfs=self.tfs[a:b]
         )
+
+    def n_blocks(self, r: int) -> int:
+        """Row ``r``'s posting blocks, from its df."""
+        return -(-int(self.starts[r + 1] - self.starts[r]) // self.block_size)
 
     @property
     def nbytes(self) -> int:
@@ -469,8 +485,7 @@ class ShardSearcher(Searcher):
         )
 
     def n_blocks(self, term: str) -> int:
-        return sum(p.cols.list_len(r, "block_counts")
-                   for p in self._pinned for r in p.find(term))
+        return sum(p.n_blocks(r) for p in self._pinned for r in p.find(term))
 
     def term_stats(self, term: str) -> tuple[int, float, float]:
         return self._gstats.get(term, (0, 0.0, 0.0))
@@ -516,18 +531,19 @@ class ScoreServer:
         # members are doc-disjoint: global stats are the sums
         self._doc_count = int(sum(int(m["doc_count"]) for m in mans))
         self._tfl = float(sum(float(m["total_field_length"]) for m in mans))
-        def _dm_universe(d: str, k: int) -> np.ndarray:
+        def _docmeta(d: str, k: int) -> tuple[np.ndarray, np.ndarray]:
+            """(doc ids, len bytes) of one docmeta file, sorted by doc id."""
             p = os.path.join(d, "docmeta", f"bucket={k:05d}.parquet")
             if not os.path.exists(p):
-                return np.empty(0, np.uint64)
-            return np.sort(
-                arrow_view(pq.ParquetFile(p).read(columns=["doc_id"])["doc_id"])
-                .astype(np.uint64)
-            )
+                return np.empty(0, np.uint64), np.empty(0, np.uint8)
+            t = pq.ParquetFile(p).read(columns=["doc_id", "len_byte"])
+            ids = arrow_view(t["doc_id"]).astype(np.uint64)
+            order = np.argsort(ids, kind="stable")
+            return ids[order], arrow_view(t["len_byte"])[order]
 
-        # each (member, shard) docmeta file is read once: it is both a pinned
-        # table's universe and a part of the actor's
-        dm = {(d, k): _dm_universe(d, k) for d in dirs for k in self._shards}
+        # each (member, shard) docmeta file is read once: a pinned table's
+        # universe and length bytes, and a part of the actor's universe
+        dm = {(d, k): _docmeta(d, k) for d in dirs for k in self._shards}
         # per pinned table: its decoded store, term index and file block
         # index (PinnedTable); the positional columns stay on disk
         self._pinned: list[PinnedTable] = []
@@ -541,11 +557,15 @@ class ScoreServer:
         for d, man in zip(dirs, mans):
             for b in man["buckets"]:
                 if b["bucket"] in shards and b["path"]:
-                    p = os.path.join(d, b["path"])
-                    self._pinned.append(PinnedTable(p, self._block_cache))
-                    self._table_shards.append(int(b["bucket"]))
-                    self._table_universe.append(dm[d, int(b["bucket"])])
-        self._universe = np.sort(np.concatenate([np.empty(0, np.uint64), *dm.values()]))
+                    k = int(b["bucket"])
+                    self._pinned.append(PinnedTable(
+                        os.path.join(d, b["path"]), self._block_cache,
+                        man["config"]["block_size"], int(b["n_postings"]), dm[d, k],
+                    ))
+                    self._table_shards.append(k)
+                    self._table_universe.append(dm[d, k][0])
+        self._universe = np.sort(np.concatenate([np.empty(0, np.uint64)]
+                                                + [ids for ids, _ in dm.values()]))
         # WAND and positional TermRows and merged multi-table postings,
         # shared across queries (the pinned tables are immutable). Bounded:
         # cleared past 50k entries (stopword-grade terms dominate reuse long
